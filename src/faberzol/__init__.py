@@ -12,7 +12,6 @@ from .adi import (
     faber_shifts,
     fejer_shifts,
     leja_shifts,
-    spectral_norm,
     sylvester_problem,
 )
 from .bounds import (
@@ -32,7 +31,6 @@ from .conformal import (
     solve_annulus_map,
 )
 from .displacement import (
-    ComplexMatrix,
     cauchy_matrix,
     singular_value_bounds,
     singular_values,

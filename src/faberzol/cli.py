@@ -190,8 +190,7 @@ def _write_json(path, payload):
 
 
 def _solve(args, region_e, region_f):
-    return solve_annulus_map(region_e, region_f, tol=args.tol,
-                             nq_check=max(args.nq, 64))
+    return solve_annulus_map(region_e, region_f, tol=args.tol)
 
 
 def _cmd_map(args):

@@ -336,7 +336,6 @@ def solve_annulus_map(
     tol: float = 1e-8,
     max_degree: int = 128,
     poles_per_corner: int = 64,
-    nq_check: int = 512,
 ) -> AnnulusMap:
     """Solve for the annulus map of a disjoint pair (case A1 or A2).
 
@@ -367,10 +366,6 @@ def solve_annulus_map(
         if isinstance(f_inner, Polygon)
         else (np.empty(0, complex), np.empty(0))
     )
-    if variant == "A2" and len(poles_f):
-        # poles for the outer boundary must sit beyond it, inside F
-        pass  # _corner_poles already points them out of the bounded side
-
     # boundary sampling must resolve the deepest pole cluster level
     depth = 4.0 * (math.sqrt(poles_per_corner) - 1.0) / math.log(2.0)
     per_side = max(30, int(math.ceil(depth)) + 3)

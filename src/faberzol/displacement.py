@@ -11,38 +11,10 @@ for Vandermonde nodes confined to a disk inside the unit circle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidRegionError
-
-_ROLES = ("cauchy", "vandermonde", "generic")
-
-
-@dataclass(frozen=True)
-class ComplexMatrix:
-    """Dense complex matrix tagged with its structural role."""
-
-    matrix: np.ndarray
-    role: str = "generic"
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        if mat.ndim != 2 or min(mat.shape) < 1:
-            raise ValueError("matrix must be two-dimensional and non-empty")
-        if self.role not in _ROLES:
-            raise ValueError(f"unknown role {self.role!r}")
-        object.__setattr__(self, "matrix", mat)
-
-    @property
-    def shape(self):
-        return self.matrix.shape
-
-    def __array__(self, dtype=None, copy=None):
-        if dtype is None:
-            return self.matrix
-        return self.matrix.astype(dtype)
 
 
 def _distinct(nodes, label):
@@ -54,7 +26,7 @@ def _distinct(nodes, label):
     return nodes
 
 
-def cauchy_matrix(x, y) -> ComplexMatrix:
+def cauchy_matrix(x, y) -> np.ndarray:
     """C_jk = 1/(x_j - y_k) for disjoint node sets x and y.
 
     diag(x) C - C diag(y) is the all-ones matrix; the identity is checked
@@ -70,10 +42,10 @@ def cauchy_matrix(x, y) -> ComplexMatrix:
     tol = 1e-12 * max(1.0, np.abs(x).max(), np.abs(y).max())
     if np.abs(resid).max() > tol:
         raise ValueError("displacement identity failed; nodes too close")
-    return ComplexMatrix(c, role="cauchy")
+    return c
 
 
-def vandermonde_matrix(nodes, p: int) -> ComplexMatrix:
+def vandermonde_matrix(nodes, p: int) -> np.ndarray:
     """V_jk = alpha_j^(k-1) for distinct nodes, k = 1..p.
 
     diag(alpha) V - V Q with the circulant shift Q equals the rank-1
@@ -91,7 +63,7 @@ def vandermonde_matrix(nodes, p: int) -> ComplexMatrix:
     tol = 1e-12 * max(1.0, np.abs(v).max())
     if np.abs(resid).max() > tol:
         raise ValueError("displacement identity failed for these nodes")
-    return ComplexMatrix(v, role="vandermonde")
+    return v
 
 
 def vandermonde_h(z0, eta0: float) -> float:

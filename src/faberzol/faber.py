@@ -7,13 +7,13 @@ rational whose sup/inf ratio witnesses the Zolotarev number upper bound.
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
 from . import geometry
-from .conformal import MobiusMap, phi
+from .conformal import phi
 from .errors import EvaluationDomainError, InvalidRegionError, UncertifiedError
 from .quadrature import (
     BoundaryQuadrature,
@@ -30,7 +30,7 @@ class FaberContext:
     """Quadrature-backed evaluator state for one map and one degree n.
 
     phi_n_on_e holds Phi^n at the E-boundary nodes (the density whose
-    interior transform is R_n); rn_on_f holds R_n at the F-boundary nodes
+    transforms give R_n); inv_rn_on_f holds 1/R_n at the F-boundary nodes
     (the density whose transforms give 1/r_n).
     """
 
@@ -39,26 +39,10 @@ class FaberContext:
     quad_e: BoundaryQuadrature
     quad_f: BoundaryQuadrature
     phi_n_on_e: np.ndarray
-    rn_on_f: np.ndarray
-    rn_at_infinity: complex
-    rn_e_boundary: np.ndarray      # R_n boundary values at the E nodes
-    inv_rn_f_boundary: np.ndarray  # 1/r_n boundary values at the F nodes
-
-    @property
-    def inv_rn_on_f(self):
-        return 1.0 / self.rn_on_f
+    inv_rn_on_f: np.ndarray
 
     def diameter(self) -> float:
         return max(self.quad_e.diameter, self.quad_f.diameter)
-
-
-def _phi_pow(amap, z, n: int):
-    return phi(amap, z) ** n
-
-
-def _far_point(amap) -> complex:
-    quad_scale = max(amap.region_e.diameter(), amap.region_f.diameter())
-    return 1e6 * quad_scale + 0.0j
 
 
 def build_context(amap, n: int, n_quad: int = 512) -> FaberContext:
@@ -82,7 +66,7 @@ def build_context(amap, n: int, n_quad: int = 512) -> FaberContext:
     quad_e = geometry.boundary_samples(amap.region_e, n_quad)
     quad_f = geometry.boundary_samples(amap.region_f, n_quad)
 
-    phi_n_on_e = _phi_pow(amap, quad_e.nodes, n)
+    phi_n_on_e = phi(amap, quad_e.nodes) ** n
     residual = getattr(amap, "residual", 0.0)
     excess = float(np.abs(phi_n_on_e).max()) - 1.0
     if excess > 4.0 * n * residual + 1e-10:
@@ -91,33 +75,44 @@ def build_context(amap, n: int, n_quad: int = 512) -> FaberContext:
             f"(measured max 1 + {excess:.3e}); proceeding with measured values",
             stacklevel=2,
         )
+    # _rn reads only the E-side fields, so 1/R_n on F is filled in after
+    ctx = FaberContext(amap, n, quad_e, quad_f, phi_n_on_e, inv_rn_on_f=None)
+    return replace(ctx, inv_rn_on_f=1.0 / _rn(ctx, quad_f.nodes, on_e=False))
 
-    phi_n_on_f = _phi_pow(amap, quad_f.nodes, n)
-    rn_on_f = phi_n_on_f + cauchy_stabilized(
-        phi_n_on_e, quad_e, quad_f.nodes, side="exterior", at_z=phi_n_on_f
+
+def _rn(ctx, z, on_e: bool):
+    """R_n at points z of the E boundary (on_e) or of the exterior domain.
+
+    On the boundary: the boundary-limit transform of Phi^n.  Beyond it:
+    Phi^n(z) plus the exterior transform, with Phi^n(z) itself as the
+    continuation value so accuracy holds up to the boundary.
+    """
+    phi_n = phi(ctx.map, z) ** ctx.n
+    if on_e:
+        return cauchy_boundary(ctx.phi_n_on_e, ctx.quad_e, z, phi_n)
+    return phi_n + cauchy_stabilized(
+        ctx.phi_n_on_e, ctx.quad_e, z, side="exterior", at_z=phi_n
     )
 
-    z_far = _far_point(amap)
-    phi_far = _phi_pow(amap, z_far, n)
-    rn_inf = phi_far + cauchy_stabilized(
-        phi_n_on_e, quad_e, z_far, side="exterior", at_z=phi_far
+
+def _inv_rn(ctx, z, rn, on_f: bool):
+    """1/r_n at points z of the F boundary (on_f) or outside F, given R_n.
+
+    On the boundary: the boundary-limit transform of 1/R_n.  Beyond it:
+    1/R_n(z) plus the exterior transform.  Where |R_n| < _POLE_EPS the
+    result is the pole marker inf+0j (a zero of r_n).
+    """
+    small = np.abs(rn) < _POLE_EPS
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv_rn = np.where(small, np.inf + 0.0j, 1.0 / rn)
+        if on_f:
+            return cauchy_boundary(ctx.inv_rn_on_f, ctx.quad_f, z, inv_rn)
+    out = inv_rn + cauchy_stabilized(
+        ctx.inv_rn_on_f, ctx.quad_f, z, side="exterior",
+        at_z=np.where(small, 0.0, inv_rn),
     )
-    rn_e_boundary = cauchy_boundary(phi_n_on_e, quad_e, quad_e.nodes, phi_n_on_e)
-    inv_rn_on_f = 1.0 / rn_on_f
-    inv_rn_f_boundary = cauchy_boundary(
-        inv_rn_on_f, quad_f, quad_f.nodes, inv_rn_on_f
-    )
-    return FaberContext(
-        map=amap,
-        n=n,
-        quad_e=quad_e,
-        quad_f=quad_f,
-        phi_n_on_e=phi_n_on_e,
-        rn_on_f=rn_on_f,
-        rn_at_infinity=complex(rn_inf),
-        rn_e_boundary=rn_e_boundary,
-        inv_rn_f_boundary=inv_rn_f_boundary,
-    )
+    out[small] = np.inf + 0.0j
+    return out
 
 
 def _classify(ctx, z):
@@ -128,140 +123,102 @@ def _classify(ctx, z):
     return zf, in_e, on_e, in_f, on_f
 
 
-def eval_Rn(ctx: FaberContext, z):
-    """R_n(z) on E and on the doubly connected exterior domain.
+def _shaped(out, z_arr):
+    if z_arr.ndim == 0:
+        return complex(out[0])
+    return out.reshape(z_arr.shape)
 
-    Inside E: stabilized interior transform of the cached R_n boundary
-    values.  On the E boundary: the boundary-limit transform of Phi^n.
-    Elsewhere: Phi^n(z) plus the exterior transform, with Phi^n(z) itself
-    as the continuation value so accuracy holds up to the boundary.
-    Points in F are outside the domain of R_n.
+
+def _rn_by_side(ctx, zf, in_e, on_e):
+    """R_n at targets outside F, dispatched on their E membership.
+
+    Inside E it is the stabilized interior transform of the R_n boundary
+    values at the E nodes.
     """
-    z_arr = np.asarray(z, dtype=complex)
-    scalar = z_arr.ndim == 0
-    zf, in_e, on_e, in_f, on_f = _classify(ctx, z_arr)
-    if np.any(in_f & ~on_f):
-        raise EvaluationDomainError("R_n undefined in F")
     out = np.empty(zf.shape, dtype=complex)
     inside = in_e & ~on_e
     if np.any(inside):
+        density = _rn(ctx, ctx.quad_e.nodes, on_e=True)
         out[inside] = cauchy_stabilized(
-            ctx.rn_e_boundary, ctx.quad_e, zf[inside], side="interior"
+            density, ctx.quad_e, zf[inside], side="interior"
         )
     if np.any(on_e):
-        out[on_e] = cauchy_boundary(
-            ctx.phi_n_on_e, ctx.quad_e, zf[on_e],
-            _phi_pow(ctx.map, zf[on_e], ctx.n),
-        )
+        out[on_e] = _rn(ctx, zf[on_e], on_e=True)
     rest = ~(in_e | on_e)
     if np.any(rest):
-        phi_n = _phi_pow(ctx.map, zf[rest], ctx.n)
-        out[rest] = phi_n + cauchy_stabilized(
-            ctx.phi_n_on_e, ctx.quad_e, zf[rest], side="exterior", at_z=phi_n
-        )
-    if scalar:
-        return complex(out[0])
-    return out.reshape(z_arr.shape)
+        out[rest] = _rn(ctx, zf[rest], on_e=False)
+    return out
+
+
+def eval_Rn(ctx: FaberContext, z):
+    """R_n(z) on E and on the doubly connected exterior domain.
+
+    Points in F are outside the domain of R_n.
+    """
+    z_arr = np.asarray(z, dtype=complex)
+    zf, in_e, on_e, in_f, on_f = _classify(ctx, z_arr)
+    if np.any(in_f & ~on_f):
+        raise EvaluationDomainError("R_n undefined in F")
+    return _shaped(_rn_by_side(ctx, zf, in_e, on_e), z_arr)
 
 
 def eval_inv_rn(ctx: FaberContext, z):
     """1/r_n(z) everywhere; r_n itself is the reciprocal.
 
     Inside the F boundary this is the stabilized interior transform of
-    the cached 1/r_n boundary values; on the boundary itself the
-    boundary-limit transform of 1/R_n is used; outside it is 1/R_n(z)
-    plus the exterior transform.  Near a zero of R_n (|R_n| < 1e-14) the
-    result is the pole marker inf+0j; callers evaluating r_n treat it as
-    a zero of r_n.
+    the 1/r_n boundary values at the F nodes.  Near a zero of R_n
+    (|R_n| < 1e-14) the result is the pole marker inf+0j; callers
+    evaluating r_n treat it as a zero of r_n.
     """
     z_arr = np.asarray(z, dtype=complex)
-    scalar = z_arr.ndim == 0
-    zf, _, _, in_f, on_f = _classify(ctx, z_arr)
+    zf, in_e, on_e, in_f, on_f = _classify(ctx, z_arr)
     out = np.empty(zf.shape, dtype=complex)
     inside = in_f & ~on_f
     if np.any(inside):
+        nodes = ctx.quad_f.nodes
+        density = _inv_rn(ctx, nodes, _rn(ctx, nodes, on_e=False), on_f=True)
         out[inside] = cauchy_stabilized(
-            ctx.inv_rn_f_boundary, ctx.quad_f, zf[inside], side="interior"
+            density, ctx.quad_f, zf[inside], side="interior"
         )
     if np.any(on_f):
-        rn_b = np.atleast_1d(eval_Rn(ctx, zf[on_f]))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out[on_f] = cauchy_boundary(
-                ctx.inv_rn_on_f, ctx.quad_f, zf[on_f], 1.0 / rn_b
-            )
+        z_on = zf[on_f]
+        out[on_f] = _inv_rn(ctx, z_on, _rn(ctx, z_on, on_e=False), on_f=True)
     rest = ~(in_f | on_f)
     if np.any(rest):
-        rn = np.atleast_1d(eval_Rn(ctx, zf[rest]))
-        small = np.abs(rn) < _POLE_EPS
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv_rn = np.where(small, np.inf + 0.0j, 1.0 / rn)
-        vals = inv_rn + cauchy_stabilized(
-            ctx.inv_rn_on_f, ctx.quad_f, zf[rest], side="exterior",
-            at_z=np.where(small, 0.0, inv_rn),
-        )
-        vals[small] = np.inf + 0.0j
-        out[rest] = vals
-    if scalar:
-        return complex(out[0])
-    return out.reshape(z_arr.shape)
+        rn = _rn_by_side(ctx, zf[rest], in_e[rest], on_e[rest])
+        out[rest] = _inv_rn(ctx, zf[rest], rn, on_f=False)
+    return _shaped(out, z_arr)
+
+
+def _reciprocal(inv):
+    """r_n from 1/r_n values; pole markers (non-finite values) become zeros."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = 1.0 / inv
+    out[~np.isfinite(inv)] = 0.0
+    return out
 
 
 def eval_rn(ctx: FaberContext, z):
     """r_n(z) as the reciprocal of eval_inv_rn; pole markers become zeros."""
-    inv = eval_inv_rn(ctx, z)
-    arr = np.atleast_1d(np.asarray(inv, dtype=complex))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = 1.0 / arr
-    out[~np.isfinite(arr)] = 0.0
-    if np.asarray(inv).ndim == 0:
-        return complex(out[0])
-    return out.reshape(np.asarray(inv).shape)
+    inv = np.asarray(eval_inv_rn(ctx, z))
+    return _shaped(_reciprocal(np.atleast_1d(inv)), inv)
+
+
+def _inv_rn_on_boundary(ctx, t, on_e: bool):
+    """1/r_n at boundary params t of E (on_e) or of F."""
+    region = ctx.map.region_e if on_e else ctx.map.region_f
+    z = region.boundary_point(t)
+    return _inv_rn(ctx, z, _rn(ctx, z, on_e=on_e), on_f=not on_e)
 
 
 def rn_on_e_boundary(ctx: FaberContext, t):
     """r_n at E-boundary params t, via the boundary-limit transforms."""
-    z = ctx.map.region_e.boundary_point(t)
-    rn = np.atleast_1d(
-        cauchy_boundary(
-            ctx.phi_n_on_e, ctx.quad_e, z, _phi_pow(ctx.map, z, ctx.n)
-        )
-    )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_rn = 1.0 / rn
-    inv = inv_rn + cauchy_stabilized(
-        ctx.inv_rn_on_f, ctx.quad_f, z, side="exterior", at_z=inv_rn
-    )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = 1.0 / inv
-    out[~np.isfinite(out)] = 0.0
-    return out
-
-
-def _inv_rn_on_f_boundary(ctx, t):
-    z = ctx.map.region_f.boundary_point(t)
-    phi_n = _phi_pow(ctx.map, z, ctx.n)
-    rn_z = phi_n + cauchy_stabilized(
-        ctx.phi_n_on_e, ctx.quad_e, z, side="exterior", at_z=phi_n
-    )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.atleast_1d(
-            cauchy_boundary(ctx.inv_rn_on_f, ctx.quad_f, z, 1.0 / rn_z)
-        )
+    return _reciprocal(_inv_rn_on_boundary(ctx, t, on_e=True))
 
 
 def rn_on_f_boundary(ctx: FaberContext, t):
     """r_n at F-boundary params t (boundary limits of 1/r_n, inverted)."""
-    inv = _inv_rn_on_f_boundary(ctx, t)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return 1.0 / inv
-
-
-def _abs_rn_on_e(ctx, t):
-    return np.abs(rn_on_e_boundary(ctx, t))
-
-
-def _abs_inv_rn_on_f(ctx, t):
-    return np.abs(_inv_rn_on_f_boundary(ctx, t))
+    return _reciprocal(_inv_rn_on_boundary(ctx, t, on_e=False))
 
 
 def _refine_max(fun, t0: float, half_width: float) -> float:
@@ -284,22 +241,15 @@ def empirical_ratio(ctx: FaberContext, n_dense: int | None = None) -> float:
     """
     if n_dense is None:
         n_dense = 4 * len(ctx.quad_e)
-    te = np.arange(n_dense) / n_dense
-    vals_e = _abs_rn_on_e(ctx, te)
-    i = int(np.argmax(vals_e))
-    max_e = max(
-        float(vals_e[i]),
-        _refine_max(lambda t: _abs_rn_on_e(ctx, t), float(te[i]), 1.0 / n_dense),
-    )
-
-    tf = np.arange(n_dense) / n_dense
-    vals_f = _abs_inv_rn_on_f(ctx, tf)
-    j = int(np.argmax(vals_f))
-    max_inv_f = max(
-        float(vals_f[j]),
-        _refine_max(lambda t: _abs_inv_rn_on_f(ctx, t), float(tf[j]), 1.0 / n_dense),
-    )
-    return max_e * max_inv_f
+    t = np.arange(n_dense) / n_dense
+    ratio = 1.0
+    # max |r_n| on the E boundary times max |1/r_n| on the F boundary
+    for fun in (lambda s: np.abs(rn_on_e_boundary(ctx, s)),
+                lambda s: np.abs(_inv_rn_on_boundary(ctx, s, on_e=False))):
+        vals = fun(t)
+        i = int(np.argmax(vals))
+        ratio *= max(float(vals[i]), _refine_max(fun, float(t[i]), 1.0 / n_dense))
+    return ratio
 
 
 def _phi_derivative(amap, z, step: float):
@@ -394,14 +344,7 @@ def count_zeros(ctx: FaberContext, n_points: int | None = None) -> int:
     h = ctx.map.h
     t_dense = np.arange(4 * len(ctx.quad_e)) / (4 * len(ctx.quad_e))
     z_dense = ctx.map.region_e.boundary_point(t_dense)
-    sup_rn = float(
-        np.abs(
-            cauchy_boundary(
-                ctx.phi_n_on_e, ctx.quad_e, z_dense,
-                _phi_pow(ctx.map, z_dense, ctx.n),
-            )
-        ).max()
-    )
+    sup_rn = float(np.abs(_rn(ctx, z_dense, on_e=True)).max())
     zc = ctx.quad_e.nodes.mean()
     far = zc + 1e7 * ctx.diameter() * np.exp(0.5j * math.pi * np.arange(4))
     phi_inf = float(np.abs(phi(ctx.map, far)).min())

@@ -200,25 +200,6 @@ class SmoothCurve(Region):
             raise InvalidRegionError("curve needs a nonconstant coefficient")
         object.__setattr__(self, "coefficients", coeff)
 
-    @staticmethod
-    def from_samples(samples, scale=1.0, shift=0.0, keep=None) -> "SmoothCurve":
-        """Build the trig series from equispaced boundary samples via FFT."""
-        z = np.asarray([_as_complex(s) for s in samples], dtype=complex)
-        if z.size >= 2 and abs(z[0] - z[-1]) < 1e-14 * (np.abs(z).max() + 1.0):
-            z = z[:-1]
-        if z.size < 8:
-            raise InvalidRegionError("need at least 8 samples for a curve")
-        c = np.fft.fft(z) / z.size
-        ks = np.fft.fftfreq(z.size, d=1.0 / z.size).astype(int)
-        order = np.argsort(np.abs(ks))
-        if keep is not None:
-            order = order[: 2 * keep + 1]
-        tol = 1e-13 * np.abs(c).max()
-        pairs = [(int(ks[i]), complex(c[i])) for i in order if abs(c[i]) > tol]
-        return SmoothCurve(
-            coefficients=tuple(pairs), scale=_as_complex(scale), shift=_as_complex(shift)
-        )
-
     def _base_point(self, t):
         z = np.zeros(np.shape(t), dtype=complex)
         for k, c in self.coefficients:

@@ -48,9 +48,10 @@ def test_filtered_power_equals_the_mobius_power(disk_map, disk_pair, ctx6):
 
 def test_rational_equals_the_mobius_power_everywhere(disk_map, disk_pair,
                                                      ctx6):
-    # r_n agrees on Omega and inside F (away from its pole)
+    # r_n agrees on Omega, inside E and inside F (away from its pole)
     zz = np.concatenate([_omega_grid(disk_pair),
-                         np.array([-1.0 + 0.2j, -0.8, -1.3 - 0.3j])])
+                         np.array([-1.0 + 0.2j, -0.8, -1.3 - 0.3j]),
+                         np.array([1.0 + 0.2j, 0.8, 1.3 - 0.3j])])
     expect = phi(disk_map, zz) ** 6
     got = eval_rn(ctx6, zz)
     scale = np.maximum(1.0, np.abs(expect))
@@ -142,6 +143,15 @@ def test_exterior_deviation_bound_on_a_cloud(rect_map, rect_ctx, rect_pair):
     sup_e = np.abs(eval_Rn(rect_ctx, e.boundary_point(t))).max()
     dev = np.abs(eval_Rn(rect_ctx, zz) - phi(rect_map, zz) ** 6)
     assert dev.max() <= 1.0 + sup_e + 1e-6
+
+
+def test_boundary_evaluators_match_the_classifying_one(rect_pair, rect_ctx):
+    e, f = rect_pair
+    t = np.linspace(0.0, 1.0, 300, endpoint=False)
+    assert np.array_equal(rn_on_e_boundary(rect_ctx, t),
+                          eval_rn(rect_ctx, e.boundary_point(t)))
+    assert np.array_equal(rn_on_f_boundary(rect_ctx, t),
+                          eval_rn(rect_ctx, f.boundary_point(t)))
 
 
 def test_ratio_is_sandwiched_by_the_bounds(rect_map, rect_ctx):
