@@ -105,20 +105,6 @@ def _bound_quotient(m_ef: float, m_fe: float, h: float, n: int) -> float:
     return numer / denom
 
 
-def _convex_quotient(h: float, n: int) -> float:
-    """Rot = 1 display of the same bracket, kept as a cross-check."""
-    q = h ** (-n)
-    q2 = q * q
-    guard = 1.0 - 4.0 * q - 3.0 * q2
-    if guard <= 0.0:
-        return math.inf
-    numer = 9.0 * (1.0 + q) ** 2 / (1.0 - q2) + 96.0 * n * (1.0 + q) * q / guard**2
-    denom = 1.0 - 9.0 * (1.0 + q) ** 2 / (1.0 - q2) * q - 3.0 * (1.0 + q) / guard * q - q2
-    if denom <= 0.0:
-        return math.inf
-    return numer / denom
-
-
 def zolotarev_upper(gc: GeometryConstants, n: int) -> BoundValue:
     """Explicit upper bound at degree n, clamped to 1 outside validity.
 
@@ -140,15 +126,6 @@ def zolotarev_upper(gc: GeometryConstants, n: int) -> BoundValue:
     lower = zolotarev_lower(h, n)
 
     quotient = _bound_quotient(m_ef, m_fe, h, n)
-    if gc.convex and gc.variant == "A1":
-        display = _convex_quotient(h, n)
-        matched = (display == quotient == math.inf) or (
-            math.isfinite(quotient)
-            and abs(display - quotient) <= 1e-12 * max(abs(display), 1.0)
-        )
-        assert matched, "convex display disagrees with the general formula"
-        quotient = display
-
     valid = n > n0 and math.isfinite(quotient)
     upper = quotient * lower if valid else math.inf
     clamped = not valid or upper > 1.0
@@ -163,28 +140,3 @@ def zolotarev_upper(gc: GeometryConstants, n: int) -> BoundValue:
 def sup_rn_bound(rot_e: float, rot_f: float, h: float, n: int) -> float:
     """Upper bound for sup over E of |R_n|: M_n(E,F)/(1 - h^(-2n))."""
     return m_n(rot_e, rot_f, h, n) / (1.0 - h ** (-2 * n))
-
-
-def sup_inv_rn_bound(rot_e: float, rot_f: float, h: float, n: int,
-                     c_n: float) -> float:
-    """Upper bound for sup over F of |1/r_n|, given C_n = 1 + sup_E |R_n|."""
-    hn = float(h) ** n
-    if hn <= c_n:
-        return math.inf
-    head = m_n(rot_f, rot_e, h, n) / (1.0 - hn**-2) / hn
-    tail = 32.0 * n * hn / ((hn - c_n) ** 2 * (hn + c_n))
-    return head + tail
-
-
-def inf_inv_rn_bound(rot_e: float, rot_f: float, h: float, n: int,
-                     c_n: float) -> float:
-    """Lower bound for inf over E of |1/r_n| (0 when the formula is negative)."""
-    hn = float(h) ** n
-    if hn <= c_n:
-        return 0.0
-    value = (
-        (1.0 - hn**-2) / m_n(rot_e, rot_f, h, n)
-        - m_n(rot_f, rot_e, h, n) / (1.0 - hn**-2) / hn
-        - 1.0 / (hn - c_n)
-    )
-    return max(0.0, value)

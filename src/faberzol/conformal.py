@@ -285,11 +285,8 @@ def _corner_poles(region: Polygon, per_corner: int, sigma: float = 4.0):
             bis = 1j * e_out / abs(e_out)
         bis = bis / abs(bis)
         probe = v[k] + 1e-6 * len_min * bis
-        try:
-            inside = geometry.contains(region, probe)
-        except Exception:
-            inside = False
-        if not inside:
+        inside, _ = geometry.contains_many(region, np.array([probe]))
+        if not inside[0]:
             bis = -bis
         dist = 0.5 * len_min * profile
         # drop levels too deep for boundary sampling to see between nodes
@@ -563,10 +560,9 @@ def psi_boundary(annulus_map, w) -> complex:
     elif g_lo * g_hi < 0 and abs(g_lo) < math.pi / 2 and abs(g_hi) < math.pi / 2:
         t_star = brentq(angle_gap, t_lo, t_hi, xtol=1e-15)
     else:
-        # fall back to a fine local scan plus golden refinement
-        ts = np.linspace(t_lo, t_hi, 64)
-        gaps = [abs(angle_gap(x)) for x in ts]
-        t_star = float(ts[int(np.argmin(gaps))])
+        # no sign change: a root on a table node can leave both ends on
+        # one side by rounding; take the closer end, certified below
+        t_star = t_lo if abs(g_lo) <= abs(g_hi) else t_hi
     z = complex(region.boundary_point(np.array([t_star % 1.0]))[0])
     err = abs(complex(phi(annulus_map, np.array([z]))[0]) - w)
     if err > 1e-8 * max(1.0, abs(w)) + 10.0 * getattr(annulus_map, "residual", 0.0) * max(1.0, abs(w)):

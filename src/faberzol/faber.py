@@ -7,7 +7,7 @@ rational whose sup/inf ratio witnesses the Zolotarev number upper bound.
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -76,51 +76,40 @@ def build_context(amap, n: int, n_quad: int = 512) -> FaberContext:
             stacklevel=2,
         )
     # _rn reads only the E-side fields, so 1/R_n on F is filled in after
-    ctx = FaberContext(amap, n, quad_e, quad_f, phi_n_on_e, inv_rn_on_f=None)
-    return replace(ctx, inv_rn_on_f=1.0 / _rn(ctx, quad_f.nodes, on_e=False))
+    e_side = FaberContext(amap, n, quad_e, quad_f, phi_n_on_e, None)
+    inv_rn_on_f = 1.0 / _rn(e_side, quad_f.nodes)
+    return FaberContext(amap, n, quad_e, quad_f, phi_n_on_e, inv_rn_on_f)
 
 
-def _rn(ctx, z, on_e: bool):
-    """R_n at points z of the E boundary (on_e) or of the exterior domain.
-
-    On the boundary: the boundary-limit transform of Phi^n.  Beyond it:
-    Phi^n(z) plus the exterior transform, with Phi^n(z) itself as the
-    continuation value so accuracy holds up to the boundary.
+def _rn(ctx, z):
+    """R_n at points z on the E boundary or outside E: Phi^n filtered
+    across the E boundary, with Phi^n(z) itself as the subtracted value so
+    accuracy holds up to and on the boundary.
     """
     phi_n = phi(ctx.map, z) ** ctx.n
-    if on_e:
-        return cauchy_boundary(ctx.phi_n_on_e, ctx.quad_e, z, phi_n)
-    return phi_n + cauchy_stabilized(
-        ctx.phi_n_on_e, ctx.quad_e, z, side="exterior", at_z=phi_n
-    )
+    return cauchy_boundary(ctx.phi_n_on_e, ctx.quad_e, z, phi_n)
 
 
-def _inv_rn(ctx, z, rn, on_f: bool):
-    """1/r_n at points z of the F boundary (on_f) or outside F, given R_n.
-
-    On the boundary: the boundary-limit transform of 1/R_n.  Beyond it:
-    1/R_n(z) plus the exterior transform.  Where |R_n| < _POLE_EPS the
+def _inv_rn(ctx, z, rn):
+    """1/r_n at points z on the F boundary or outside F, given R_n there:
+    1/R_n filtered across the F boundary.  Where |R_n| < _POLE_EPS the
     result is the pole marker inf+0j (a zero of r_n).
     """
     small = np.abs(rn) < _POLE_EPS
     with np.errstate(divide="ignore", invalid="ignore"):
-        inv_rn = np.where(small, np.inf + 0.0j, 1.0 / rn)
-        if on_f:
-            return cauchy_boundary(ctx.inv_rn_on_f, ctx.quad_f, z, inv_rn)
-    out = inv_rn + cauchy_stabilized(
-        ctx.inv_rn_on_f, ctx.quad_f, z, side="exterior",
-        at_z=np.where(small, 0.0, inv_rn),
-    )
+        inv_rn = np.where(small, 0.0, 1.0 / rn)
+    out = cauchy_boundary(ctx.inv_rn_on_f, ctx.quad_f, z, inv_rn)
     out[small] = np.inf + 0.0j
     return out
 
 
 def _classify(ctx, z):
-    """Membership masks of the targets against E and F."""
+    """Strict-interior masks of the targets in E and in F (contour points
+    count as outside)."""
     zf = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
-    in_e, on_e = geometry.contains_many(ctx.map.region_e, zf)
-    in_f, on_f = geometry.contains_many(ctx.map.region_f, zf)
-    return zf, in_e, on_e, in_f, on_f
+    in_e, _ = geometry.contains_many(ctx.map.region_e, zf)
+    in_f, _ = geometry.contains_many(ctx.map.region_f, zf)
+    return zf, in_e, in_f
 
 
 def _shaped(out, z_arr):
@@ -129,24 +118,19 @@ def _shaped(out, z_arr):
     return out.reshape(z_arr.shape)
 
 
-def _rn_by_side(ctx, zf, in_e, on_e):
+def _rn_by_side(ctx, zf, in_e):
     """R_n at targets outside F, dispatched on their E membership.
 
     Inside E it is the stabilized interior transform of the R_n boundary
     values at the E nodes.
     """
     out = np.empty(zf.shape, dtype=complex)
-    inside = in_e & ~on_e
-    if np.any(inside):
-        density = _rn(ctx, ctx.quad_e.nodes, on_e=True)
-        out[inside] = cauchy_stabilized(
-            density, ctx.quad_e, zf[inside], side="interior"
-        )
-    if np.any(on_e):
-        out[on_e] = _rn(ctx, zf[on_e], on_e=True)
-    rest = ~(in_e | on_e)
+    if np.any(in_e):
+        density = _rn(ctx, ctx.quad_e.nodes)
+        out[in_e] = cauchy_stabilized(density, ctx.quad_e, zf[in_e])
+    rest = ~in_e
     if np.any(rest):
-        out[rest] = _rn(ctx, zf[rest], on_e=False)
+        out[rest] = _rn(ctx, zf[rest])
     return out
 
 
@@ -156,10 +140,10 @@ def eval_Rn(ctx: FaberContext, z):
     Points in F are outside the domain of R_n.
     """
     z_arr = np.asarray(z, dtype=complex)
-    zf, in_e, on_e, in_f, on_f = _classify(ctx, z_arr)
-    if np.any(in_f & ~on_f):
+    zf, in_e, in_f = _classify(ctx, z_arr)
+    if np.any(in_f):
         raise EvaluationDomainError("R_n undefined in F")
-    return _shaped(_rn_by_side(ctx, zf, in_e, on_e), z_arr)
+    return _shaped(_rn_by_side(ctx, zf, in_e), z_arr)
 
 
 def eval_inv_rn(ctx: FaberContext, z):
@@ -171,22 +155,16 @@ def eval_inv_rn(ctx: FaberContext, z):
     evaluating r_n treat it as a zero of r_n.
     """
     z_arr = np.asarray(z, dtype=complex)
-    zf, in_e, on_e, in_f, on_f = _classify(ctx, z_arr)
+    zf, in_e, in_f = _classify(ctx, z_arr)
     out = np.empty(zf.shape, dtype=complex)
-    inside = in_f & ~on_f
-    if np.any(inside):
+    if np.any(in_f):
         nodes = ctx.quad_f.nodes
-        density = _inv_rn(ctx, nodes, _rn(ctx, nodes, on_e=False), on_f=True)
-        out[inside] = cauchy_stabilized(
-            density, ctx.quad_f, zf[inside], side="interior"
-        )
-    if np.any(on_f):
-        z_on = zf[on_f]
-        out[on_f] = _inv_rn(ctx, z_on, _rn(ctx, z_on, on_e=False), on_f=True)
-    rest = ~(in_f | on_f)
+        density = _inv_rn(ctx, nodes, _rn(ctx, nodes))
+        out[in_f] = cauchy_stabilized(density, ctx.quad_f, zf[in_f])
+    rest = ~in_f
     if np.any(rest):
-        rn = _rn_by_side(ctx, zf[rest], in_e[rest], on_e[rest])
-        out[rest] = _inv_rn(ctx, zf[rest], rn, on_f=False)
+        rn = _rn_by_side(ctx, zf[rest], in_e[rest])
+        out[rest] = _inv_rn(ctx, zf[rest], rn)
     return _shaped(out, z_arr)
 
 
@@ -204,21 +182,20 @@ def eval_rn(ctx: FaberContext, z):
     return _shaped(_reciprocal(np.atleast_1d(inv)), inv)
 
 
-def _inv_rn_on_boundary(ctx, t, on_e: bool):
-    """1/r_n at boundary params t of E (on_e) or of F."""
-    region = ctx.map.region_e if on_e else ctx.map.region_f
+def _inv_rn_on_boundary(ctx, region, t):
+    """1/r_n at boundary params t of region (E or F)."""
     z = region.boundary_point(t)
-    return _inv_rn(ctx, z, _rn(ctx, z, on_e=on_e), on_f=not on_e)
+    return _inv_rn(ctx, z, _rn(ctx, z))
 
 
 def rn_on_e_boundary(ctx: FaberContext, t):
     """r_n at E-boundary params t, via the boundary-limit transforms."""
-    return _reciprocal(_inv_rn_on_boundary(ctx, t, on_e=True))
+    return _reciprocal(_inv_rn_on_boundary(ctx, ctx.map.region_e, t))
 
 
 def rn_on_f_boundary(ctx: FaberContext, t):
     """r_n at F-boundary params t (boundary limits of 1/r_n, inverted)."""
-    return _reciprocal(_inv_rn_on_boundary(ctx, t, on_e=False))
+    return _reciprocal(_inv_rn_on_boundary(ctx, ctx.map.region_f, t))
 
 
 def _refine_max(fun, t0: float, half_width: float) -> float:
@@ -245,7 +222,7 @@ def empirical_ratio(ctx: FaberContext, n_dense: int | None = None) -> float:
     ratio = 1.0
     # max |r_n| on the E boundary times max |1/r_n| on the F boundary
     for fun in (lambda s: np.abs(rn_on_e_boundary(ctx, s)),
-                lambda s: np.abs(_inv_rn_on_boundary(ctx, s, on_e=False))):
+                lambda s: np.abs(_inv_rn_on_boundary(ctx, ctx.map.region_f, s))):
         vals = fun(t)
         i = int(np.argmax(vals))
         ratio *= max(float(vals[i]), _refine_max(fun, float(t[i]), 1.0 / n_dense))
@@ -344,7 +321,7 @@ def count_zeros(ctx: FaberContext, n_points: int | None = None) -> int:
     h = ctx.map.h
     t_dense = np.arange(4 * len(ctx.quad_e)) / (4 * len(ctx.quad_e))
     z_dense = ctx.map.region_e.boundary_point(t_dense)
-    sup_rn = float(np.abs(_rn(ctx, z_dense, on_e=True)).max())
+    sup_rn = float(np.abs(_rn(ctx, z_dense)).max())
     zc = ctx.quad_e.nodes.mean()
     far = zc + 1e7 * ctx.diameter() * np.exp(0.5j * math.pi * np.arange(4))
     phi_inf = float(np.abs(phi(ctx.map, far)).min())

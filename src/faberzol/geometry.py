@@ -163,10 +163,6 @@ class Polygon(Region):
         v = self._verts()
         return float(np.max(np.abs(v[:, None] - v[None, :])))
 
-    def corner_params(self):
-        """Arc parameters of the vertices (where the tangent jumps)."""
-        return self._cumulative()[:-1]
-
 
 @dataclass(frozen=True)
 class Rectangle(Polygon):

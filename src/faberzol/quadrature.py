@@ -3,8 +3,8 @@
 All transforms work on a BoundaryQuadrature whose complex weights
 approximate the increments d zeta of a counterclockwise closed contour,
 so that sum(values * weights) ~ the contour integral of the sampled
-function.  The stabilized forms are barycentric-type variants that stay
-accurate up to (and on) the contour itself.
+function.  cauchy_stabilized (interior targets) and cauchy_boundary
+(targets on or outside the contour) stay accurate up to the contour itself.
 """
 
 from __future__ import annotations
@@ -17,10 +17,6 @@ import numpy as np
 from .errors import EvaluationDomainError, QuadratureError
 
 _TWO_PI_I = 2j * math.pi
-
-# Near-contour band (relative to contour diameter) where the plain
-# transforms lose accuracy and the stabilized forms should be used.
-STABILIZATION_BAND = 0.05
 
 # Chunk size (complex entries) for node-by-target outer products.
 _CHUNK = 1 << 21
@@ -55,23 +51,10 @@ class BoundaryQuadrature:
         return self.nodes.size
 
     @property
-    def length(self) -> float:
-        """Contour length estimate sum |w_j|."""
-        return float(np.abs(self.weights).sum())
-
-    @property
     def diameter(self) -> float:
         lo, hi = self.nodes.real.min(), self.nodes.real.max()
         lo2, hi2 = self.nodes.imag.min(), self.nodes.imag.max()
         return float(math.hypot(hi - lo, hi2 - lo2))
-
-    def min_distance(self, z) -> np.ndarray:
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
-        out = np.empty(z.shape, dtype=float)
-        for lo in range(0, z.size, max(1, _CHUNK // len(self))):
-            hi = min(z.size, lo + max(1, _CHUNK // len(self)))
-            out[lo:hi] = np.abs(self.nodes[None, :] - z[lo:hi, None]).min(axis=1)
-        return out
 
 
 def _kernel_sum(coeffs, nodes, z):
@@ -126,25 +109,25 @@ def cauchy_plus(values, quad: BoundaryQuadrature, z, check: bool = True):
     check=True a winding estimate flags targets outside the contour.
     """
     if check:
-        _check_side(quad, z, inside=True)
+        _check_winding(quad, z, 1)
     return _raw_transform(values, quad, z)
 
 
 def cauchy_minus(values, quad: BoundaryQuadrature, z, check: bool = True):
     """Exterior Cauchy transform, same integral for z outside the contour."""
     if check:
-        _check_side(quad, z, inside=False)
+        _check_winding(quad, z, 0)
     return _raw_transform(values, quad, z)
 
 
-def _check_side(quad, z, inside: bool):
+def _check_winding(quad, z, winding: int):
+    """Raise unless every target has the given winding number (1 inside)."""
     w = _kernel_sum(quad.weights, quad.nodes, z) / _TWO_PI_I
-    w = np.atleast_1d(w)
-    bad = np.abs(w - 1.0) > 0.5 if inside else np.abs(w) > 0.5
+    bad = np.abs(np.atleast_1d(w) - winding) > 0.5
     if np.any(bad):
-        side = "inside" if inside else "outside"
+        where = "inside" if winding else "outside"
         raise EvaluationDomainError(
-            f"{int(bad.sum())} target(s) are not {side} the contour"
+            f"{int(bad.sum())} target(s) are not {where} the contour"
         )
 
 
@@ -179,15 +162,18 @@ def _nodal_derivative(vals, quad: BoundaryQuadrature):
 
 
 def cauchy_boundary(values, quad: BoundaryQuadrature, z, f_at):
-    """Enclosed-side boundary limit of the Cauchy transform at contour
-    points z: f(z) + (1/2 pi i) Int (f(zeta) - f(z))/(zeta - z) d zeta.
+    """Cauchy filter of f at targets z on or outside the contour:
+    f(z) + (1/2 pi i) Int (f(zeta) - f(z))/(zeta - z) d zeta.
 
-    Valid when f extends analytically across the contour, which makes the
-    subtracted integrand regular; f_at supplies f(z).  Unlike the
-    barycentric ratio form this stays an interpolant between the nodes of
-    panel-based rules, where quadrature weights differ from barycentric
-    weights.  A node collision contributes w_j f'(node), with f' from
-    _nodal_derivative.
+    Valid when f extends analytically across the contour to z, which makes
+    the subtracted integrand regular; f_at supplies f(z).  Outside the
+    contour this is f(z) plus the exterior transform, since
+    oint d zeta/(zeta - z) = 0 there, and the subtraction keeps full
+    quadrature accuracy up to the contour.  On it this is the
+    enclosed-side boundary limit; unlike the barycentric ratio form it
+    stays an interpolant between the nodes of panel-based rules, where
+    quadrature weights differ from barycentric weights.  A node collision
+    contributes w_j f'(node), with f' from _nodal_derivative.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
     f_at = np.broadcast_to(np.asarray(f_at, dtype=complex).ravel(), z.shape)
@@ -199,9 +185,13 @@ def cauchy_boundary(values, quad: BoundaryQuadrature, z, f_at):
     for lo in range(0, z.size, step):
         hi = min(z.size, lo + step)
         diff = quad.nodes[None, :] - z[lo:hi, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = quad.weights[None, :] * (vals[None, :] - f_at[lo:hi, None]) / diff
         hit = np.abs(diff) <= tol
+        # in place: a fresh temporary per step of a chunk this large is
+        # paid for in page faults
+        terms = vals[None, :] - f_at[lo:hi, None]
+        terms *= quad.weights[None, :]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms /= diff
         if np.any(hit):
             if deriv is None:
                 deriv = _nodal_derivative(vals, quad)
@@ -211,64 +201,24 @@ def cauchy_boundary(values, quad: BoundaryQuadrature, z, f_at):
     return f_at + out / _TWO_PI_I
 
 
-def cauchy_stabilized(values, quad: BoundaryQuadrature, z, side: str, at_z=None):
-    """Near-contour Cauchy transform.
-
-    side='interior': barycentric ratio form
+def cauchy_stabilized(values, quad: BoundaryQuadrature, z):
+    """Interior Cauchy transform in barycentric ratio form
         [sum v_j w_j/(z_j - z)] / [sum w_j/(z_j - z)],
-    exact for constant values at any interior z and usable on the contour
-    itself, where it reduces to an interpolant of the samples.
-
-    side='exterior': singularity-subtracted form
-        (1/2 pi i) sum (v_j - c(z)) w_j/(z_j - z),
-    which uses oint d zeta/(zeta - z) = 0 outside the contour.  When
-    ``at_z`` gives the analytic continuation of the sampled function at
-    the targets, c(z) = at_z and the integrand loses its near-contour
-    singularity, so full quadrature accuracy survives up to the contour.
-    Without at_z, c(z) falls back to the value at the nearest node, which
-    cancels the leading near-boundary error only.
+    exact for constant values at any interior z and usable up to the
+    contour, where it reduces to an interpolant of the samples.
     """
     values = np.asarray(values, dtype=complex)
     z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
     zf = np.atleast_1d(z).ravel()
-    if side == "interior":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            num = _kernel_sum(values * quad.weights, quad.nodes, zf)
-            den = _kernel_sum(quad.weights, quad.nodes, zf)
-            out = np.atleast_1d(num / den)
-        bad = ~np.isfinite(out)
-        if np.any(bad):
-            # target collided with a node: the interpolant takes its value
-            idx = np.abs(quad.nodes[None, :] - zf[bad, None]).argmin(axis=1)
-            out[bad] = values[idx]
-    elif side == "exterior":
-        step = max(1, _CHUNK // len(quad))
-        if at_z is None:
-            ref = np.empty(zf.shape, dtype=complex)
-            for lo in range(0, zf.size, step):
-                hi = min(zf.size, lo + step)
-                idx = np.abs(quad.nodes[None, :] - zf[lo:hi, None]).argmin(axis=1)
-                ref[lo:hi] = values[idx]
-        else:
-            ref = np.atleast_1d(np.asarray(at_z, dtype=complex)).ravel()
-            if ref.size == 1:
-                ref = np.full(zf.shape, ref[0])
-        out = np.empty(zf.shape, dtype=complex)
-        for lo in range(0, zf.size, step):
-            hi = min(zf.size, lo + step)
-            shifted = values[None, :] - ref[lo:hi, None]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                terms = (
-                    shifted
-                    * quad.weights[None, :]
-                    / (quad.nodes[None, :] - zf[lo:hi, None])
-                )
-            # a node collision leaves one removable 0/0 term; drop it
-            np.copyto(terms, 0.0, where=~np.isfinite(terms))
-            out[lo:hi] = terms.sum(axis=1) / _TWO_PI_I
-    else:
-        raise ValueError("side must be 'interior' or 'exterior'")
-    if scalar:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        num = _kernel_sum(values * quad.weights, quad.nodes, zf)
+        den = _kernel_sum(quad.weights, quad.nodes, zf)
+        out = np.atleast_1d(num / den)
+    bad = ~np.isfinite(out)
+    if np.any(bad):
+        # target collided with a node: the interpolant takes its value
+        idx = np.abs(quad.nodes[None, :] - zf[bad, None]).argmin(axis=1)
+        out[bad] = values[idx]
+    if z.ndim == 0:
         return complex(out[0])
     return out.reshape(z.shape)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from faberzol.bounds import (
     BoundValue,
     GeometryConstants,
+    _bound_quotient,
     asymptotic_constant,
     m_n,
     sup_rn_bound,
@@ -66,6 +67,33 @@ def test_upper_bound_value_fields():
     assert bv.lower == pytest.approx(6.0 ** -5)
     assert bv.upper_valid and not bv.clamped
     assert bv.lower <= bv.upper <= 1.0
+
+
+def _convex_display(h, n):
+    """The Rot = 1 display of the upper-bound bracket, in q = h^(-n)."""
+    q = h ** (-n)
+    q2 = q * q
+    guard = 1.0 - 4.0 * q - 3.0 * q2
+    if guard <= 0.0:
+        return math.inf
+    numer = 9.0 * (1.0 + q) ** 2 / (1.0 - q2) + 96.0 * n * (1.0 + q) * q / guard**2
+    denom = (1.0 - 9.0 * (1.0 + q) ** 2 / (1.0 - q2) * q
+             - 3.0 * (1.0 + q) / guard * q - q2)
+    if denom <= 0.0:
+        return math.inf
+    return numer / denom
+
+
+def test_convex_display_matches_the_general_quotient():
+    for h in (1.05, 1.5, 2.0, 6.0, 40.0):
+        for n in range(41):
+            m = m_n(1.0, 1.0, h, n)
+            general = _bound_quotient(m, m, h, n)
+            display = _convex_display(h, n)
+            if math.isinf(display):
+                assert math.isinf(general)
+            else:
+                assert general == pytest.approx(display, rel=1e-12)
 
 
 def test_upper_bound_clamps_at_small_degree():

@@ -10,7 +10,7 @@ from faberzol.conformal import (
     solve_annulus_map,
 )
 from faberzol.errors import NotDisjointError
-from faberzol.geometry import disk, rectangle
+from faberzol.geometry import boundary_distance, disk, rectangle
 
 
 def test_two_disk_closed_form(disk_map):
@@ -56,6 +56,13 @@ def test_mixed_rectangle_disk_pair():
     t = np.linspace(0.0, 1.0, 300, endpoint=False)
     mod_e = np.abs(phi(amap, amap.region_e.boundary_point(t)))
     assert np.abs(mod_e - 1.0).max() < 1e-6
+    # w = 1 lands on a node of psi_boundary's angle table, where rounding
+    # can leave both bracket ends with one sign
+    for w in (1.0, amap.h):
+        z = psi_boundary(amap, w)
+        region = amap.region_e if w == 1.0 else amap.region_f
+        assert boundary_distance(region, z) < 1e-12
+        assert abs(phi(amap, np.array([z]))[0] - w) < 1e-6 * abs(w)
 
 
 def test_concentric_exterior_variant():

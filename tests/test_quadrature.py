@@ -86,6 +86,15 @@ def test_boundary_transform_between_nodes(circle):
     z = disk(0.0, 1.0).boundary_point(t)
     out = cauchy_boundary(np.exp(circle.nodes), circle, z, np.exp(z))
     assert np.abs(out - np.exp(z)).max() < 1e-12
+    # the same transform outside: exp continues across the contour and
+    # is kept, while a pole inside the contour is filtered out entirely
+    for scale in (1.0 + 1e-6, 3.0):
+        zo = scale * z
+        out = cauchy_boundary(np.exp(circle.nodes), circle, zo, np.exp(zo))
+        assert np.abs(out - np.exp(zo)).max() < 1e-12
+        out = cauchy_boundary(1.0 / (circle.nodes - 0.3j), circle, zo,
+                              1.0 / (zo - 0.3j))
+        assert np.abs(out).max() < 1e-12
 
 
 def test_boundary_transform_on_panel_rules():
@@ -100,13 +109,13 @@ def test_boundary_transform_on_panel_rules():
 
 def test_stabilized_transform_near_the_boundary(circle):
     z = 0.999999 * np.exp(1j * np.array([0.7, 3.1]))
-    vals = cauchy_stabilized(np.exp(circle.nodes), circle, z, side="interior")
+    vals = cauchy_stabilized(np.exp(circle.nodes), circle, z)
     assert np.abs(vals - np.exp(z)).max() < 1e-9
 
 
 def test_stabilized_transform_matches_plain_far_away(circle):
     z = np.array([0.1 + 0.2j, -0.3j])
-    a = cauchy_stabilized(np.exp(circle.nodes), circle, z, side="interior")
+    a = cauchy_stabilized(np.exp(circle.nodes), circle, z)
     b = cauchy_plus(np.exp(circle.nodes), circle, z)
     assert np.abs(a - b).max() < 1e-13
 
