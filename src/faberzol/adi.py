@@ -4,6 +4,8 @@ Shift quality is judged by the certificate
     max_{z in dE} |s_k(z)| / min_{z in dF} |s_k(z)|,
 with s_k(z) = prod_j (z - kappa_j)/(z - tau_j), which bounds the relative
 2-norm error of k ADI steps when A and B are normal with spectra in E, F.
+Test problems have diagonal A and B, stored as their spectra, so they are
+normal by construction and every ADI half-step is an entrywise division.
 """
 
 from __future__ import annotations
@@ -13,9 +15,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .conformal import MobiusMap, psi_boundary, _is_exterior
+from .conformal import psi_boundary, _is_exterior
 from .errors import (
     FaberzolError,
     InvalidRegionError,
@@ -54,35 +55,35 @@ class ShiftSet:
 
 @dataclass(frozen=True, eq=False)
 class SylvesterProblem:
-    """AX - XB = M with normal (here diagonal) A, B and a reference X."""
+    """AX - XB = M with diagonal A = diag(spectrum_a), B = diag(spectrum_b)
+    and a reference X."""
 
     region_e: Region
     region_f: Region
-    a: np.ndarray
-    b: np.ndarray
+    spectrum_a: np.ndarray
+    spectrum_b: np.ndarray
     rhs: np.ndarray
     solution: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=complex)
-        b = np.asarray(self.b, dtype=complex)
-        m, p = a.shape[0], b.shape[0]
-        if a.shape != (m, m) or b.shape != (p, p):
-            raise ValueError("A and B must be square")
+        a = np.asarray(self.spectrum_a, dtype=complex)
+        b = np.asarray(self.spectrum_b, dtype=complex)
+        if a.ndim != 1 or b.ndim != 1:
+            raise ValueError("spectra of A and B must be 1-D arrays")
+        m, p = a.size, b.size
         rhs = np.asarray(self.rhs, dtype=complex)
         sol = np.asarray(self.solution, dtype=complex)
         if rhs.shape != (m, p) or sol.shape != (m, p):
             raise ValueError("right-hand side and solution must be m x p")
-        for mat, region, name in ((a, self.region_e, "A"),
+        for lam, region, name in ((a, self.region_e, "A"),
                                   (b, self.region_f, "B")):
-            lam = np.linalg.eigvals(mat)
             inside, on = contains_many(region, lam)
             if not np.all(inside | on):
                 raise InvalidRegionError(
                     f"spectrum of {name} is not contained in its region"
                 )
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "spectrum_a", a)
+        object.__setattr__(self, "spectrum_b", b)
         object.__setattr__(self, "rhs", rhs)
         object.__setattr__(self, "solution", sol)
 
@@ -94,7 +95,7 @@ class SylvesterProblem:
 def sylvester_problem(region_e, region_f, m: int, p=None, seed=0):
     """Random diagonal test problem with spectra inside E and F.
 
-    The reference solution is computed once by a dense direct solve.
+    The reference solution is closed form: X_ij = M_ij / (a_i - b_j).
     """
     if _is_exterior(region_e) or _is_exterior(region_f):
         raise InvalidRegionError("spectra must lie in bounded regions")
@@ -102,10 +103,10 @@ def sylvester_problem(region_e, region_f, m: int, p=None, seed=0):
     if m < 1 or p < 1:
         raise ValueError("matrix dimensions must be positive")
     rng = np.random.default_rng(seed)
-    a = np.diag(random_points(region_e, m, rng))
-    b = np.diag(random_points(region_f, p, rng))
+    a = random_points(region_e, m, rng)
+    b = random_points(region_f, p, rng)
     rhs = rng.standard_normal((m, p)) + 1j * rng.standard_normal((m, p))
-    sol = scipy.linalg.solve_sylvester(a, -b, rhs)
+    sol = rhs / (a[:, None] - b[None, :])
     return SylvesterProblem(region_e, region_f, a, b, rhs, sol)
 
 
@@ -115,31 +116,29 @@ def adi_iterate(problem: SylvesterProblem, shifts: ShiftSet, k=None,
 
     Each step solves the two half-step systems
         (A - tau_j I) X^(j-1/2) = X^(j-1) (B - tau_j I) + M,
-        X^(j) (B - kappa_j I) = (A - kappa_j I) X^(j-1/2) - M.
+        X^(j) (B - kappa_j I) = (A - kappa_j I) X^(j-1/2) - M,
+    which for diagonal A and B are entrywise divisions by a_i - tau_j and
+    b_l - kappa_j.  A shift on the spectrum raises FaberzolError.
     Returns the list [X^(1), ..., X^(k)], or, with return_errors, the
     relative 2-norm errors of [X^(0), ..., X^(k)] against the reference.
     """
     k = shifts.k if k is None else int(k)
     if k < 0 or k > shifts.k:
         raise ValueError(f"need 0 <= k <= {shifts.k}, got {k}")
-    a, b, rhs = problem.a, problem.b, problem.rhs
-    m, p = problem.shape
-    eye_m = np.eye(m)
-    eye_p = np.eye(p)
-    x = np.zeros((m, p), dtype=complex)
+    a = problem.spectrum_a[:, None]
+    b = problem.spectrum_b[None, :]
+    rhs = problem.rhs
+    x = np.zeros(problem.shape, dtype=complex)
     history = []
     for j in range(k):
         tau = shifts.tau[j]
         kappa = shifts.kappa[j]
-        try:
-            half = np.linalg.solve(a - tau * eye_m, x @ (b - tau * eye_p) + rhs)
-            x = np.linalg.solve((b - kappa * eye_p).T,
-                                ((a - kappa * eye_m) @ half - rhs).T).T
-        except np.linalg.LinAlgError as exc:
-            raise FaberzolError("shift collides with spectrum") from exc
+        with np.errstate(divide="ignore", invalid="ignore"):
+            half = (x * (b - tau) + rhs) / (a - tau)
+            x = ((a - kappa) * half - rhs) / (b - kappa)
         if not np.all(np.isfinite(x)):
             raise FaberzolError("shift collides with spectrum")
-        history.append(x.copy())
+        history.append(x)
     if not return_errors:
         return history
     ref_norm = np.linalg.norm(problem.solution, 2)
@@ -207,9 +206,11 @@ def _drop_doublets(poles, zeros, tol: float):
 
 
 def _pick_near(candidates, region, samples, k, label):
-    """Keep the k candidates nearest the region, padding if under-resolved."""
-    if candidates.size == 0:
-        raise UncertifiedError(f"shifts uncertified: no {label} resolved")
+    """Keep the k candidates nearest the region; fewer than k raises."""
+    if candidates.size < k:
+        raise UncertifiedError(
+            f"shifts uncertified: {candidates.size} {label} resolved, need {k}"
+        )
     dist = np.abs(candidates[:, None] - samples[None, :]).min(axis=1)
     inside, on = contains_many(region, candidates)
     dist[inside | on] = 0.0
@@ -219,15 +220,7 @@ def _pick_near(candidates, region, samples, k, label):
             f"{candidates.size} {label} resolved; keeping the {k} nearest",
             stacklevel=3,
         )
-    keep = candidates[np.sort(order[:k])]
-    if keep.size < k:
-        warnings.warn(
-            f"only {keep.size} {label} resolved; padding to {k}",
-            stacklevel=3,
-        )
-        pad = np.full(k - keep.size, candidates[order[0]])
-        keep = np.concatenate([keep, pad])
-    return keep
+    return candidates[np.sort(order[:k])]
 
 
 def faber_shifts(ctx: FaberContext, k: int) -> ShiftSet:
@@ -248,7 +241,7 @@ def faber_shifts(ctx: FaberContext, k: int) -> ShiftSet:
     shift_sets = []
     for z, f, region, want in ((z_e, f_e, ctx.map.region_e, "zeros"),
                                (z_f, f_f, ctx.map.region_f, "poles")):
-        fit = aaa_fit(z, f, tol=1e-12, max_degree=k + 12)
+        fit = aaa_fit(z, f, 1e-12, k + 12)  # tol, max_degree
         scale = float(np.max(np.abs(f)))
         if fit.residual > 1e-6 * scale:
             raise UncertifiedError(

@@ -126,7 +126,8 @@ def _region_from(obj, where):
 
 def _load_config(path):
     try:
-        raw = open(path, "rb").read()
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     try:
@@ -247,15 +248,14 @@ def _cmd_faber(args):
     return 0
 
 
-def _shift_set(args, amap, region_e, region_f):
-    if args.kind == "faber":
-        ctx = build_context(amap, args.k, n_quad=args.nq)
-        return faber_shifts(ctx, args.k)
-    if args.kind == "fejer":
-        return fejer_shifts(amap, args.k)
-    quad_e = boundary_samples(region_e, max(args.nq, 512))
-    quad_f = boundary_samples(_boundary_region(region_f), max(args.nq, 512))
-    return leja_shifts(quad_e, quad_f, args.k)
+def _shift_set(kind, k, nq, amap, region_e, region_f):
+    if kind == "faber":
+        return faber_shifts(build_context(amap, k, n_quad=nq), k)
+    if kind == "fejer":
+        return fejer_shifts(amap, k)
+    quad_e = boundary_samples(region_e, max(nq, 512))
+    quad_f = boundary_samples(_boundary_region(region_f), max(nq, 512))
+    return leja_shifts(quad_e, quad_f, k)
 
 
 def _boundary_region(region):
@@ -267,7 +267,7 @@ def _cmd_shifts(args):
         raise ConfigError("--k must be at least 1")
     region_e, region_f, digest = _load_pair(args.config)
     amap = _solve(args, region_e, region_f)
-    shifts = _shift_set(args, amap, region_e, region_f)
+    shifts = _shift_set(args.kind, args.k, args.nq, amap, region_e, region_f)
     meta = _meta(args, digest, amap.h,
                  _rotation_of(region_e), _rotation_of(region_f))
     _write_json(args.out, {
@@ -295,8 +295,7 @@ def _cmd_adi(args):
     quad_f = boundary_samples(region_f, max(args.nq, 512))
     rows = [[0, 1.0, 1.0, 1.0]]
     for k in range(1, args.k + 1):
-        kargs = argparse.Namespace(kind=args.kind, k=k, nq=args.nq)
-        shifts = _shift_set(kargs, amap, region_e, region_f)
+        shifts = _shift_set(args.kind, k, args.nq, amap, region_e, region_f)
         rel = float(adi_iterate(problem, shifts, return_errors=True)[-1])
         cert = error_certificate(shifts, quad_e, quad_f)
         rows.append([k, rel, cert, zolotarev_upper(gc, k).upper])

@@ -38,6 +38,9 @@ from .errors import (
 from .geometry import Disk, Polygon, Region
 
 _TWO_PI = 2.0 * math.pi
+_MAX_DEGREE = 128
+_POLES_PER_CORNER = 64
+_POLE_TAPER = 4.0
 
 
 @dataclass(frozen=True)
@@ -149,9 +152,7 @@ class _LogBasis:
             term = term * base
             cols[:, j] = term
             j += 1
-        for p, s in zip(self.poles, self.pole_scales):
-            cols[:, j] = s / (z - p)
-            j += 1
+        cols[:, j:] = self.pole_scales / (z[:, None] - self.poles)
         return cols
 
 
@@ -189,10 +190,8 @@ def _eval_g(basis: _LogBasis, coef, z):
     return out.reshape(z.shape)
 
 
-def phi(annulus_map, z, validate: bool = False):
+def phi(annulus_map, z):
     """Evaluate the annulus map at points of the closed domain."""
-    if validate:
-        _check_domain(annulus_map, z)
     if isinstance(annulus_map, MobiusMap):
         m = annulus_map
         z = np.asarray(z, dtype=complex)
@@ -203,23 +202,6 @@ def phi(annulus_map, z, validate: bool = False):
     if m.variant == "A1":
         return (z - m.anchor_e) / (z - m.anchor_f) * np.exp(g)
     return (z - m.anchor_e) * np.exp(g)
-
-
-def _check_domain(annulus_map, z):
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    region_e = annulus_map.region_e
-    region_f = annulus_map.region_f
-    in_e, _ = geometry.contains_many(region_e, z)
-    if np.any(in_e):
-        raise EvaluationDomainError("target(s) inside E: outside domain of phi")
-    if _is_exterior(region_f):
-        inside_inner, on = geometry.contains_many(region_f.inner, z)
-        if np.any(~inside_inner & ~on):
-            raise EvaluationDomainError("target(s) inside F: outside domain of phi")
-    else:
-        in_f, _ = geometry.contains_many(region_f, z)
-        if np.any(in_f):
-            raise EvaluationDomainError("target(s) inside F: outside domain of phi")
 
 
 # -- sampling for the least-squares solve ----------------------------------
@@ -262,19 +244,20 @@ def _validation_params(params: np.ndarray):
     return np.unique(np.concatenate([p, mids]))
 
 
-def _corner_poles(region: Polygon, per_corner: int, sigma: float = 4.0):
+def _corner_poles(region: Polygon):
     """Lightning poles: clustered at each corner along the bisector pointing
     into the region, scaled to half the shorter adjacent edge.
 
-    Tapered spacing d_j = exp(-sigma (sqrt(N) - sqrt(j))) rather than a fixed
-    geometric ratio: the fixed ratio stalls near 1e-4 on rectangle pairs while
-    the taper converges like exp(-c sqrt(N)) down to 1e-9 and below.
+    Tapered spacing d_j = exp(-_POLE_TAPER (sqrt(N) - sqrt(j))), with
+    N = _POLES_PER_CORNER, rather than a fixed geometric ratio: the fixed
+    ratio stalls near 1e-4 on rectangle pairs while the taper converges
+    like exp(-c sqrt(N)) down to 1e-9 and below.
     """
     v = np.asarray(region.vertices, dtype=complex) * region.scale + region.shift
     n = len(v)
     poles, scales = [], []
-    j = np.arange(1, per_corner + 1)
-    profile = np.exp(-sigma * (np.sqrt(per_corner) - np.sqrt(j)))
+    j = np.arange(1, _POLES_PER_CORNER + 1)
+    profile = np.exp(-_POLE_TAPER * (np.sqrt(_POLES_PER_CORNER) - np.sqrt(j)))
     for k in range(n):
         u, w = v[k - 1], v[(k + 1) % n]
         e_in = v[k] - u
@@ -327,16 +310,10 @@ def _spine_poles(region, count: int):
     return cand[keep], clear[keep]
 
 
-def solve_annulus_map(
-    region_e,
-    region_f,
-    tol: float = 1e-8,
-    max_degree: int = 128,
-    poles_per_corner: int = 64,
-) -> AnnulusMap:
+def solve_annulus_map(region_e, region_f, tol: float = 1e-8) -> AnnulusMap:
     """Solve for the annulus map of a disjoint pair (case A1 or A2).
 
-    Laurent degrees climb 8, 16, ... up to max_degree until the boundary
+    Laurent degrees climb 8, 16, ... up to _MAX_DEGREE until the boundary
     residual max(| |Phi|-1 | on dE, | |Phi|/h - 1 | on dF) meets tol;
     otherwise MapNotResolvedError carries the best residual reached.
     """
@@ -354,22 +331,22 @@ def solve_annulus_map(
         scale_f = float(np.abs(f_inner.boundary_point(t) - anchor_e).max())
 
     poles_e, pscale_e = (
-        _corner_poles(region_e, poles_per_corner)
+        _corner_poles(region_e)
         if isinstance(region_e, Polygon)
         else (np.empty(0, complex), np.empty(0))
     )
     poles_f, pscale_f = (
-        _corner_poles(f_inner, poles_per_corner)
+        _corner_poles(f_inner)
         if isinstance(f_inner, Polygon)
         else (np.empty(0, complex), np.empty(0))
     )
     # boundary sampling must resolve the deepest pole cluster level
-    depth = 4.0 * (math.sqrt(poles_per_corner) - 1.0) / math.log(2.0)
+    depth = _POLE_TAPER * (math.sqrt(_POLES_PER_CORNER) - 1.0) / math.log(2.0)
     per_side = max(30, int(math.ceil(depth)) + 3)
 
     best = None
     degree = 8
-    while degree <= max_degree:
+    while degree <= _MAX_DEGREE:
         spines, spine_scales = [], []
         for reg in ([region_e, f_inner] if variant == "A1" else [region_e]):
             sp, sc = _spine_poles(reg, degree)
@@ -436,7 +413,7 @@ def _check_pair(region_e, region_f, variant):
 
 
 def _solve_level(region_e, f_inner, variant, basis, anchor_e, anchor_f,
-                 degree, per_side=30):
+                 degree, per_side):
     rows_a, rhs_a, wts = [], [], []
     is_f_side = []
     for region, f_side in ((region_e, False), (f_inner, True)):
@@ -483,7 +460,7 @@ def _param_spacing(params):
 
 
 def _map_residual(region_e, f_inner, variant, basis, coef,
-                  anchor_e, anchor_f, level, degree, per_side=30):
+                  anchor_e, anchor_f, level, degree, per_side):
     worst = 0.0
     for region, target in ((region_e, 0.0), (f_inner, level)):
         params = _validation_params(_solver_params(region, degree, per_side))

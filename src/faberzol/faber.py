@@ -208,24 +208,23 @@ def _refine_max(fun, t0: float, half_width: float) -> float:
     return -float(res.fun)
 
 
-def empirical_ratio(ctx: FaberContext, n_dense: int | None = None) -> float:
+def empirical_ratio(ctx: FaberContext) -> float:
     """max over the E boundary of |r_n| over min over the F boundary.
 
     Extrema on the boundaries bound the extrema over the sets by the
     maximum principle, so the value upper-bounds the Zolotarev number up
-    to sampling error.  Dense sampling (default 4x the node count) is
+    to sampling error.  Dense sampling (4x the node count) is
     followed by a bounded 1-D refinement around the best parameter.
     """
-    if n_dense is None:
-        n_dense = 4 * len(ctx.quad_e)
-    t = np.arange(n_dense) / n_dense
+    n_samples = 4 * len(ctx.quad_e)
+    t = np.arange(n_samples) / n_samples
     ratio = 1.0
     # max |r_n| on the E boundary times max |1/r_n| on the F boundary
     for fun in (lambda s: np.abs(rn_on_e_boundary(ctx, s)),
                 lambda s: np.abs(_inv_rn_on_boundary(ctx, ctx.map.region_f, s))):
         vals = fun(t)
         i = int(np.argmax(vals))
-        ratio *= max(float(vals[i]), _refine_max(fun, float(t[i]), 1.0 / n_dense))
+        ratio *= max(float(vals[i]), _refine_max(fun, float(t[i]), 1.0 / n_samples))
     return ratio
 
 
@@ -306,7 +305,7 @@ def _trace_level_curve(ctx, rho: float, n_points: int):
     return z
 
 
-def count_zeros(ctx: FaberContext, n_points: int | None = None) -> int:
+def count_zeros(ctx: FaberContext) -> int:
     """Zero count of R_n inside a level curve |Phi| = rho.
 
     rho is chosen with rho^n > 1 + max |R_n on E| so that, on the curve,
@@ -331,8 +330,7 @@ def count_zeros(ctx: FaberContext, n_points: int | None = None) -> int:
         raise UncertifiedError("zero count not certified at this n")
     rho = math.sqrt(rho_min * rho_cap)
 
-    if n_points is None:
-        n_points = max(512, 32 * ctx.n)
+    n_points = max(512, 32 * ctx.n)
     for _ in range(3):
         curve = _trace_level_curve(ctx, rho, n_points)
         values = np.atleast_1d(eval_Rn(ctx, curve))

@@ -330,14 +330,14 @@ def boundary_distance(region: Region, z) -> float:
     return float(np.min(np.abs(z - region.boundary_point(t))))
 
 
-def contains(region: Region, z, boundary_rtol: float = _BOUNDARY_RTOL) -> bool:
+def contains(region: Region, z) -> bool:
     """Strict interior test via the boundary winding number.
 
     Raises BoundaryPointError when z lies on the boundary within
-    boundary_rtol * diameter, where membership is ill-posed.
+    _BOUNDARY_RTOL * diameter, where membership is ill-posed.
     """
     z = complex(z)
-    tol = boundary_rtol * region.diameter()
+    tol = _BOUNDARY_RTOL * region.diameter()
     if boundary_distance(region, z) <= tol:
         raise BoundaryPointError(f"point {z} lies on the boundary within {tol:g}")
     if isinstance(region, Disk):
@@ -349,10 +349,10 @@ def contains(region: Region, z, boundary_rtol: float = _BOUNDARY_RTOL) -> bool:
     return _winding_polyline(region.boundary_point(t), z) != 0
 
 
-def contains_many(region: Region, z, boundary_rtol: float = _BOUNDARY_RTOL):
+def contains_many(region: Region, z):
     """Vectorized membership: returns (inside, on_boundary) bool arrays."""
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    tol = boundary_rtol * region.diameter()
+    tol = _BOUNDARY_RTOL * region.diameter()
     if isinstance(region, Disk):
         r = np.abs(z - region.true_center)
         on = np.abs(r - region.true_radius) <= tol

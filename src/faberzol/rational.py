@@ -7,7 +7,7 @@ samples.  Poles and zeros come from arrowhead generalized eigenvalue
 pencils built from the support data.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg

@@ -3,6 +3,7 @@ import pytest
 
 from faberzol.adi import (
     ShiftSet,
+    _pick_near,
     adi_iterate,
     error_certificate,
     faber_shifts,
@@ -11,7 +12,7 @@ from faberzol.adi import (
     sylvester_problem,
 )
 from faberzol.conformal import ExteriorOf, solve_annulus_map
-from faberzol.errors import InvalidRegionError
+from faberzol.errors import FaberzolError, InvalidRegionError, UncertifiedError
 from faberzol.faber import build_context
 from faberzol.geometry import boundary_samples, contains_many, disk
 
@@ -29,11 +30,13 @@ def disk_quads(disk_pair):
 
 def test_problem_spectra_live_in_their_regions(disk_pair, disk_problem):
     e, f = disk_pair
-    for mat, region in ((disk_problem.a, e), (disk_problem.b, f)):
-        inside, on = contains_many(region, np.diag(mat))
+    for lam, region in ((disk_problem.spectrum_a, e),
+                        (disk_problem.spectrum_b, f)):
+        inside, on = contains_many(region, lam)
         assert (inside | on).all()
-    res = (disk_problem.a @ disk_problem.solution
-           - disk_problem.solution @ disk_problem.b - disk_problem.rhs)
+    res = (np.diag(disk_problem.spectrum_a) @ disk_problem.solution
+           - disk_problem.solution @ np.diag(disk_problem.spectrum_b)
+           - disk_problem.rhs)
     assert (np.linalg.norm(res, 2)
             < 1e-10 * np.linalg.norm(disk_problem.rhs, 2))
 
@@ -41,7 +44,7 @@ def test_problem_spectra_live_in_their_regions(disk_pair, disk_problem):
 def test_one_by_one_problem_is_solved_in_one_step():
     e, f = disk(1.0, 0.1), disk(-1.0, 0.1)
     problem = sylvester_problem(e, f, 1, seed=0)
-    a, b = problem.a[0, 0], problem.b[0, 0]
+    a, b = problem.spectrum_a[0], problem.spectrum_b[0]
     shifts = ShiftSet("faber", (a,), (b,), 1)
     err = adi_iterate(problem, shifts, return_errors=True)
     assert err[-1] < 1e-12
@@ -57,10 +60,44 @@ def test_zero_steps_return_the_initial_error(disk_problem):
 def test_spectrum_shifts_solve_exactly(disk_pair):
     # with kappa = eig(A) and tau = eig(B) the error rational vanishes
     problem = sylvester_problem(*disk_pair, 6, seed=3)
-    shifts = ShiftSet("leja", tuple(np.diag(problem.a)),
-                      tuple(np.diag(problem.b)), 6)
+    shifts = ShiftSet("leja", tuple(problem.spectrum_a),
+                      tuple(problem.spectrum_b), 6)
     err = adi_iterate(problem, shifts, return_errors=True)
     assert err[-1] < 1e-10
+
+
+def _dense_adi(problem, shifts, k):
+    # the half-steps as dense solves with A = diag(spectrum_a), B = diag(...)
+    a, b = np.diag(problem.spectrum_a), np.diag(problem.spectrum_b)
+    m, p = problem.shape
+    x = np.zeros((m, p), dtype=complex)
+    for tau, kappa in zip(shifts.tau[:k], shifts.kappa[:k]):
+        half = np.linalg.solve(a - tau * np.eye(m),
+                               x @ (b - tau * np.eye(p)) + problem.rhs)
+        x = np.linalg.solve((b - kappa * np.eye(p)).T,
+                            ((a - kappa * np.eye(m)) @ half - problem.rhs).T).T
+    return x
+
+
+def test_spectral_steps_match_dense_solves_on_a_rectangular_problem(
+        disk_pair, disk_quads):
+    # m != p, so a transposed broadcast of the spectra cannot pass
+    problem = sylvester_problem(*disk_pair, 12, 9, seed=2)
+    assert problem.shape == (12, 9)
+    shifts = leja_shifts(*disk_quads, 3)
+    x = adi_iterate(problem, shifts)[-1]
+    ref = _dense_adi(problem, shifts, 3)
+    assert np.linalg.norm(x - ref, 2) <= 1e-13 * np.linalg.norm(ref, 2)
+    hit = ShiftSet("leja", (shifts.kappa[0],), (problem.spectrum_a[0],), 1)
+    with pytest.raises(FaberzolError):
+        adi_iterate(problem, hit)
+
+
+def test_too_few_resolved_shifts_raise(disk_pair):
+    e, _ = disk_pair
+    samples = e.boundary_point(np.arange(64) / 64.0)
+    with pytest.raises(UncertifiedError):
+        _pick_near(np.array([1.0 + 0.1j]), e, samples, 2, "zeros")
 
 
 def test_shift_order_does_not_change_the_result(disk_pair, disk_problem):

@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line interface in a temp directory."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -40,7 +41,10 @@ def read_table(path):
 def test_map_command_writes_the_annulus_parameter(tmp_path):
     cfg = write_config(tmp_path, DISK_PAIR)
     out = tmp_path / "map.json"
-    assert main(["map", "--config", cfg, "--out", str(out)]) == 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["map", "--config", cfg, "--out", str(out)]) == 0
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
     data = json.loads(out.read_text())
     assert data["h"] == pytest.approx(two_disk_h(1.0, 0.7, -1.0, 0.7),
                                       rel=1e-8)
