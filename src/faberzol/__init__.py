@@ -48,9 +48,12 @@ from .errors import (
     UncertifiedError,
 )
 from .faber import (
+    BoundaryData,
     FaberContext,
+    boundary_data,
     build_context,
     count_zeros,
+    degree_context,
     empirical_ratio,
     eval_Rn,
     eval_inv_rn,

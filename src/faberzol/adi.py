@@ -10,6 +10,7 @@ normal by construction and every ADI half-step is an entrywise division.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -91,6 +92,15 @@ class SylvesterProblem:
     def shape(self):
         return self.rhs.shape
 
+    @functools.cached_property
+    def solution_norm(self) -> float:
+        """2-norm of the reference solution, computed once per problem."""
+        return np.linalg.norm(self.solution, 2)
+
+    def relative_error(self, x) -> float:
+        """Relative 2-norm error of an iterate against the reference."""
+        return float(np.linalg.norm(x - self.solution, 2) / self.solution_norm)
+
 
 def sylvester_problem(region_e, region_f, m: int, p=None, seed=0):
     """Random diagonal test problem with spectra inside E and F.
@@ -141,11 +151,8 @@ def adi_iterate(problem: SylvesterProblem, shifts: ShiftSet, k=None,
         history.append(x)
     if not return_errors:
         return history
-    ref_norm = np.linalg.norm(problem.solution, 2)
     errors = [1.0]
-    errors.extend(
-        np.linalg.norm(it - problem.solution, 2) / ref_norm for it in history
-    )
+    errors.extend(problem.relative_error(it) for it in history)
     return np.asarray(errors)
 
 
@@ -261,8 +268,8 @@ def fejer_shifts(amap, k: int) -> ShiftSet:
     if k < 1:
         raise ValueError("need at least one shift")
     roots = np.exp(2j * np.pi * np.arange(k) / k)
-    kappa = np.array([psi_boundary(amap, w) for w in roots])
-    tau = np.array([psi_boundary(amap, amap.h * w) for w in roots])
+    kappa = psi_boundary(amap, roots)
+    tau = psi_boundary(amap, amap.h * roots)
     if not _is_exterior(amap.region_f):
         # mirror-symmetric pair F = -E: pair each tau with -conj(kappa)
         mirrored = -np.conj(kappa)

@@ -35,7 +35,13 @@ from .displacement import (
     vandermonde_matrix,
 )
 from .errors import FaberzolError
-from .faber import build_context, empirical_ratio, eval_rn
+from .faber import (
+    boundary_data,
+    build_context,
+    degree_context,
+    empirical_ratio,
+    eval_rn,
+)
 from .geometry import (
     boundary_samples,
     curve,
@@ -218,13 +224,13 @@ def _cmd_bound(args):
     columns = ["n", "lower", "upper", "valid", "clamped"]
     if args.empirical:
         columns.append("empirical")
+        data = boundary_data(amap, n_quad=args.nq)
     rows = []
     for n in range(args.n_min, args.n_max + 1):
         bv = zolotarev_upper(gc, n)
         row = [n, bv.lower, bv.upper, bv.upper_valid, bv.clamped]
         if args.empirical:
-            ctx = build_context(amap, n, n_quad=args.nq)
-            row.append(empirical_ratio(ctx))
+            row.append(empirical_ratio(degree_context(data, n)))
         rows.append(row)
     _write_csv(args.out, meta, "bound", columns, rows)
     return 0
@@ -296,7 +302,7 @@ def _cmd_adi(args):
     rows = [[0, 1.0, 1.0, 1.0]]
     for k in range(1, args.k + 1):
         shifts = _shift_set(args.kind, k, args.nq, amap, region_e, region_f)
-        rel = float(adi_iterate(problem, shifts, return_errors=True)[-1])
+        rel = problem.relative_error(adi_iterate(problem, shifts)[-1])
         cert = error_certificate(shifts, quad_e, quad_f)
         rows.append([k, rel, cert, zolotarev_upper(gc, k).upper])
     _write_csv(args.out, meta, "adi",

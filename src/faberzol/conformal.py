@@ -477,39 +477,55 @@ def _map_residual(region_e, f_inner, variant, basis, coef,
 
 # -- boundary correspondence -----------------------------------------------
 
-def psi_boundary(annulus_map, w) -> complex:
-    """Point z on the E (|w| = 1) or F (|w| = h) boundary with phi(z) = w.
+def psi_boundary(annulus_map, w):
+    """Points z on the E (|w| = 1) or F (|w| = h) boundary with phi(z) = w.
 
-    Uses the monotone boundary correspondence of the argument plus 1-D
-    root refinement; for a MobiusMap the closed-form inverse is used.
+    w is one value or an array of values on one annulus circle; the result
+    has its shape (a complex for a scalar).  Uses the monotone boundary
+    correspondence of the argument, tabulated once per call, plus 1-D root
+    refinement for each w; for a MobiusMap the closed-form inverse is used.
     """
-    w = complex(w)
+    w_arr = np.asarray(w, dtype=complex)
+    ws = np.atleast_1d(w_arr).ravel()
     h = annulus_map.h
-    if abs(abs(w) - 1.0) <= 1e-6:
+    mod = np.abs(ws)
+    if np.all(np.abs(mod - 1.0) <= 1e-6):
         on_e = True
-    elif abs(abs(w) - h) <= 1e-6 * max(1.0, h):
+    elif np.all(np.abs(mod - h) <= 1e-6 * max(1.0, h)):
         on_e = False
     else:
         raise EvaluationDomainError(
-            f"|w| = {abs(w):g} is on neither annulus boundary (1 or {h:g})"
+            f"|w| in [{mod.min():g}, {mod.max():g}] is not on one annulus "
+            f"boundary (1 or {h:g})"
         )
     if isinstance(annulus_map, MobiusMap):
-        z = complex(annulus_map.inverse(w))
-        return z
-    region = annulus_map.region_e if on_e else (
-        annulus_map.region_f.inner
-        if _is_exterior(annulus_map.region_f)
-        else annulus_map.region_f
-    )
-    n = 4096
-    t = np.arange(n + 1) / n
-    vals = phi(annulus_map, region.boundary_point(t % 1.0))
-    ang = np.unwrap(np.angle(vals))
-    total = ang[-1] - ang[0]
-    if abs(abs(total) - _TWO_PI) > 1e-3:
-        raise EvaluationDomainError(
-            "boundary correspondence not resolved; increase samples"
+        z = annulus_map.inverse(ws)
+    else:
+        region = annulus_map.region_e if on_e else (
+            annulus_map.region_f.inner
+            if _is_exterior(annulus_map.region_f)
+            else annulus_map.region_f
         )
+        n = 4096
+        t = np.arange(n + 1) / n
+        vals = phi(annulus_map, region.boundary_point(t % 1.0))
+        ang = np.unwrap(np.angle(vals))
+        if abs(abs(ang[-1] - ang[0]) - _TWO_PI) > 1e-3:
+            raise EvaluationDomainError(
+                "boundary correspondence not resolved; increase samples"
+            )
+        z = np.array([_psi_on(annulus_map, region, t, ang, complex(wi))
+                      for wi in ws])
+    if w_arr.ndim == 0:
+        return complex(z[0])
+    return z.reshape(w_arr.shape)
+
+
+def _psi_on(annulus_map, region, t, ang, w) -> complex:
+    """psi_boundary for one w, from the unwrapped angles ang of Phi at the
+    boundary params t of region (t[0] = 0, t[-1] = 1)."""
+    n = t.size - 1
+    total = ang[-1] - ang[0]
     target = math.atan2(w.imag, w.real)
     # shift target into the covered angle range
     k_lo = math.ceil((min(ang[0], ang[-1]) - target) / _TWO_PI)

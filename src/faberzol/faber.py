@@ -5,8 +5,8 @@ R_n is the filtered version of Phi^n across the E boundary; filtering
 rational whose sup/inf ratio witnesses the Zolotarev number upper bound.
 """
 
+import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,12 +17,75 @@ from .conformal import phi
 from .errors import EvaluationDomainError, InvalidRegionError, UncertifiedError
 from .quadrature import (
     BoundaryQuadrature,
+    CauchyKernel,
     cauchy_boundary,
+    cauchy_kernel,
     cauchy_stabilized,
     winding_of_polyline,
 )
 
 _POLE_EPS = 1e-14  # |R_n| below this marks a pole of 1/r_n (a zero of r_n)
+
+
+@dataclass(frozen=True)
+class _Scan:
+    """The dense scan of one boundary: parameters t, Phi at the points, and
+    the kernels of the subtracted transforms across each boundary there."""
+
+    t: np.ndarray
+    phi: np.ndarray
+    across_e: CauchyKernel
+    across_f: CauchyKernel
+
+
+@dataclass(frozen=True, eq=False)
+class BoundaryData:
+    """Degree-independent boundary data of one map at one quadrature size.
+
+    Holds the two boundary quadratures and Phi at their nodes, so that
+    every degree n built on it (degree_context) costs a power of the cached
+    Phi and one transform.  The dense scans of empirical_ratio are built on
+    first use.
+    """
+
+    map: object  # MobiusMap or AnnulusMap
+    quad_e: BoundaryQuadrature
+    quad_f: BoundaryQuadrature
+    phi_e: np.ndarray
+    phi_f: np.ndarray
+
+    @functools.cached_property
+    def scans(self):
+        """(E scan, F scan) at t = i/(4 len(quad_e)), i < 4 len(quad_e).
+
+        Each of the four kernels takes 64 n_quad^2 bytes (16 MiB at 512
+        nodes).
+        """
+        n_samples = 4 * len(self.quad_e)
+        t = np.arange(n_samples) / n_samples
+        scans = []
+        for region in (self.map.region_e, self.map.region_f):
+            z = region.boundary_point(t)
+            scans.append(_Scan(t, phi(self.map, z),
+                               cauchy_kernel(self.quad_e, z),
+                               cauchy_kernel(self.quad_f, z)))
+        return tuple(scans)
+
+
+def boundary_data(amap, n_quad: int = 512) -> BoundaryData:
+    """Boundary quadratures of n_quad nodes (>= 64) and Phi at the nodes."""
+    if n_quad < 64:
+        raise ValueError("need at least 64 quadrature nodes per boundary")
+    from .conformal import ExteriorOf  # local import to avoid cycle at init
+
+    if isinstance(amap.region_f, ExteriorOf):
+        raise InvalidRegionError(
+            "Faber construction implemented for bounded E and F only"
+        )
+    quad_e = geometry.boundary_samples(amap.region_e, n_quad)
+    quad_f = geometry.boundary_samples(amap.region_f, n_quad)
+    return BoundaryData(amap, quad_e, quad_f,
+                        phi(amap, quad_e.nodes), phi(amap, quad_f.nodes))
 
 
 @dataclass(frozen=True)
@@ -34,73 +97,83 @@ class FaberContext:
     (the density whose transforms give 1/r_n).
     """
 
-    map: object  # MobiusMap or AnnulusMap
+    data: BoundaryData
     n: int
-    quad_e: BoundaryQuadrature
-    quad_f: BoundaryQuadrature
     phi_n_on_e: np.ndarray
     inv_rn_on_f: np.ndarray
+
+    @property
+    def map(self):
+        return self.data.map
+
+    @property
+    def quad_e(self) -> BoundaryQuadrature:
+        return self.data.quad_e
+
+    @property
+    def quad_f(self) -> BoundaryQuadrature:
+        return self.data.quad_f
 
     def diameter(self) -> float:
         return max(self.quad_e.diameter, self.quad_f.diameter)
 
 
-def build_context(amap, n: int, n_quad: int = 512) -> FaberContext:
-    """Cache the boundary data needed to evaluate R_n and r_n.
+def degree_context(data: BoundaryData, n: int) -> FaberContext:
+    """The degree-n context on shared boundary data.
 
-    n_quad nodes per boundary (>= 64).  If the map residual cannot certify
-    |Phi^n| <= 1 on the E boundary, a warning reports the measured excess
-    and the construction proceeds with it.
+    Raises UncertifiedError if the map residual cannot certify
+    |Phi^n| <= 1 on the E boundary.
     """
     if n < 0 or n != int(n):
         raise ValueError("degree n must be a non-negative integer")
-    if n_quad < 64:
-        raise ValueError("need at least 64 quadrature nodes per boundary")
-    from .conformal import ExteriorOf  # local import to avoid cycle at init
-
-    if isinstance(amap.region_f, ExteriorOf):
-        raise InvalidRegionError(
-            "Faber construction implemented for bounded E and F only"
-        )
     n = int(n)
-    quad_e = geometry.boundary_samples(amap.region_e, n_quad)
-    quad_f = geometry.boundary_samples(amap.region_f, n_quad)
-
-    phi_n_on_e = phi(amap, quad_e.nodes) ** n
-    residual = getattr(amap, "residual", 0.0)
+    phi_n_on_e = data.phi_e ** n
+    residual = getattr(data.map, "residual", 0.0)
     excess = float(np.abs(phi_n_on_e).max()) - 1.0
     if excess > 4.0 * n * residual + 1e-10:
-        warnings.warn(
+        raise UncertifiedError(
             "map residual does not certify |Phi^n| <= 1 on the E boundary "
-            f"(measured max 1 + {excess:.3e}); proceeding with measured values",
-            stacklevel=2,
+            f"(measured max 1 + {excess:.3e})"
         )
-    # _rn reads only the E-side fields, so 1/R_n on F is filled in after
-    e_side = FaberContext(amap, n, quad_e, quad_f, phi_n_on_e, None)
-    inv_rn_on_f = 1.0 / _rn(e_side, quad_f.nodes)
-    return FaberContext(amap, n, quad_e, quad_f, phi_n_on_e, inv_rn_on_f)
+    rn_on_f = cauchy_boundary(phi_n_on_e, data.quad_e, data.quad_f.nodes,
+                              data.phi_f ** n)
+    return FaberContext(data, n, phi_n_on_e, 1.0 / rn_on_f)
 
 
-def _rn(ctx, z):
-    """R_n at points z on the E boundary or outside E: Phi^n filtered
-    across the E boundary, with Phi^n(z) itself as the subtracted value so
-    accuracy holds up to and on the boundary.
+def build_context(amap, n: int, n_quad: int = 512) -> FaberContext:
+    """The data needed to evaluate R_n and r_n for one degree: the
+    degree-n context on fresh boundary data of n_quad nodes (>= 64)."""
+    return degree_context(boundary_data(amap, n_quad), n)
+
+
+def _rn(ctx, z, phi_z):
+    """R_n at points z on the E boundary or outside E, given Phi(z): Phi^n
+    filtered across the E boundary, with Phi^n(z) itself as the subtracted
+    value so accuracy holds up to and on the boundary.
     """
-    phi_n = phi(ctx.map, z) ** ctx.n
-    return cauchy_boundary(ctx.phi_n_on_e, ctx.quad_e, z, phi_n)
+    return cauchy_boundary(ctx.phi_n_on_e, ctx.quad_e, z, phi_z ** ctx.n)
 
 
-def _inv_rn(ctx, z, rn):
-    """1/r_n at points z on the F boundary or outside F, given R_n there:
-    1/R_n filtered across the F boundary.  Where |R_n| < _POLE_EPS the
-    result is the pole marker inf+0j (a zero of r_n).
+def _pole_marked(rn, across_f):
+    """1/r_n from R_n at targets on the F boundary or outside F: across_f,
+    the transform across the F boundary at those targets, applied to 1/R_n.
+    Where |R_n| < _POLE_EPS the result is the pole marker inf+0j (a zero
+    of r_n).
     """
     small = np.abs(rn) < _POLE_EPS
     with np.errstate(divide="ignore", invalid="ignore"):
         inv_rn = np.where(small, 0.0, 1.0 / rn)
-    out = cauchy_boundary(ctx.inv_rn_on_f, ctx.quad_f, z, inv_rn)
+    out = across_f(inv_rn)
     out[small] = np.inf + 0.0j
     return out
+
+
+def _inv_rn(ctx, z, rn):
+    """1/r_n at points z on the F boundary or outside F, given R_n there:
+    1/R_n filtered across the F boundary (see _pole_marked).
+    """
+    return _pole_marked(
+        rn, lambda inv: cauchy_boundary(ctx.inv_rn_on_f, ctx.quad_f, z, inv))
 
 
 def _classify(ctx, z):
@@ -126,11 +199,11 @@ def _rn_by_side(ctx, zf, in_e):
     """
     out = np.empty(zf.shape, dtype=complex)
     if np.any(in_e):
-        density = _rn(ctx, ctx.quad_e.nodes)
+        density = _rn(ctx, ctx.quad_e.nodes, ctx.data.phi_e)
         out[in_e] = cauchy_stabilized(density, ctx.quad_e, zf[in_e])
     rest = ~in_e
     if np.any(rest):
-        out[rest] = _rn(ctx, zf[rest])
+        out[rest] = _rn(ctx, zf[rest], phi(ctx.map, zf[rest]))
     return out
 
 
@@ -159,7 +232,7 @@ def eval_inv_rn(ctx: FaberContext, z):
     out = np.empty(zf.shape, dtype=complex)
     if np.any(in_f):
         nodes = ctx.quad_f.nodes
-        density = _inv_rn(ctx, nodes, _rn(ctx, nodes))
+        density = _inv_rn(ctx, nodes, _rn(ctx, nodes, ctx.data.phi_f))
         out[in_f] = cauchy_stabilized(density, ctx.quad_f, zf[in_f])
     rest = ~in_f
     if np.any(rest):
@@ -185,7 +258,7 @@ def eval_rn(ctx: FaberContext, z):
 def _inv_rn_on_boundary(ctx, region, t):
     """1/r_n at boundary params t of region (E or F)."""
     z = region.boundary_point(t)
-    return _inv_rn(ctx, z, _rn(ctx, z))
+    return _inv_rn(ctx, z, _rn(ctx, z, phi(ctx.map, z)))
 
 
 def rn_on_e_boundary(ctx: FaberContext, t):
@@ -208,23 +281,37 @@ def _refine_max(fun, t0: float, half_width: float) -> float:
     return -float(res.fun)
 
 
+def _scan_inv_rn(ctx, scan):
+    """1/r_n at the points of a dense scan: _inv_rn_on_boundary through the
+    scan's precomputed kernels."""
+    rn = scan.across_e(ctx.phi_n_on_e, scan.phi ** ctx.n)
+    return _pole_marked(rn, lambda inv: scan.across_f(ctx.inv_rn_on_f, inv))
+
+
 def empirical_ratio(ctx: FaberContext) -> float:
     """max over the E boundary of |r_n| over min over the F boundary.
 
     Extrema on the boundaries bound the extrema over the sets by the
     maximum principle, so the value upper-bounds the Zolotarev number up
-    to sampling error.  Dense sampling (4x the node count) is
-    followed by a bounded 1-D refinement around the best parameter.
+    to sampling error.  Dense sampling (4x the node count, through the
+    scan kernels of ctx.data) is followed by a bounded 1-D refinement
+    around the best parameter, evaluated pointwise.
     """
-    n_samples = 4 * len(ctx.quad_e)
-    t = np.arange(n_samples) / n_samples
+    scan_e, scan_f = ctx.data.scans
     ratio = 1.0
     # max |r_n| on the E boundary times max |1/r_n| on the F boundary
-    for fun in (lambda s: np.abs(rn_on_e_boundary(ctx, s)),
-                lambda s: np.abs(_inv_rn_on_boundary(ctx, ctx.map.region_f, s))):
-        vals = fun(t)
+    for scan, magnitude, region in (
+        (scan_e, lambda inv: np.abs(_reciprocal(inv)), ctx.map.region_e),
+        (scan_f, np.abs, ctx.map.region_f),
+    ):
+        vals = magnitude(_scan_inv_rn(ctx, scan))
         i = int(np.argmax(vals))
-        ratio *= max(float(vals[i]), _refine_max(fun, float(t[i]), 1.0 / n_samples))
+
+        def fun(s):
+            return magnitude(_inv_rn_on_boundary(ctx, region, s))
+
+        ratio *= max(float(vals[i]),
+                     _refine_max(fun, float(scan.t[i]), 1.0 / scan.t.size))
     return ratio
 
 
@@ -320,7 +407,7 @@ def count_zeros(ctx: FaberContext) -> int:
     h = ctx.map.h
     t_dense = np.arange(4 * len(ctx.quad_e)) / (4 * len(ctx.quad_e))
     z_dense = ctx.map.region_e.boundary_point(t_dense)
-    sup_rn = float(np.abs(_rn(ctx, z_dense)).max())
+    sup_rn = float(np.abs(_rn(ctx, z_dense, phi(ctx.map, z_dense))).max())
     zc = ctx.quad_e.nodes.mean()
     far = zc + 1e7 * ctx.diameter() * np.exp(0.5j * math.pi * np.arange(4))
     phi_inf = float(np.abs(phi(ctx.map, far)).min())

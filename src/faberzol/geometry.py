@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryPointError, InvalidRegionError
-from .quadrature import BoundaryQuadrature
+from .quadrature import _CHUNK, BoundaryQuadrature
 
 _TWO_PI = 2.0 * math.pi
 
@@ -373,10 +373,17 @@ def contains_many(region: Region, z):
         return (wind != 0) & ~on, on
     t = np.linspace(0.0, 1.0, 4096, endpoint=False)
     pts = region.boundary_point(t)
-    dist = np.min(np.abs(z[:, None] - pts[None, :]), axis=1)
-    on = dist <= tol
-    wind = _winding_polyline_many(pts, z)
-    return (wind != 0) & ~on, on
+    inside = np.empty(len(z), dtype=bool)
+    on = np.empty(len(z), dtype=bool)
+    # chunked over the targets: each temporary is a chunk-by-4096 array
+    step = max(1, _CHUNK // pts.size)
+    for lo in range(0, len(z), step):
+        chunk = z[lo:lo + step]
+        dist = np.min(np.abs(chunk[:, None] - pts[None, :]), axis=1)
+        on[lo:lo + step] = dist <= tol
+        wind = _winding_polyline_many(pts, chunk)
+        inside[lo:lo + step] = (wind != 0) & ~on[lo:lo + step]
+    return inside, on
 
 
 def _winding_polyline(pts, z: complex) -> int:

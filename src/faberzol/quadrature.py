@@ -4,7 +4,9 @@ All transforms work on a BoundaryQuadrature whose complex weights
 approximate the increments d zeta of a counterclockwise closed contour,
 so that sum(values * weights) ~ the contour integral of the sampled
 function.  cauchy_stabilized (interior targets) and cauchy_boundary
-(targets on or outside the contour) stay accurate up to the contour itself.
+(targets on or outside the contour) stay accurate up to the contour itself;
+cauchy_kernel precomputes cauchy_boundary for targets that many densities
+share.
 """
 
 from __future__ import annotations
@@ -20,6 +22,13 @@ _TWO_PI_I = 2j * math.pi
 
 # Chunk size (complex entries) for node-by-target outer products.
 _CHUNK = 1 << 21
+
+# A target within this fraction of the contour diameter of a node is a hit.
+_HIT_RTOL = 1e-13
+
+# Kernel entries |w_j/(zeta_j - z_i)| above this are kept out of the
+# precomputed matrix of a CauchyKernel (see cauchy_kernel).
+_NEAR = 1.0
 
 
 @dataclass(frozen=True)
@@ -178,7 +187,7 @@ def cauchy_boundary(values, quad: BoundaryQuadrature, z, f_at):
     z = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
     f_at = np.broadcast_to(np.asarray(f_at, dtype=complex).ravel(), z.shape)
     vals = np.asarray(values, dtype=complex)
-    tol = 1e-13 * quad.diameter
+    tol = _HIT_RTOL * quad.diameter
     out = np.empty(z.shape, dtype=complex)
     step = max(1, _CHUNK // len(quad))
     deriv = None
@@ -199,6 +208,69 @@ def cauchy_boundary(values, quad: BoundaryQuadrature, z, f_at):
             terms[rows, cols] = quad.weights[cols] * deriv[cols]
         out[lo:hi] = terms.sum(axis=1)
     return f_at + out / _TWO_PI_I
+
+
+@dataclass(frozen=True, eq=False)
+class CauchyKernel:
+    """cauchy_boundary at fixed targets z_i, precomputed as a matrix.
+
+    matrix[i, j] = w_j/(zeta_j - z_i) and row_sums its row sums, with two
+    kinds of pair left out and listed apart: near pairs (near_rows,
+    near_cols, near_diff = zeta_j - z_i), whose subtracted terms
+    (f(zeta_j) - f(z_i)) w_j/(zeta_j - z_i) are formed per call, since
+    splitting them into two large products would cancel; and node hits
+    (hit_rows, hit_cols), which contribute w_j f'(zeta_j) as in
+    cauchy_boundary.  Applying the kernel costs one matrix-vector product,
+    against a fresh node-by-target division per call of cauchy_boundary;
+    the two agree to rounding, not bitwise.
+    """
+
+    quad: BoundaryQuadrature
+    matrix: np.ndarray
+    row_sums: np.ndarray
+    near_rows: np.ndarray
+    near_cols: np.ndarray
+    near_diff: np.ndarray
+    hit_rows: np.ndarray
+    hit_cols: np.ndarray
+
+    def __call__(self, values, f_at):
+        """cauchy_boundary(values, quad, z, f_at) at the kernel's targets."""
+        vals = np.asarray(values, dtype=complex)
+        f_at = np.asarray(f_at, dtype=complex)
+        total = self.matrix @ vals - f_at * self.row_sums
+        near = self.near_cols
+        terms = vals[near] - f_at[self.near_rows]
+        terms *= self.quad.weights[near]
+        terms /= self.near_diff
+        np.add.at(total, self.near_rows, terms)
+        if self.hit_rows.size:
+            deriv = _nodal_derivative(vals, self.quad)
+            hit = self.hit_cols
+            np.add.at(total, self.hit_rows, self.quad.weights[hit] * deriv[hit])
+        return f_at + total / _TWO_PI_I
+
+
+def cauchy_kernel(quad: BoundaryQuadrature, z) -> CauchyKernel:
+    """The kernel of cauchy_boundary over quad at targets z (on or outside
+    the contour), for transforming many densities at the same targets.
+
+    A pair is near when |w_j/(zeta_j - z_i)| > _NEAR, that is when the
+    target is closer to node j than about the node spacing there.
+    """
+    z = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
+    diff = quad.nodes[None, :] - z[:, None]
+    hit = np.abs(diff) <= _HIT_RTOL * quad.diameter
+    with np.errstate(divide="ignore", invalid="ignore"):
+        matrix = quad.weights[None, :] / diff
+    near = np.abs(matrix) > _NEAR
+    near &= ~hit
+    near_rows, near_cols = np.nonzero(near)
+    near_diff = diff[near]
+    matrix[near | hit] = 0.0
+    hit_rows, hit_cols = np.nonzero(hit)
+    return CauchyKernel(quad, matrix, matrix.sum(axis=1), near_rows,
+                        near_cols, near_diff, hit_rows, hit_cols)
 
 
 def cauchy_stabilized(values, quad: BoundaryQuadrature, z):

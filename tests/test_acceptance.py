@@ -23,7 +23,8 @@ from faberzol.conformal import mobius_two_disks, phi, solve_annulus_map
 from faberzol.displacement import (cauchy_matrix, singular_value_bounds,
                                    singular_values, vandermonde_h,
                                    vandermonde_matrix)
-from faberzol.faber import build_context, count_zeros, empirical_ratio, eval_Rn, eval_rn
+from faberzol.faber import (boundary_data, build_context, count_zeros,
+                            degree_context, empirical_ratio, eval_Rn, eval_rn)
 from faberzol.geometry import (boundary_samples, contains_many, disk,
                                polygon, random_points, rectangle)
 from faberzol.quadrature import cauchy_minus, cauchy_plus
@@ -76,8 +77,9 @@ def test_two_disk_pairs_match_closed_form_end_to_end():
         err = np.abs(eval_rn(ctx, pts) - target) / np.maximum(1.0, np.abs(target))
         worst_grid = max(worst_grid, float(err.max()))
 
+        data = boundary_data(mm, n_quad=256)
         for n in range(1, 11):
-            emp = empirical_ratio(build_context(mm, n, n_quad=256))
+            emp = empirical_ratio(degree_context(data, n))
             worst_ratio = max(worst_ratio, abs(emp - mm.h**-n) / mm.h**-n)
     elapsed = time.time() - start
     print(
@@ -104,8 +106,9 @@ def test_mirrored_rectangle_sandwich_holds_for_all_degrees():
         amap = solve_annulus_map(e, f, tol=1e-8)
         h_errs.append(abs(amap.h - h_exp) / h_exp)
         gc = GeometryConstants.from_regions(e, f, amap.h)
+        data = boundary_data(amap, n_quad=512)
         for n in range(1, 31):
-            emp = empirical_ratio(build_context(amap, n, n_quad=512))
+            emp = empirical_ratio(degree_context(data, n))
             lo = zolotarev_lower(amap.h, n)
             bv = zolotarev_upper(gc, n)
             if emp < lo * (1.0 - 1e-6):

@@ -57,6 +57,14 @@ def test_zero_steps_return_the_initial_error(disk_problem):
     assert adi_iterate(disk_problem, shifts, k=0) == []
 
 
+def test_relative_error_of_the_last_iterate_matches_the_error_list(
+        disk_problem):
+    shifts = ShiftSet("leja", (0.9, 1.2j + 1.0), (-0.9, -1.0 - 0.3j), 2)
+    errs = adi_iterate(disk_problem, shifts, return_errors=True)
+    last = adi_iterate(disk_problem, shifts)[-1]
+    assert disk_problem.relative_error(last) == errs[-1]
+
+
 def test_spectrum_shifts_solve_exactly(disk_pair):
     # with kappa = eig(A) and tau = eig(B) the error rational vanishes
     problem = sylvester_problem(*disk_pair, 6, seed=3)

@@ -9,7 +9,7 @@ from faberzol.conformal import (
     psi_boundary,
     solve_annulus_map,
 )
-from faberzol.errors import NotDisjointError
+from faberzol.errors import EvaluationDomainError, NotDisjointError
 from faberzol.geometry import boundary_distance, disk, rectangle
 
 
@@ -87,6 +87,16 @@ def test_inverse_map_roundtrip_on_the_outer_circle(disk_amap):
     w = disk_amap.h * np.exp(2j * np.pi * 0.17)
     z = psi_boundary(disk_amap, w)
     assert abs(abs(z + 1.0) - 0.7) < 1e-6
+
+
+def test_vectorised_psi_boundary_equals_single_calls(disk_amap, disk_map):
+    roots = np.exp(2j * np.pi * np.arange(6) / 6)
+    for amap in (disk_amap, disk_map):
+        for w in (roots, amap.h * roots):
+            single = np.array([psi_boundary(amap, wi) for wi in w])
+            assert np.array_equal(psi_boundary(amap, w), single)
+    with pytest.raises(EvaluationDomainError):
+        psi_boundary(disk_amap, np.array([1.0, disk_amap.h]))
 
 
 def test_far_field_modulus_is_sqrt_h_for_mirrored_pairs(disk_map):

@@ -5,15 +5,25 @@ two Cauchy filters act as identities, and r_n = R_n = Phi^n everywhere.
 Every quantity then has an explicit oracle.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from faberzol.bounds import sup_rn_bound, zolotarev_upper, GeometryConstants
 from faberzol.conformal import ExteriorOf, phi, solve_annulus_map
-from faberzol.errors import EvaluationDomainError, InvalidRegionError
+from faberzol.errors import (
+    EvaluationDomainError,
+    InvalidRegionError,
+    UncertifiedError,
+)
 from faberzol.faber import (
+    _inv_rn_on_boundary,
+    _scan_inv_rn,
+    boundary_data,
     build_context,
     count_zeros,
+    degree_context,
     empirical_ratio,
     eval_Rn,
     eval_inv_rn,
@@ -22,6 +32,7 @@ from faberzol.faber import (
     rn_on_f_boundary,
 )
 from faberzol.geometry import contains_many, disk
+from faberzol.quadrature import cauchy_boundary
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +125,53 @@ def test_degree_and_size_validation(disk_map):
         build_context(disk_map, -1)
     with pytest.raises(ValueError):
         build_context(disk_map, 2, n_quad=32)
+
+
+def test_uncertified_map_power_raises(disk_map):
+    # the Mobius map of the 0.7 disk sends a 0.71 circle outside |w| = 1,
+    # which a zero residual cannot certify
+    wide = dataclasses.replace(disk_map, region_e=disk(1.0, 0.71))
+    with pytest.raises(UncertifiedError, match="measured max 1 \\+ "):
+        build_context(wide, 3, n_quad=128)
+
+
+def _scan_cases(disk_map, rect_map):
+    # trapezoid nodes, where every 4th scan point is a node, and Gauss panels
+    return ((disk_map, 256), (rect_map, 512))
+
+
+def test_shared_data_contexts_equal_fresh_ones(disk_map, rect_map):
+    for amap, nq in _scan_cases(disk_map, rect_map):
+        data = boundary_data(amap, nq)
+        for n in (1, 4, 7):
+            shared = degree_context(data, n)
+            fresh = build_context(amap, n, n_quad=nq)
+            assert shared.data is data
+            assert np.array_equal(shared.phi_n_on_e, fresh.phi_n_on_e)
+            assert np.array_equal(shared.inv_rn_on_f, fresh.inv_rn_on_f)
+
+
+def test_scan_kernels_match_the_pointwise_transform(disk_map, rect_map):
+    for amap, nq in _scan_cases(disk_map, rect_map):
+        ctx = build_context(amap, 6, n_quad=nq)
+        for scan, region in zip(ctx.data.scans,
+                                (amap.region_e, amap.region_f)):
+            z = region.boundary_point(scan.t)
+            phi_n = scan.phi ** 6
+            rn = cauchy_boundary(ctx.phi_n_on_e, ctx.quad_e, z, phi_n)
+            got = scan.across_e(ctx.phi_n_on_e, phi_n)
+            assert np.abs(got - rn).max() <= 1e-13 * np.abs(rn).max()
+            inv = cauchy_boundary(ctx.inv_rn_on_f, ctx.quad_f, z, 1.0 / rn)
+            got = scan.across_f(ctx.inv_rn_on_f, 1.0 / rn)
+            assert np.abs(got - inv).max() <= 1e-13 * np.abs(inv).max()
+            # the whole chain feeds the rounding of R_n through the F
+            # transform, whose sensitivity to f(z) grows near a node
+            whole = _inv_rn_on_boundary(ctx, region, scan.t)
+            got = _scan_inv_rn(ctx, scan)
+            assert np.abs(got - whole).max() <= 1e-12 * np.abs(whole).max()
+        if nq == 256:
+            own = (ctx.data.scans[0].across_e, ctx.data.scans[1].across_f)
+            assert all(k.hit_rows.size == nq for k in own)
 
 
 # -- inequalities on a cornered pair ---------------------------------------

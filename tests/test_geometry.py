@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from faberzol import geometry
 from faberzol.errors import BoundaryPointError, InvalidRegionError
 from faberzol.geometry import (
     boundary_distance,
@@ -107,6 +108,25 @@ def test_smooth_curve_region():
     assert contains(c, 0.0)
     assert not contains(c, 3.0)
     assert rotation(c) >= 1.0
+
+
+def test_chunked_contains_many_matches_one_block(monkeypatch):
+    # 1300 points span three 512-point chunks of a 4096-sample curve: curve
+    # samples (on), points just off the curve between samples, and
+    # interior and exterior points
+    c = curve({1: 1.0, 3: 0.05})
+    rng = np.random.default_rng(2)
+    z = np.concatenate([
+        rng.uniform(-1.5, 1.5, 1000) + 1j * rng.uniform(-1.5, 1.5, 1000),
+        c.boundary_point(np.arange(150) / 4096.0),
+        c.boundary_point(rng.uniform(0.0, 1.0, 150)) * (1.0 + 1e-10),
+    ])
+    inside, on = contains_many(c, z)
+    monkeypatch.setattr(geometry, "_CHUNK", 4096 * z.size)
+    one_inside, one_on = contains_many(c, z)
+    assert np.array_equal(inside, one_inside)
+    assert np.array_equal(on, one_on)
+    assert on.sum() >= 150 and inside.sum() > 100 and (~inside & ~on).any()
 
 
 def test_boundary_distance_matches_the_disk_formula():
