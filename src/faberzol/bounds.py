@@ -3,9 +3,12 @@
 The lower bound is h^(-n).  The upper bound is an explicit quotient in
 h^(-n) and the total rotations of the two boundaries, valid for n above
 a geometry threshold N0; outside validity the trivial bound 1 applies.
+Where h^(-n) is not a normal double, both bounds come from log space and
+are rounded outward: lower down, upper up (never below 5e-324).
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 from . import geometry
@@ -82,8 +85,26 @@ def validity_constants(rot_e: float, rot_f: float, h: float,
 
 
 def zolotarev_lower(h: float, n: int) -> float:
-    """h^(-n), from the condenser capacity characterization."""
-    return float(h) ** (-n)
+    """h^(-n), from the condenser capacity characterization; rounded down
+    where it is not a normal double."""
+    lower = float(h) ** (-n)
+    if lower < sys.float_info.min:
+        log_h = math.log(h)
+        lower = _outward_exp(-n * log_h, n * log_h, up=False)
+    return lower
+
+
+def _outward_exp(log_value: float, magnitude: float, up: bool) -> float:
+    """exp(log_value) rounded up (or down) past the rounding of exp and of
+    the few flops that formed log_value from terms of total size magnitude.
+
+    Callers pass magnitude >= n log h > 708, so the slack also covers the
+    relative rounding of the bound quotient.
+    """
+    slack = 8.0 * sys.float_info.epsilon * magnitude
+    if up:
+        return math.nextafter(math.exp(log_value + slack), math.inf)
+    return math.nextafter(math.exp(log_value - slack), 0.0)
 
 
 def asymptotic_constant(rot_e: float, rot_f: float) -> float:
@@ -110,7 +131,9 @@ def zolotarev_upper(gc: GeometryConstants, n: int) -> BoundValue:
 
     upper_valid records whether n > N0 and the denominator is positive;
     whenever the formula is invalid or exceeds 1 the trivial bound 1 is
-    reported with clamped = True.  lower is always h^(-n).
+    reported with clamped = True.  lower is always h^(-n).  Where h^(-n)
+    is not a normal double, upper is quotient * h^(-n) taken in log space
+    and rounded up, so it is never 0.0.
     """
     if n < 0 or n != int(n):
         raise ValueError("degree n must be a non-negative integer")
@@ -127,7 +150,14 @@ def zolotarev_upper(gc: GeometryConstants, n: int) -> BoundValue:
 
     quotient = _bound_quotient(m_ef, m_fe, h, n)
     valid = n > n0 and math.isfinite(quotient)
-    upper = quotient * lower if valid else math.inf
+    if not valid:
+        upper = math.inf
+    elif lower >= sys.float_info.min:
+        upper = quotient * lower
+    else:
+        log_q, log_h = math.log(quotient), math.log(h)
+        upper = _outward_exp(log_q - n * log_h, abs(log_q) + n * log_h,
+                             up=True)
     clamped = not valid or upper > 1.0
     if clamped:
         upper = 1.0

@@ -254,14 +254,17 @@ def _cmd_faber(args):
     return 0
 
 
-def _shift_set(kind, k, nq, amap, region_e, region_f):
+def _shift_maker(kind, nq, amap, region_e, region_f):
+    """k -> the k-shift set of this kind; the boundary data that does not
+    depend on k is built once."""
     if kind == "faber":
-        return faber_shifts(build_context(amap, k, n_quad=nq), k)
+        data = boundary_data(amap, n_quad=nq)
+        return lambda k: faber_shifts(degree_context(data, k), k)
     if kind == "fejer":
-        return fejer_shifts(amap, k)
+        return lambda k: fejer_shifts(amap, k)
     quad_e = boundary_samples(region_e, max(nq, 512))
     quad_f = boundary_samples(_boundary_region(region_f), max(nq, 512))
-    return leja_shifts(quad_e, quad_f, k)
+    return lambda k: leja_shifts(quad_e, quad_f, k)
 
 
 def _boundary_region(region):
@@ -273,7 +276,8 @@ def _cmd_shifts(args):
         raise ConfigError("--k must be at least 1")
     region_e, region_f, digest = _load_pair(args.config)
     amap = _solve(args, region_e, region_f)
-    shifts = _shift_set(args.kind, args.k, args.nq, amap, region_e, region_f)
+    shifts = _shift_maker(args.kind, args.nq, amap, region_e,
+                          region_f)(args.k)
     meta = _meta(args, digest, amap.h,
                  _rotation_of(region_e), _rotation_of(region_f))
     _write_json(args.out, {
@@ -299,9 +303,10 @@ def _cmd_adi(args):
                                 seed=args.seed)
     quad_e = boundary_samples(region_e, max(args.nq, 512))
     quad_f = boundary_samples(region_f, max(args.nq, 512))
+    shift_set = _shift_maker(args.kind, args.nq, amap, region_e, region_f)
     rows = [[0, 1.0, 1.0, 1.0]]
     for k in range(1, args.k + 1):
-        shifts = _shift_set(args.kind, k, args.nq, amap, region_e, region_f)
+        shifts = shift_set(k)
         rel = problem.relative_error(adi_iterate(problem, shifts)[-1])
         cert = error_certificate(shifts, quad_e, quad_f)
         rows.append([k, rel, cert, zolotarev_upper(gc, k).upper])

@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 from scipy.optimize import brentq
 
 from . import geometry
@@ -41,6 +42,7 @@ _TWO_PI = 2.0 * math.pi
 _MAX_DEGREE = 128
 _POLES_PER_CORNER = 64
 _POLE_TAPER = 4.0
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -310,12 +312,33 @@ def _spine_poles(region, count: int):
     return cand[keep], clear[keep]
 
 
+@dataclass(frozen=True)
+class LadderStep:
+    """One degree-ladder step of solve_annulus_map.
+
+    rows x columns is the real least-squares system of the step.  When the
+    step was solved, residual is its validated boundary residual and
+    is_bound is False.  When the QR floor already certified that the
+    residual exceeds tol, the SVD solve and the validation were skipped,
+    residual is that certified lower bound and is_bound is True.
+    """
+
+    degree: int
+    rows: int
+    columns: int
+    residual: float
+    is_bound: bool
+
+
 def solve_annulus_map(region_e, region_f, tol: float = 1e-8) -> AnnulusMap:
     """Solve for the annulus map of a disjoint pair (case A1 or A2).
 
     Laurent degrees climb 8, 16, ... up to _MAX_DEGREE until the boundary
-    residual max(| |Phi|-1 | on dE, | |Phi|/h - 1 | on dF) meets tol;
-    otherwise MapNotResolvedError carries the best residual reached.
+    residual max(| |Phi|-1 | on dE, | |Phi|/h - 1 | on dF) meets tol.  A
+    step whose least-squares floor already certifies a residual above tol
+    is not solved (see _solve_level).  Otherwise MapNotResolvedError
+    carries the ladder and the best residual reached; its .residual is the
+    smallest certified lower bound when no step was solved.
     """
     variant = "A2" if _is_exterior(region_f) else "A1"
     f_inner = region_f.inner if variant == "A2" else region_f
@@ -345,6 +368,7 @@ def solve_annulus_map(region_e, region_f, tol: float = 1e-8) -> AnnulusMap:
     per_side = max(30, int(math.ceil(depth)) + 3)
 
     best = None
+    ladder = []
     degree = 8
     while degree <= _MAX_DEGREE:
         spines, spine_scales = [], []
@@ -363,18 +387,38 @@ def solve_annulus_map(region_e, region_f, tol: float = 1e-8) -> AnnulusMap:
             poles=np.concatenate([poles_e, poles_f, *spines]),
             pole_scales=np.concatenate([pscale_e, pscale_f, *spine_scales]),
         )
-        coef, level = _solve_level(region_e, f_inner, variant, basis,
-                                   anchor_e, anchor_f, degree, per_side)
-        residual = _map_residual(region_e, f_inner, variant, basis, coef,
-                                 anchor_e, anchor_f, level, degree, per_side)
-        if best is None or residual < best[0]:
-            best = (residual, basis, coef, level)
-        if residual <= tol:
-            break
+        rows, columns, floor, solution = _solve_level(
+            region_e, f_inner, variant, basis, anchor_e, anchor_f, degree,
+            per_side, tol)
+        if solution is None:
+            ladder.append(LadderStep(degree, rows, columns, floor, True))
+        else:
+            coef, level = solution
+            residual = _map_residual(region_e, f_inner, variant, basis, coef,
+                                     anchor_e, anchor_f, level, degree,
+                                     per_side)
+            ladder.append(LadderStep(degree, rows, columns, residual, False))
+            if best is None or residual < best[0]:
+                best = (residual, basis, coef, level)
+            if residual <= tol:
+                break
         degree *= 2
+    if best is None or best[0] > tol:
+        solved = best is not None
+        residual = best[0] if solved else min(s.residual for s in ladder)
+        what = "residual" if solved else "certified residual bound"
+        raise MapNotResolvedError(
+            f"map not resolved: {what} {residual:.3e} > tol {tol:.1e} over "
+            f"degrees {ladder[0].degree}-{ladder[-1].degree}; ladder "
+            + ", ".join(_step_text(step) for step in ladder),
+            residual=residual, ladder=tuple(ladder),
+        )
     residual, basis, coef, level = best
     h = math.exp(level)
-    amap = AnnulusMap(
+    if h <= 1.0:
+        raise MapNotResolvedError(f"map not resolved: h = {h} <= 1",
+                                  residual=residual, ladder=tuple(ladder))
+    return AnnulusMap(
         region_e=region_e,
         region_f=region_f,
         variant=variant,
@@ -385,14 +429,12 @@ def solve_annulus_map(region_e, region_f, tol: float = 1e-8) -> AnnulusMap:
         basis=basis,
         coef=coef,
     )
-    if residual > tol:
-        raise MapNotResolvedError(
-            f"map not resolved: residual {residual:.3e} > tol {tol:.1e}",
-            residual=residual,
-        )
-    if h <= 1.0:
-        raise MapNotResolvedError(f"map not resolved: h = {h} <= 1", residual=residual)
-    return amap
+
+
+def _step_text(step: LadderStep) -> str:
+    relation = ">=" if step.is_bound else "="
+    return (f"{step.degree}: {step.rows}x{step.columns} residual "
+            f"{relation} {step.residual:.2e}")
 
 
 def _check_pair(region_e, region_f, variant):
@@ -412,8 +454,15 @@ def _check_pair(region_e, region_f, variant):
                                    "complement of F")
 
 
-def _solve_level(region_e, f_inner, variant, basis, anchor_e, anchor_f,
-                 degree, per_side):
+def _level_system(region_e, f_inner, variant, basis, anchor_e, anchor_f,
+                  degree, per_side):
+    """The weighted real least-squares system of one ladder step.
+
+    Unknowns are [Re a0, (Re, Im) per remaining column, L]; returns the
+    column-normalised matrix (Fortran order), the right-hand side and the
+    column scales.  The rows are the solver points of both boundaries,
+    weighted by sqrt(spacing), and the spacings sum to 1 on each boundary.
+    """
     rows_a, rhs_a, wts = [], [], []
     is_f_side = []
     for region, f_side in ((region_e, False), (f_inner, True)):
@@ -431,7 +480,6 @@ def _solve_level(region_e, f_inner, variant, basis, anchor_e, anchor_f,
     w = np.concatenate(wts)
     f_side = np.concatenate(is_f_side)
 
-    # Real-linear system: unknowns [Re a0, (Re, Im) per remaining column, L].
     n_cols = basis.n_columns
     a_real = np.empty((cols.shape[0], 1 + 2 * (n_cols - 1) + 1))
     a_real[:, 0] = cols[:, 0].real
@@ -443,13 +491,61 @@ def _solve_level(region_e, f_inner, variant, basis, anchor_e, anchor_f,
 
     scale = np.linalg.norm(a_real, axis=0)
     scale[scale == 0.0] = 1.0
-    x, *_ = np.linalg.lstsq(a_real / scale, b, rcond=None)
+    return np.divide(a_real, scale, order="F"), b, scale
+
+
+def _coef_level(x, scale):
+    """(coef, level) of a solution x of the column-normalised system."""
     x = x / scale
+    n_cols = x.size // 2
     coef = np.empty(n_cols, dtype=complex)
     coef[0] = x[0]
     coef[1:] = x[1 : 2 * n_cols - 1 : 2] + 1j * x[2 : 2 * n_cols - 1 : 2]
-    level = float(x[-1])
-    return coef, level
+    return coef, float(x[-1])
+
+
+def _solve_level(region_e, f_inner, variant, basis, anchor_e, anchor_f,
+                 degree, per_side, tol):
+    """Solve one ladder step, unless its residual is certain to miss tol.
+
+    Returns (rows, columns, floor, solution).  solution is (coef, level),
+    or None when floor > tol; floor is then a lower bound on the residual
+    _map_residual would report for the solved step.
+
+    This is np.linalg.lstsq (LAPACK gelsd, rcond = eps max(m, n)) split in
+    the two halves gelsd runs itself on systems with m >= 1.6 n, as every
+    ladder system is: Householder QR with Q^T b, then the SVD solve on the
+    triangle.  The QR halves get the workspace gelsd hands them (its
+    optimal size less n), so the solution is bitwise that of the one-call
+    solve at one BLAS thread.
+
+    Why floor is certified: ||(Q^T b)[n:]||_2 is the minimum over all x of
+    ||W (A x - b)||_2, the weighted residual of the log-modulus conditions.
+    The squared weights sum to 1 on each boundary, so the largest pointwise
+    residual is at least that minimum over sqrt(2).  The validation points
+    contain the solver points and |expm1(r)| >= 1 - exp(-|r|), so the
+    validated residual is at least -expm1(-lb).  The QR tail is reduced by
+    a rounding allowance of 10 m eps ||W b|| first; on the zoo systems the
+    computed tail exceeds the weighted residual of the computed solution
+    by under 0.01 m eps ||W b||.
+    """
+    a, b, scale = _level_system(region_e, f_inner, variant, basis, anchor_e,
+                                anchor_f, degree, per_side)
+    m, n = a.shape
+    rcond = _EPS * max(m, n)
+    lwork = int(lapack.dgelsd_lwork(m, n, 1, rcond)[0]) - n
+    qr, tau, _, info_qr = lapack.dgeqrf(a, lwork=lwork, overwrite_a=True)
+    qtb, _, info_q = lapack.dormqr("L", "T", qr, tau, b[:, None], lwork)
+    if info_qr != 0 or info_q != 0:
+        raise np.linalg.LinAlgError(
+            f"QR of the map system failed (info {info_qr}, {info_q})")
+    tail = float(np.linalg.norm(qtb[n:, 0]))
+    slack = 10.0 * m * _EPS * float(np.linalg.norm(b))
+    floor = -math.expm1(-max(0.0, tail - slack) / math.sqrt(2.0))
+    if floor > tol:
+        return m, n, floor, None
+    x, *_ = np.linalg.lstsq(np.triu(qr[:n]), qtb[:n, 0], rcond=rcond)
+    return m, n, floor, _coef_level(x, scale)
 
 
 def _param_spacing(params):

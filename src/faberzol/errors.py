@@ -22,11 +22,17 @@ class NotDisjointError(FaberzolError):
 
 
 class MapNotResolvedError(FaberzolError):
-    """The annulus map solver did not reach the requested residual."""
+    """The annulus map solver did not reach the requested residual.
 
-    def __init__(self, message, residual=None):
+    residual is the best validated residual of the solved ladder steps, or
+    a certified lower bound when no step was solved.  ladder holds one
+    conformal.LadderStep per degree tried.
+    """
+
+    def __init__(self, message, residual=None, ladder=()):
         super().__init__(message)
         self.residual = residual
+        self.ladder = ladder
 
 
 class EvaluationDomainError(FaberzolError):

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import two_disk_h
+from conftest import random_disk_pair, two_disk_h
 from faberzol.adi import (adi_iterate, error_certificate, faber_shifts,
                           fejer_shifts, leja_shifts, sylvester_problem)
 from faberzol.bounds import (GeometryConstants, asymptotic_constant, m_n,
@@ -31,14 +31,6 @@ from faberzol.quadrature import cauchy_minus, cauchy_plus
 from faberzol.rational import aaa_fit, bary_eval
 
 L_VERTS = [0.0, 2.0, 2.0 + 1.0j, 1.0 + 1.0j, 1.0 + 2.0j, 2.0j]
-
-
-def _random_disk_pair(rng):
-    gap = rng.uniform(1.5, 4.0)
-    r1, r2 = rng.uniform(0.2, 0.45, 2) * gap
-    c1 = rng.uniform(-1.0, 1.0) + 1j * rng.uniform(-1.0, 1.0)
-    c2 = c1 + (gap + r1 + r2) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-    return disk(c1, r1), disk(c2, r2)
 
 
 def _omega_grid(e, f, margin=0.12):
@@ -64,7 +56,7 @@ def test_two_disk_pairs_match_closed_form_end_to_end():
     rng = np.random.default_rng(20260815)
     worst_h = worst_grid = worst_ratio = 0.0
     for _ in range(10):
-        e, f = _random_disk_pair(rng)
+        e, f = random_disk_pair(rng)
         exact_h = two_disk_h(e.true_center, e.true_radius, f.true_center, f.true_radius)
         amap = solve_annulus_map(e, f, tol=1e-9)
         worst_h = max(worst_h, abs(amap.h - exact_h) / exact_h)

@@ -68,6 +68,25 @@ def test_bound_command_rows_are_sandwiched(tmp_path):
         assert lower - 1e-12 <= emp <= upper + 1e-12
 
 
+def test_bound_rows_stay_certified_below_the_normal_range(tmp_path):
+    # h ~ 142, so h^-n is subnormal from n = 143 and below 5e-324 from
+    # n = 151; upper must never be certified as 0.0
+    cfg = write_config(tmp_path, {
+        "e": {"kind": "disk", "center": 3.0, "radius": 0.5},
+        "f": {"kind": "disk", "center": -3.0, "radius": 0.5},
+    })
+    out = tmp_path / "bounds.csv"
+    rc = main(["bound", "--config", cfg, "--out", str(out),
+               "--n-max", "200"])
+    assert rc == 0
+    _, _, rows = read_table(out)
+    assert len(rows) == 201
+    for row in rows:
+        lower, upper = float(row[1]), float(row[2])
+        assert 0.0 < upper and lower <= upper, row
+    assert float(rows[200][1]) == 0.0 and float(rows[200][2]) >= 5e-324
+
+
 def test_faber_command_grids_the_modulus(tmp_path):
     cfg = write_config(tmp_path, DISK_PAIR)
     out = tmp_path / "grid.csv"
@@ -196,6 +215,19 @@ def test_overlapping_regions_exit_with_numerical_error(tmp_path, capsys):
     })
     rc = main(["map", "--config", cfg, "--out", str(tmp_path / "x.json")])
     assert rc == 2
+
+
+def test_unresolved_map_prints_its_ladder_on_one_line(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "e": {"kind": "polygon", "vertices": [1.0, 2.0, [1.5, 1.0]]},
+        "f": {"kind": "disk", "center": -1.5, "radius": 0.5},
+    })
+    rc = main(["map", "--config", cfg, "--out", str(tmp_path / "x.json")])
+    assert rc == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: map not resolved: ") and "\n" not in err
+    for degree in (8, 16, 32, 64, 128):
+        assert f" {degree}: " in err
 
 
 def test_vandermonde_requires_a_disk(tmp_path, capsys):

@@ -1,7 +1,16 @@
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from conftest import two_disk_h
+import faberzol
+from conftest import random_disk_pair, two_disk_h
+from faberzol import conformal
 from faberzol.conformal import (
     ExteriorOf,
     mobius_two_disks,
@@ -9,8 +18,18 @@ from faberzol.conformal import (
     psi_boundary,
     solve_annulus_map,
 )
-from faberzol.errors import EvaluationDomainError, NotDisjointError
-from faberzol.geometry import boundary_distance, disk, rectangle
+from faberzol.errors import (
+    EvaluationDomainError,
+    MapNotResolvedError,
+    NotDisjointError,
+)
+from faberzol.geometry import (
+    boundary_distance,
+    curve,
+    disk,
+    polygon,
+    rectangle,
+)
 
 
 def test_two_disk_closed_form(disk_map):
@@ -117,3 +136,161 @@ def test_overlapping_pairs_are_rejected():
 def test_h_exceeds_one_for_disjoint_pairs(disk_map, rect_map):
     assert disk_map.h > 1.0
     assert rect_map.h > 1.0
+
+
+def _mirrored(re, im):
+    e = rectangle(re, im)
+    return e, e.negated()
+
+
+def _hexagons():
+    hexagon = [1.5 + 0.6 * np.exp(1j * math.pi * k / 3.0) for k in range(6)]
+    return polygon(hexagon), polygon([-v for v in hexagon])
+
+
+def _random_pair(seed):
+    return random_disk_pair(np.random.default_rng(seed))
+
+
+ALL_TOLS = (1e-8, 1e-9, 1e-10)
+# The pairs of the tier-1 tests, the fixed pairs of the benchmark zoo and
+# three random disk pairs, with the tols each ladder is audited at.  Below
+# 1e-8 the mirrored rectangles and the hexagons climb to degree 128 with
+# solved steps, minutes of reference solves, so they are audited at the
+# default tol only; so are the triangle and the L-shape, whose floors stay
+# above 1e-7 and so skip the same steps at every tol.
+AUDIT_PAIRS = {
+    "disks": (lambda: (disk(1.0, 0.7), disk(-1.0, 0.7)), ALL_TOLS),
+    "far_disks": (lambda: (disk(3.0, 0.5), disk(-3.0, 0.5)), ALL_TOLS),
+    "random0": (lambda: _random_pair(1), ALL_TOLS),
+    "random1": (lambda: _random_pair(2), ALL_TOLS),
+    "random2": (lambda: _random_pair(3), ALL_TOLS),
+    "disk_curve": (lambda: (disk(0.0, 1.0), curve({0: 4.0, 1: 0.8})),
+                   ALL_TOLS),
+    "disk_in_exterior": (lambda: (disk(0.0, 1.0), ExteriorOf(disk(0.0, 2.0))),
+                         ALL_TOLS),
+    "rect_in_exterior": (lambda: (rectangle((-0.8, 0.8), (-0.6, 0.6)),
+                                  ExteriorOf(disk(0.0, 2.0))), ALL_TOLS),
+    "rect_disk": (lambda: (rectangle((-2.0, -1.0), (-0.5, 0.5)),
+                           disk(2.0, 0.6)), ALL_TOLS),
+    "triangle_disk": (lambda: (polygon([1.0, 2.0, 1.5 + 1.0j]),
+                               disk(-1.5, 0.5)), (1e-8,)),
+    "lshape_disk": (lambda: (polygon([0.0, 2.0, 2.0 + 1.0j, 1.0 + 1.0j,
+                                      1.0 + 2.0j, 2.0j]), disk(5.0, 0.5)),
+                    (1e-8,)),
+    "readme": (lambda: _mirrored((0.3, 1.3), (-1.3, 1.3)), (1e-8,)),
+    "short_rects": (lambda: _mirrored((0.3, 1.3), (-0.5, 0.5)), (1e-8,)),
+    "mirror045": (lambda: _mirrored((-0.85, -0.05), (-0.6, 0.6)), (1e-8,)),
+    "mirror060": (lambda: _mirrored((-1.0, -0.2), (-0.6, 0.6)), (1e-8,)),
+    "mirror100": (lambda: _mirrored((-1.4, -0.6), (-0.6, 0.6)), (1e-8,)),
+    "mirror300": (lambda: _mirrored((-3.4, -2.6), (-0.6, 0.6)), (1e-8,)),
+    "hexagons": (_hexagons, (1e-8,)),
+}
+
+
+def _ladder_audit():
+    """Every ladder step of every AUDIT_PAIRS solve, against a reference
+    step solved in one np.linalg.lstsq call and validated like the solver.
+
+    Returns {pair: [step record]}; a step record holds the tol, degree,
+    whether the step was skipped, its certified floor, the reference
+    residual and whether a solved step's coef and level equal the
+    reference bit for bit.
+    """
+    level_system, solve_level = conformal._level_system, conformal._solve_level
+    systems, steps = {}, []
+
+    def recorded_system(*args):
+        a, b, scale = level_system(*args)
+        systems[args[6]] = (a.copy(order="F"), b.copy(), scale.copy())
+        return a, b, scale
+
+    def recorded_solve(*args):
+        out = solve_level(*args)
+        steps.append((args, out))
+        return out
+
+    conformal._level_system = recorded_system
+    conformal._solve_level = recorded_solve
+    report = {}
+    try:
+        for name, (pair, tols) in AUDIT_PAIRS.items():
+            region_e, region_f = pair()
+            systems.clear()
+            references = {}
+            report[name] = []
+            for tol in tols:
+                steps.clear()
+                try:
+                    solve_annulus_map(region_e, region_f, tol=tol)
+                except MapNotResolvedError:
+                    pass
+                for args, (_, _, floor, solution) in steps:
+                    degree = args[6]
+                    if degree not in references:
+                        a, b, scale = systems[degree]
+                        x, *_ = np.linalg.lstsq(a, b, rcond=None)
+                        coef, level = conformal._coef_level(x, scale)
+                        residual = conformal._map_residual(
+                            *args[:4], coef, *args[4:6], level, degree,
+                            args[7])
+                        references[degree] = (coef, level, residual)
+                    coef, level, residual = references[degree]
+                    report[name].append({
+                        "tol": tol, "degree": degree,
+                        "skipped": solution is None, "floor": floor,
+                        "reference": residual,
+                        "bitwise": solution is not None
+                        and np.array_equal(solution[0], coef)
+                        and solution[1] == level,
+                    })
+    finally:
+        conformal._level_system = level_system
+        conformal._solve_level = solve_level
+    return report
+
+
+@pytest.fixture(scope="module")
+def ladder_audit():
+    # One BLAS thread: threaded OpenBLAS builds split the QR differently,
+    # so the split solve equals the one-call solve bit for bit only there.
+    src = Path(faberzol.__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(src), str(Path(__file__).parent)]))
+    code = ("import json, test_conformal; "
+            "print(json.dumps(test_conformal._ladder_audit()))")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=900)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+@pytest.mark.parametrize("name", sorted(AUDIT_PAIRS))
+def test_skipped_steps_fail_and_solved_steps_match_one_lstsq(ladder_audit,
+                                                             name):
+    records = ladder_audit[name]
+    assert {r["tol"] for r in records} == set(AUDIT_PAIRS[name][1])
+    for r in records:
+        # the floor is a certified lower bound on the validated residual
+        assert r["floor"] <= r["reference"], r
+        if r["skipped"]:
+            assert r["floor"] > r["tol"] and r["reference"] > r["tol"], r
+        else:
+            assert r["bitwise"], r
+
+
+def test_failing_map_reports_its_ladder():
+    e, f = AUDIT_PAIRS["triangle_disk"][0]()
+    with pytest.raises(MapNotResolvedError) as info:
+        solve_annulus_map(e, f, tol=1e-8)
+    err = info.value
+    assert [step.degree for step in err.ladder] == [8, 16, 32, 64, 128]
+    assert all(step.rows > step.columns > 0 for step in err.ladder)
+    # no step can reach 1e-8, so none is solved and .residual is the
+    # smallest certified bound
+    assert all(step.is_bound for step in err.ladder)
+    assert err.residual == min(step.residual for step in err.ladder) > 1e-8
+    message = str(err)
+    assert message.startswith("map not resolved: ")
+    assert "degrees 8-128" in message and "\n" not in message
