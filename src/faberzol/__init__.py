@@ -38,7 +38,6 @@ from .displacement import (
     vandermonde_matrix,
 )
 from .errors import (
-    BoundaryPointError,
     EvaluationDomainError,
     FaberzolError,
     InvalidRegionError,
@@ -64,11 +63,9 @@ from .faber import (
 from .geometry import (
     Disk,
     Polygon,
-    Rectangle,
     Region,
     SmoothCurve,
     boundary_samples,
-    contains,
     contains_many,
     curve,
     disk,
@@ -84,7 +81,6 @@ from .quadrature import (
     cauchy_minus,
     cauchy_plus,
     cauchy_stabilized,
-    winding_number,
 )
 from .rational import BarycentricRational, aaa_fit, bary_eval, poles_zeros
 

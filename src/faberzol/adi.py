@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import psi_boundary, _is_exterior
+from .conformal import ExteriorOf, psi_boundary
 from .errors import (
     FaberzolError,
     InvalidRegionError,
@@ -39,7 +39,6 @@ class ShiftSet:
     kind: str
     kappa: tuple
     tau: tuple
-    k: int
 
     def __post_init__(self):
         if self.kind not in _SHIFT_KINDS:
@@ -48,10 +47,14 @@ class ShiftSet:
         tau = tuple(complex(z) for z in self.tau)
         object.__setattr__(self, "kappa", kappa)
         object.__setattr__(self, "tau", tau)
-        if len(kappa) != self.k or len(tau) != self.k:
-            raise ValueError("shift lists must both have length k")
+        if len(kappa) != len(tau):
+            raise ValueError("shift lists must have the same length")
         if set(kappa) & set(tau):
             raise ValueError("kappa and tau shifts must be distinct")
+
+    @property
+    def k(self) -> int:
+        return len(self.kappa)
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,7 +110,7 @@ def sylvester_problem(region_e, region_f, m: int, p=None, seed=0):
 
     The reference solution is closed form: X_ij = M_ij / (a_i - b_j).
     """
-    if _is_exterior(region_e) or _is_exterior(region_f):
+    if isinstance(region_e, ExteriorOf) or isinstance(region_f, ExteriorOf):
         raise InvalidRegionError("spectra must lie in bounded regions")
     p = m if p is None else p
     if m < 1 or p < 1:
@@ -260,7 +263,7 @@ def faber_shifts(ctx: FaberContext, k: int) -> ShiftSet:
         poles, zeros = _drop_doublets(poles, zeros, 1e-5 * span)
         cand = zeros if want == "zeros" else poles
         shift_sets.append(_pick_near(cand, region, z, k, want))
-    return ShiftSet("faber", tuple(shift_sets[0]), tuple(shift_sets[1]), k)
+    return ShiftSet("faber", tuple(shift_sets[0]), tuple(shift_sets[1]))
 
 
 def fejer_shifts(amap, k: int) -> ShiftSet:
@@ -270,7 +273,7 @@ def fejer_shifts(amap, k: int) -> ShiftSet:
     roots = np.exp(2j * np.pi * np.arange(k) / k)
     kappa = psi_boundary(amap, roots)
     tau = psi_boundary(amap, amap.h * roots)
-    if not _is_exterior(amap.region_f):
+    if not isinstance(amap.region_f, ExteriorOf):
         # mirror-symmetric pair F = -E: pair each tau with -conj(kappa)
         mirrored = -np.conj(kappa)
         t = np.arange(4096) / 4096.0
@@ -279,7 +282,7 @@ def fejer_shifts(amap, k: int) -> ShiftSet:
         diam = max(amap.region_e.diameter(), amap.region_f.diameter())
         if gap <= 1e-6 * diam:
             tau = mirrored
-    return ShiftSet("fejer", tuple(kappa), tuple(tau), k)
+    return ShiftSet("fejer", tuple(kappa), tuple(tau))
 
 
 def leja_shifts(quad_e: BoundaryQuadrature,
@@ -309,4 +312,4 @@ def leja_shifts(quad_e: BoundaryQuadrature,
             log_f -= np.log(np.abs(z_f - ta))
             kappa.append(kap)
             tau.append(ta)
-    return ShiftSet("leja", tuple(kappa), tuple(tau), k)
+    return ShiftSet("leja", tuple(kappa), tuple(tau))

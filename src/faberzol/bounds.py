@@ -12,6 +12,7 @@ import sys
 from dataclasses import dataclass
 
 from . import geometry
+from .conformal import ExteriorOf, boundary_region
 from .errors import InvalidRegionError
 
 
@@ -35,10 +36,8 @@ class GeometryConstants:
 
     @classmethod
     def from_regions(cls, region_e, region_f, h: float) -> "GeometryConstants":
-        from .conformal import ExteriorOf
-
         variant = "A2" if isinstance(region_f, ExteriorOf) else "A1"
-        f_inner = region_f.inner if variant == "A2" else region_f
+        f_inner = boundary_region(region_f)
         rot_e = geometry.rotation(region_e)
         rot_f = geometry.rotation(f_inner)
         convex = geometry.is_convex(region_e) and geometry.is_convex(f_inner)

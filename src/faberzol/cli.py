@@ -26,7 +26,7 @@ from .adi import (
     sylvester_problem,
 )
 from .bounds import GeometryConstants, zolotarev_upper
-from .conformal import ExteriorOf, solve_annulus_map
+from .conformal import ExteriorOf, boundary_region, solve_annulus_map
 from .displacement import (
     cauchy_matrix,
     singular_value_bounds,
@@ -154,12 +154,6 @@ def _load_pair(path):
     return region_e, region_f, digest
 
 
-def _rotation_of(region) -> float:
-    if isinstance(region, ExteriorOf):
-        return rotation(region.inner)
-    return rotation(region)
-
-
 def _meta(args, digest, h, rot_e, rot_f):
     return {
         "version": __version__,
@@ -204,7 +198,7 @@ def _cmd_map(args):
     region_e, region_f, digest = _load_pair(args.config)
     amap = _solve(args, region_e, region_f)
     meta = _meta(args, digest, amap.h,
-                 _rotation_of(region_e), _rotation_of(region_f))
+                 rotation(region_e), rotation(boundary_region(region_f)))
     _write_json(args.out, {
         "h": amap.h,
         "residual": amap.residual,
@@ -241,7 +235,7 @@ def _cmd_faber(args):
     amap = _solve(args, region_e, region_f)
     ctx = build_context(amap, args.n, n_quad=args.nq)
     meta = _meta(args, digest, amap.h,
-                 _rotation_of(region_e), _rotation_of(region_f))
+                 rotation(region_e), rotation(boundary_region(region_f)))
     t = np.arange(2048) / 2048.0
     bnd = region_e.boundary_point(t)
     xs = np.linspace(bnd.real.min(), bnd.real.max(), args.grid)
@@ -254,32 +248,31 @@ def _cmd_faber(args):
     return 0
 
 
-def _shift_maker(kind, nq, amap, region_e, region_f):
+def _quads(nq, region_e, region_f):
+    """The boundary rules of Leja shifts and ADI certificates."""
+    return (boundary_samples(region_e, max(nq, 512)),
+            boundary_samples(boundary_region(region_f), max(nq, 512)))
+
+
+def _shift_maker(kind, nq, amap, quads):
     """k -> the k-shift set of this kind; the boundary data that does not
-    depend on k is built once."""
+    depend on k is built once.  quads are the rules of _quads, used by
+    Leja shifts only."""
     if kind == "faber":
         data = boundary_data(amap, n_quad=nq)
         return lambda k: faber_shifts(degree_context(data, k), k)
     if kind == "fejer":
         return lambda k: fejer_shifts(amap, k)
-    quad_e = boundary_samples(region_e, max(nq, 512))
-    quad_f = boundary_samples(_boundary_region(region_f), max(nq, 512))
-    return lambda k: leja_shifts(quad_e, quad_f, k)
-
-
-def _boundary_region(region):
-    return region.inner if isinstance(region, ExteriorOf) else region
+    return lambda k: leja_shifts(*quads, k)
 
 
 def _cmd_shifts(args):
-    if args.k < 1:
-        raise ConfigError("--k must be at least 1")
     region_e, region_f, digest = _load_pair(args.config)
     amap = _solve(args, region_e, region_f)
-    shifts = _shift_maker(args.kind, args.nq, amap, region_e,
-                          region_f)(args.k)
+    quads = _quads(args.nq, region_e, region_f) if args.kind == "leja" else None
+    shifts = _shift_maker(args.kind, args.nq, amap, quads)(args.k)
     meta = _meta(args, digest, amap.h,
-                 _rotation_of(region_e), _rotation_of(region_f))
+                 rotation(region_e), rotation(boundary_region(region_f)))
     _write_json(args.out, {
         "kind": shifts.kind,
         "k": shifts.k,
@@ -291,8 +284,6 @@ def _cmd_shifts(args):
 
 
 def _cmd_adi(args):
-    if args.k < 0:
-        raise ConfigError("--k must be non-negative")
     region_e, region_f, digest = _load_pair(args.config)
     if isinstance(region_f, ExteriorOf):
         raise ConfigError("config field 'f' must be bounded for adi")
@@ -301,14 +292,13 @@ def _cmd_adi(args):
     meta = _meta(args, digest, amap.h, gc.rot_e, gc.rot_f)
     problem = sylvester_problem(region_e, region_f, args.m, args.p,
                                 seed=args.seed)
-    quad_e = boundary_samples(region_e, max(args.nq, 512))
-    quad_f = boundary_samples(region_f, max(args.nq, 512))
-    shift_set = _shift_maker(args.kind, args.nq, amap, region_e, region_f)
+    quads = _quads(args.nq, region_e, region_f)
+    shift_set = _shift_maker(args.kind, args.nq, amap, quads)
     rows = [[0, 1.0, 1.0, 1.0]]
     for k in range(1, args.k + 1):
         shifts = shift_set(k)
         rel = problem.relative_error(adi_iterate(problem, shifts)[-1])
-        cert = error_certificate(shifts, quad_e, quad_f)
+        cert = error_certificate(shifts, *quads)
         rows.append([k, rel, cert, zolotarev_upper(gc, k).upper])
     _write_csv(args.out, meta, "adi",
                ["k", "rel_error", "certificate", "bound"], rows)
@@ -346,7 +336,7 @@ def _cmd_svbounds(args):
         zj = [h ** (-j) for j in range(n_bounds)]
     meta = _meta(args, digest, h, rot_e, rot_f)
     sv = singular_values(mat)
-    bounds = singular_value_bounds(zj, 1, 1.0)
+    bounds = singular_value_bounds(zj, 1.0)
     rows = [[j, float(sv[j] / sv[0]), float(bounds[j])]
             for j in range(n_bounds)]
     _write_csv(args.out, meta, "svbounds", ["j", "sigma_ratio", "bound"], rows)
@@ -357,15 +347,23 @@ def _build_parser():
     parser = _Parser(prog="faberzol", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, seed=True):
+    def at_least(low):
+        """argparse type: an integer no smaller than low."""
+        def parse(text):
+            value = int(text)
+            if value < low:
+                raise argparse.ArgumentTypeError(f"must be at least {low}")
+            return value
+        return parse
+
+    def common(sp):
         sp.add_argument("--config", required=True, help="pair config JSON")
         sp.add_argument("--out", required=True, help="output file")
-        sp.add_argument("--nq", type=int, default=512,
+        sp.add_argument("--nq", type=at_least(64), default=512,
                         help="boundary quadrature size")
         sp.add_argument("--tol", type=float, default=1e-8,
                         help="map solver residual target")
-        if seed:
-            sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", type=at_least(0), default=0)
 
     sp = sub.add_parser("map", help="solve the annulus map, write JSON")
     common(sp)
@@ -373,7 +371,7 @@ def _build_parser():
 
     sp = sub.add_parser("bound", help="Zolotarev bound table")
     common(sp)
-    sp.add_argument("--n-min", type=int, default=0)
+    sp.add_argument("--n-min", type=at_least(0), default=0)
     sp.add_argument("--n-max", type=int, default=30)
     sp.add_argument("--empirical", action="store_true",
                     help="add the measured sup-ratio of r_n")
@@ -381,33 +379,33 @@ def _build_parser():
 
     sp = sub.add_parser("faber", help="|r_n| on a grid over E")
     common(sp)
-    sp.add_argument("--n", type=int, default=8)
-    sp.add_argument("--grid", type=int, default=101)
+    sp.add_argument("--n", type=at_least(0), default=8)
+    sp.add_argument("--grid", type=at_least(1), default=101)
     sp.set_defaults(func=_cmd_faber)
 
     sp = sub.add_parser("shifts", help="ADI shift parameters, JSON")
     common(sp)
     sp.add_argument("--kind", choices=("faber", "fejer", "leja"),
                     default="faber")
-    sp.add_argument("--k", type=int, default=8)
+    sp.add_argument("--k", type=at_least(1), default=8)
     sp.set_defaults(func=_cmd_shifts)
 
     sp = sub.add_parser("adi", help="ADI error/certificate/bound table")
     common(sp)
     sp.add_argument("--kind", choices=("faber", "fejer", "leja"),
                     default="faber")
-    sp.add_argument("--k", type=int, default=8)
-    sp.add_argument("--m", type=int, default=100)
-    sp.add_argument("--p", type=int, default=None)
+    sp.add_argument("--k", type=at_least(0), default=8)
+    sp.add_argument("--m", type=at_least(1), default=100)
+    sp.add_argument("--p", type=at_least(1), default=None)
     sp.set_defaults(func=_cmd_adi)
 
     sp = sub.add_parser("svbounds", help="singular value bound table")
     common(sp)
     sp.add_argument("--kind", choices=("cauchy", "vandermonde"),
                     required=True)
-    sp.add_argument("--m", type=int, default=100)
-    sp.add_argument("--p", type=int, default=None)
-    sp.add_argument("--jmax", type=int, default=17)
+    sp.add_argument("--m", type=at_least(1), default=100)
+    sp.add_argument("--p", type=at_least(1), default=None)
+    sp.add_argument("--jmax", type=at_least(0), default=17)
     sp.set_defaults(func=_cmd_svbounds)
     return parser
 

@@ -55,14 +55,18 @@ class ExteriorOf:
         return self.inner.diameter()
 
 
-def _is_exterior(region) -> bool:
-    return isinstance(region, ExteriorOf)
+def boundary_region(region) -> Region:
+    """The compact region with the same boundary: the inner region of an
+    ExteriorOf, the region itself otherwise."""
+    return region.inner if isinstance(region, ExteriorOf) else region
 
 
 @dataclass(frozen=True)
 class MobiusMap:
     """Phi(z) = (a z + b)/(c z + d) mapping the two-disk complement onto
     1 < |w| < h, with |Phi| = 1 on the E circle and h on the F circle."""
+
+    residual = 0.0  # closed form: no boundary residual
 
     a: complex
     b: complex
@@ -340,8 +344,8 @@ def solve_annulus_map(region_e, region_f, tol: float = 1e-8) -> AnnulusMap:
     carries the ladder and the best residual reached; its .residual is the
     smallest certified lower bound when no step was solved.
     """
-    variant = "A2" if _is_exterior(region_f) else "A1"
-    f_inner = region_f.inner if variant == "A2" else region_f
+    variant = "A2" if isinstance(region_f, ExteriorOf) else "A1"
+    f_inner = boundary_region(region_f)
     _check_pair(region_e, region_f, variant)
 
     anchor_e = geometry.interior_anchor(region_e)
@@ -438,7 +442,7 @@ def _step_text(step: LadderStep) -> str:
 
 
 def _check_pair(region_e, region_f, variant):
-    f_inner = region_f.inner if variant == "A2" else region_f
+    f_inner = boundary_region(region_f)
     te = np.linspace(0.0, 1.0, 512, endpoint=False)
     be = region_e.boundary_point(te)
     bf = f_inner.boundary_point(te)
@@ -597,11 +601,8 @@ def psi_boundary(annulus_map, w):
     if isinstance(annulus_map, MobiusMap):
         z = annulus_map.inverse(ws)
     else:
-        region = annulus_map.region_e if on_e else (
-            annulus_map.region_f.inner
-            if _is_exterior(annulus_map.region_f)
-            else annulus_map.region_f
-        )
+        region = (annulus_map.region_e if on_e
+                  else boundary_region(annulus_map.region_f))
         n = 4096
         t = np.arange(n + 1) / n
         vals = phi(annulus_map, region.boundary_point(t % 1.0))
@@ -654,7 +655,8 @@ def _psi_on(annulus_map, region, t, ang, w) -> complex:
         t_star = t_lo if abs(g_lo) <= abs(g_hi) else t_hi
     z = complex(region.boundary_point(np.array([t_star % 1.0]))[0])
     err = abs(complex(phi(annulus_map, np.array([z]))[0]) - w)
-    if err > 1e-8 * max(1.0, abs(w)) + 10.0 * getattr(annulus_map, "residual", 0.0) * max(1.0, abs(w)):
+    scale = max(1.0, abs(w))
+    if err > 1e-8 * scale + 10.0 * annulus_map.residual * scale:
         raise EvaluationDomainError(
             f"psi_boundary did not converge: |phi(z) - w| = {err:g}"
         )

@@ -94,19 +94,17 @@ def vandermonde_h(z0, eta0: float) -> float:
     return h
 
 
-def singular_value_bounds(zj, nu: int, sigma1: float) -> np.ndarray:
+def singular_value_bounds(zj, sigma1: float) -> np.ndarray:
     """Bounds zj[j] * sigma1 on sigma_{j nu + 1}, j = 0, 1, ...
 
-    zj are Zolotarev upper bounds for the displacement pair; nu is the
-    displacement rank.
+    zj are Zolotarev upper bounds for the displacement pair, whose
+    displacement rank is nu.
     """
     zj = np.asarray(zj, dtype=float).ravel()
     if zj.size == 0:
         raise ValueError("need at least one Zolotarev bound")
     if not zj[0] <= 1.0:
         raise ValueError("Z_0 must be at most 1")
-    if nu < 1 or nu != int(nu):
-        raise ValueError("displacement rank nu must be a positive integer")
     if not sigma1 >= 0.0:
         raise ValueError("sigma1 must be non-negative")
     return zj * sigma1

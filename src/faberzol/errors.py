@@ -9,10 +9,6 @@ class InvalidRegionError(FaberzolError):
     """Region data is malformed (degenerate shape, self-intersection, bad kind)."""
 
 
-class BoundaryPointError(FaberzolError):
-    """A point query landed on a region boundary within tolerance."""
-
-
 class QuadratureError(FaberzolError):
     """A contour quadrature result is not trustworthy (insufficient resolution)."""
 

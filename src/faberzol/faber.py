@@ -13,7 +13,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from . import geometry
-from .conformal import phi
+from .conformal import ExteriorOf, phi
 from .errors import EvaluationDomainError, InvalidRegionError, UncertifiedError
 from .quadrature import (
     BoundaryQuadrature,
@@ -76,8 +76,6 @@ def boundary_data(amap, n_quad: int = 512) -> BoundaryData:
     """Boundary quadratures of n_quad nodes (>= 64) and Phi at the nodes."""
     if n_quad < 64:
         raise ValueError("need at least 64 quadrature nodes per boundary")
-    from .conformal import ExteriorOf  # local import to avoid cycle at init
-
     if isinstance(amap.region_f, ExteriorOf):
         raise InvalidRegionError(
             "Faber construction implemented for bounded E and F only"
@@ -128,9 +126,8 @@ def degree_context(data: BoundaryData, n: int) -> FaberContext:
         raise ValueError("degree n must be a non-negative integer")
     n = int(n)
     phi_n_on_e = data.phi_e ** n
-    residual = getattr(data.map, "residual", 0.0)
     excess = float(np.abs(phi_n_on_e).max()) - 1.0
-    if excess > 4.0 * n * residual + 1e-10:
+    if excess > 4.0 * n * data.map.residual + 1e-10:
         raise UncertifiedError(
             "map residual does not certify |Phi^n| <= 1 on the E boundary "
             f"(measured max 1 + {excess:.3e})"

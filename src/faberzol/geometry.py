@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryPointError, InvalidRegionError
+from .errors import InvalidRegionError
 from .quadrature import _CHUNK, BoundaryQuadrature
 
 _TWO_PI = 2.0 * math.pi
@@ -165,22 +165,6 @@ class Polygon(Region):
 
 
 @dataclass(frozen=True)
-class Rectangle(Polygon):
-    """Axis-aligned box [re0, re1] x [im0, im1] as a 4-gon (pre-transform)."""
-
-    @staticmethod
-    def from_intervals(re, im, scale=1.0, shift=0.0) -> "Rectangle":
-        a, b = float(re[0]), float(re[1])
-        c, d = float(im[0]), float(im[1])
-        if not (b > a and d > c):
-            raise InvalidRegionError("rectangle intervals must be increasing")
-        verts = (complex(a, c), complex(b, c), complex(b, d), complex(a, d))
-        return Rectangle(
-            vertices=verts, scale=_as_complex(scale), shift=_as_complex(shift)
-        )
-
-
-@dataclass(frozen=True)
 class SmoothCurve(Region):
     """Region bounded by a trigonometric curve sum_k c_k e^{2 pi i k t}.
 
@@ -231,8 +215,14 @@ def disk(center=0.0, radius=1.0, scale=1.0, shift=0.0) -> Disk:
     )
 
 
-def rectangle(re, im, scale=1.0, shift=0.0) -> Rectangle:
-    return Rectangle.from_intervals(re, im, scale=scale, shift=shift)
+def rectangle(re, im, scale=1.0, shift=0.0) -> Polygon:
+    """Axis-aligned box [re0, re1] x [im0, im1] as a 4-gon (pre-transform)."""
+    a, b = float(re[0]), float(re[1])
+    c, d = float(im[0]), float(im[1])
+    if not (b > a and d > c):
+        raise InvalidRegionError("rectangle intervals must be increasing")
+    return polygon((complex(a, c), complex(b, c), complex(b, d), complex(a, d)),
+                   scale=scale, shift=shift)
 
 
 def polygon(vertices, scale=1.0, shift=0.0) -> Polygon:
@@ -315,81 +305,59 @@ def is_convex(region: Region) -> bool:
 
 # -- membership -----------------------------------------------------------
 
-def boundary_distance(region: Region, z) -> float:
-    """Distance from z to the boundary (dense-sample estimate off disks)."""
-    z = complex(z)
-    if isinstance(region, Disk):
-        return abs(abs(z - region.true_center) - region.true_radius)
-    if isinstance(region, Polygon):
-        v = np.asarray(region.vertices, dtype=complex) * region.scale + region.shift
-        a, b = v, np.roll(v, -1)
-        ab = b - a
-        s = np.clip(((z - a) * np.conj(ab)).real / np.abs(ab) ** 2, 0.0, 1.0)
-        return float(np.min(np.abs(z - (a + s * ab))))
-    t = np.linspace(0.0, 1.0, 4096, endpoint=False)
-    return float(np.min(np.abs(z - region.boundary_point(t))))
-
-
-def contains(region: Region, z) -> bool:
-    """Strict interior test via the boundary winding number.
-
-    Raises BoundaryPointError when z lies on the boundary within
-    _BOUNDARY_RTOL * diameter, where membership is ill-posed.
-    """
-    z = complex(z)
-    tol = _BOUNDARY_RTOL * region.diameter()
-    if boundary_distance(region, z) <= tol:
-        raise BoundaryPointError(f"point {z} lies on the boundary within {tol:g}")
-    if isinstance(region, Disk):
-        return abs(z - region.true_center) < region.true_radius
-    if isinstance(region, Polygon):
-        v = np.asarray(region.vertices, dtype=complex) * region.scale + region.shift
-        return _winding_polyline(v, z) != 0
-    t = np.linspace(0.0, 1.0, 4096, endpoint=False)
-    return _winding_polyline(region.boundary_point(t), z) != 0
-
-
-def contains_many(region: Region, z):
-    """Vectorized membership: returns (inside, on_boundary) bool arrays."""
+def boundary_distance(region: Region, z) -> np.ndarray:
+    """Distances from the points z to the boundary (dense-sample estimate
+    off disks and polygons)."""
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    tol = _BOUNDARY_RTOL * region.diameter()
     if isinstance(region, Disk):
-        r = np.abs(z - region.true_center)
-        on = np.abs(r - region.true_radius) <= tol
-        return (r < region.true_radius) & ~on, on
+        return np.abs(np.abs(z - region.true_center) - region.true_radius)
     if isinstance(region, Polygon):
-        v = np.asarray(region.vertices, dtype=complex) * region.scale + region.shift
-        a, b = v, np.roll(v, -1)
-        ab = b - a
+        a = _polyline(region)
+        ab = np.roll(a, -1) - a
         s = np.clip(
             ((z[:, None] - a[None, :]) * np.conj(ab)[None, :]).real
             / (np.abs(ab) ** 2)[None, :],
             0.0,
             1.0,
         )
-        dist = np.min(np.abs(z[:, None] - (a[None, :] + s * ab[None, :])), axis=1)
-        on = dist <= tol
-        wind = _winding_polyline_many(v, z)
-        return (wind != 0) & ~on, on
-    t = np.linspace(0.0, 1.0, 4096, endpoint=False)
-    pts = region.boundary_point(t)
-    inside = np.empty(len(z), dtype=bool)
-    on = np.empty(len(z), dtype=bool)
-    # chunked over the targets: each temporary is a chunk-by-4096 array
-    step = max(1, _CHUNK // pts.size)
-    for lo in range(0, len(z), step):
-        chunk = z[lo:lo + step]
-        dist = np.min(np.abs(chunk[:, None] - pts[None, :]), axis=1)
-        on[lo:lo + step] = dist <= tol
-        wind = _winding_polyline_many(pts, chunk)
-        inside[lo:lo + step] = (wind != 0) & ~on[lo:lo + step]
-    return inside, on
+        return np.min(np.abs(z[:, None] - (a[None, :] + s * ab[None, :])), axis=1)
+    pts = _polyline(region)
+    return _by_chunks(
+        lambda chunk: np.min(np.abs(chunk[:, None] - pts[None, :]), axis=1),
+        z, pts.size)
 
 
-def _winding_polyline(pts, z: complex) -> int:
-    rel = pts - z
-    ang = np.angle(np.roll(rel, -1) / rel)
-    return int(round(ang.sum() / _TWO_PI))
+def contains_many(region: Region, z):
+    """Vectorized membership: returns (inside, on_boundary) bool arrays.
+
+    A point within _BOUNDARY_RTOL * diameter of the boundary is on it and
+    not inside.
+    """
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    on = boundary_distance(region, z) <= _BOUNDARY_RTOL * region.diameter()
+    if isinstance(region, Disk):
+        inside = np.abs(z - region.true_center) < region.true_radius
+    else:
+        pts = _polyline(region)
+        inside = _by_chunks(
+            lambda chunk: _winding_polyline_many(pts, chunk) != 0, z, pts.size)
+    return inside & ~on, on
+
+
+def _polyline(region: Region):
+    """The closed polyline membership is judged on: the vertices of a
+    polygon, 4096 boundary samples of a curve."""
+    if isinstance(region, Polygon):
+        return np.asarray(region.vertices, dtype=complex) * region.scale + region.shift
+    return region.boundary_point(np.linspace(0.0, 1.0, 4096, endpoint=False))
+
+
+def _by_chunks(fn, z, width: int):
+    """fn over slices of z, each small enough that its slice-by-width
+    temporaries stay within _CHUNK entries."""
+    step = max(1, _CHUNK // width)
+    return np.concatenate([fn(z[lo:lo + step])
+                           for lo in range(0, max(1, z.size), step)])
 
 
 def _winding_polyline_many(pts, z):
@@ -404,41 +372,30 @@ def _winding_polyline_many(pts, z):
 # -- anchors --------------------------------------------------------------
 
 def interior_anchor(region: Region) -> complex:
-    """A deterministic interior point (disk center, area centroid, ...)."""
+    """A deterministic interior point: the disk center, else the area
+    centroid when it lies strictly inside, else the first of 19 points
+    probed inward from the boundary that does."""
     if isinstance(region, Disk):
         return region.true_center
     if isinstance(region, Polygon):
-        v = np.asarray(region.vertices, dtype=complex) * region.scale + region.shift
-        x, y = v.real, v.imag
-        xn, yn = np.roll(x, -1), np.roll(y, -1)
-        cross = x * yn - xn * y
-        area = cross.sum() / 2.0
-        anchor = complex((x + xn) @ cross, (y + yn) @ cross) / (6.0 * area)
+        pts = _polyline(region)
     else:
-        t = np.linspace(0.0, 1.0, 2048, endpoint=False)
-        pts = region.boundary_point(t)
-        x, y = pts.real, pts.imag
-        xn, yn = np.roll(x, -1), np.roll(y, -1)
-        cross = x * yn - xn * y
-        area = cross.sum() / 2.0
-        anchor = complex((x + xn) @ cross, (y + yn) @ cross) / (6.0 * area)
-    try:
-        if contains(region, anchor):
-            return anchor
-    except BoundaryPointError:
-        pass
-    # Fallback: probe inward normals from boundary midpoints.
-    for t0 in np.linspace(0.05, 0.95, 19):
-        tangent = region.boundary_tangent(t0)
-        probe = region.boundary_point(t0) + 1j * tangent / abs(tangent) * (
-            0.05 * region.diameter()
-        )
-        try:
-            if contains(region, complex(probe)):
-                return complex(probe)
-        except BoundaryPointError:
-            continue
-    raise InvalidRegionError("could not locate an interior anchor")
+        pts = region.boundary_point(np.linspace(0.0, 1.0, 2048, endpoint=False))
+    x, y = pts.real, pts.imag
+    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    cross = x * yn - xn * y
+    area = cross.sum() / 2.0
+    centroid = complex((x + xn) @ cross, (y + yn) @ cross) / (6.0 * area)
+    t0 = np.linspace(0.05, 0.95, 19)
+    tangent = region.boundary_tangent(t0)
+    probes = region.boundary_point(t0) + 1j * tangent / np.abs(tangent) * (
+        0.05 * region.diameter()
+    )
+    candidates = np.concatenate([[centroid], probes])
+    inside, _ = contains_many(region, candidates)
+    if not inside.any():
+        raise InvalidRegionError("could not locate an interior anchor")
+    return complex(candidates[np.argmax(inside)])
 
 
 # -- boundary quadrature ---------------------------------------------------
@@ -449,9 +406,10 @@ def boundary_samples(region: Region, n_points: int) -> BoundaryQuadrature:
     Smooth boundaries (disk, trig curve) get the periodic trapezoid rule
     with exactly n_points nodes.  Polygon boundaries get composite
     Gauss-Legendre panels per edge, graded geometrically toward the
-    corners (ratio 1/2, panels never below 1e-8 of the edge), with about
-    n_points nodes in total.  Weights approximate the complex increments
-    d zeta, so sum(values * weights) approximates the contour integral.
+    corners (ratio 1/2, panels never below 1e-8 of the edge), with at
+    least n_points nodes in total.  Weights approximate the complex
+    increments d zeta, so sum(values * weights) approximates the contour
+    integral.
     """
     if n_points < 16:
         raise InvalidRegionError("n_points must be at least 16")
@@ -486,11 +444,19 @@ def _polygon_quadrature(region: Polygon, n_points: int) -> BoundaryQuadrature:
     gl_x = (gl_x + 1.0) / 2.0  # map to [0, 1]
     gl_w = gl_w / 2.0
 
+    share = n_points * lengths / per
+    panels = []
+    for k in range(n_edges):
+        budget = max(2 * _GL_ORDER, int(round(share[k])))
+        panels.append(max(2, 2 * int(round(budget / (2 * _GL_ORDER)))))
+    # rounding can leave the rule short of n_points: add panel pairs where
+    # an edge's share is least met
+    while _GL_ORDER * sum(panels) < n_points:
+        panels[int(np.argmax(share - _GL_ORDER * np.array(panels)))] += 2
+
     nodes, weights, params = [], [], []
     for k in range(n_edges):
-        budget = max(2 * _GL_ORDER, int(round(n_points * lengths[k] / per)))
-        n_panels = max(2, 2 * int(round(budget / (2 * _GL_ORDER))))
-        breaks = _graded_breakpoints(n_panels)
+        breaks = _graded_breakpoints(panels[k])
         a, b = v[k], v[(k + 1) % n_edges]
         for lo, hi in zip(breaks[:-1], breaks[1:]):
             frac = lo + (hi - lo) * gl_x

@@ -86,17 +86,6 @@ def _raw_transform(values, quad: BoundaryQuadrature, z):
     return _kernel_sum(values * quad.weights, quad.nodes, z) / _TWO_PI_I
 
 
-def winding_number(quad: BoundaryQuadrature, z, tol: float = 1e-6) -> int:
-    """(1/2 pi i) * sum w_j/(z_j - z), certified to be near an integer."""
-    val = _kernel_sum(quad.weights, quad.nodes, complex(z)) / _TWO_PI_I
-    nearest = round(val.real)
-    if abs(val - nearest) > tol:
-        raise QuadratureError(
-            f"insufficient quadrature: winding estimate {val} is not an integer"
-        )
-    return int(nearest)
-
-
 def winding_of_polyline(points, about=0.0) -> int:
     """Winding number of a closed sampled curve about a point, by argument
     accumulation (exact for the polyline as long as it avoids the point)."""
@@ -111,21 +100,19 @@ def winding_of_polyline(points, about=0.0) -> int:
     return int(nearest)
 
 
-def cauchy_plus(values, quad: BoundaryQuadrature, z, check: bool = True):
+def cauchy_plus(values, quad: BoundaryQuadrature, z):
     """Interior Cauchy transform (1/2 pi i) * oint values/(zeta - z) d zeta.
 
-    Plain quadrature; accurate for z well inside the contour.  With
-    check=True a winding estimate flags targets outside the contour.
+    Plain quadrature; accurate for z well inside the contour.  A winding
+    estimate flags targets outside the contour.
     """
-    if check:
-        _check_winding(quad, z, 1)
+    _check_winding(quad, z, 1)
     return _raw_transform(values, quad, z)
 
 
-def cauchy_minus(values, quad: BoundaryQuadrature, z, check: bool = True):
+def cauchy_minus(values, quad: BoundaryQuadrature, z):
     """Exterior Cauchy transform, same integral for z outside the contour."""
-    if check:
-        _check_winding(quad, z, 0)
+    _check_winding(quad, z, 0)
     return _raw_transform(values, quad, z)
 
 

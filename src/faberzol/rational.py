@@ -45,31 +45,6 @@ class BarycentricRational:
     def degree(self) -> int:
         return len(self.support) - 1
 
-    def to_dict(self) -> dict:
-        return {
-            "support_re": self.support.real.tolist(),
-            "support_im": self.support.imag.tolist(),
-            "values_re": self.values.real.tolist(),
-            "values_im": self.values.imag.tolist(),
-            "weights_re": self.weights.real.tolist(),
-            "weights_im": self.weights.imag.tolist(),
-            "residual": self.residual,
-            "stagnated": self.stagnated,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BarycentricRational":
-        def cplx(tag):
-            return np.asarray(data[f"{tag}_re"]) + 1j * np.asarray(data[f"{tag}_im"])
-
-        return cls(
-            support=cplx("support"),
-            values=cplx("values"),
-            weights=cplx("weights"),
-            residual=float(data.get("residual", 0.0)),
-            stagnated=bool(data.get("stagnated", False)),
-        )
-
 
 def bary_eval(rational: BarycentricRational, z):
     """Evaluate; support points return their stored values exactly."""
@@ -172,7 +147,7 @@ def _arrowhead_eigenvalues(support, top_row):
     pencil_b[0, 0] = 0.0
     try:
         eigvals = scipy.linalg.eigvals(pencil_a, pencil_b)
-    except Exception as exc:  # pragma: no cover - LAPACK failure is exotic
+    except np.linalg.LinAlgError as exc:
         cond = np.linalg.cond(pencil_a)
         raise FaberzolError(
             f"arrowhead eigensolver failed (pencil condition ~ {cond:.2e})"

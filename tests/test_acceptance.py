@@ -158,7 +158,7 @@ def test_structured_matrix_singular_values_respect_bounds():
     y = random_points(f, 100, rng)
     sv = singular_values(cauchy_matrix(x, y))
     zj = np.array([zolotarev_upper(gc, j).upper for j in range(18)])
-    caps = singular_value_bounds(zj, 1, sv[0])
+    caps = singular_value_bounds(zj, sv[0])
     cauchy_bad = int(np.sum(sv[:18] > caps))
 
     z0, eta = (2.0 + 1.0j) / 10.0, 0.4
@@ -167,7 +167,7 @@ def test_structured_matrix_singular_values_respect_bounds():
     assert abs(hv - 2.35) <= 0.005
     nodes = random_points(disk(z0, eta), 100, rng)
     svv = singular_values(vandermonde_matrix(nodes, 80))
-    vand_caps = singular_value_bounds(hv ** -np.arange(18.0), 1, svv[0])
+    vand_caps = singular_value_bounds(hv ** -np.arange(18.0), svv[0])
     vand_bad = int(np.sum(svv[:18] > vand_caps))
 
     elapsed = time.time() - start

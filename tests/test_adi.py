@@ -45,13 +45,13 @@ def test_one_by_one_problem_is_solved_in_one_step():
     e, f = disk(1.0, 0.1), disk(-1.0, 0.1)
     problem = sylvester_problem(e, f, 1, seed=0)
     a, b = problem.spectrum_a[0], problem.spectrum_b[0]
-    shifts = ShiftSet("faber", (a,), (b,), 1)
+    shifts = ShiftSet("faber", (a,), (b,))
     err = adi_iterate(problem, shifts, return_errors=True)
     assert err[-1] < 1e-12
 
 
 def test_zero_steps_return_the_initial_error(disk_problem):
-    shifts = ShiftSet("fejer", (0.9,), (-0.9,), 1)
+    shifts = ShiftSet("fejer", (0.9,), (-0.9,))
     errs = adi_iterate(disk_problem, shifts, k=0, return_errors=True)
     assert list(errs) == [1.0]
     assert adi_iterate(disk_problem, shifts, k=0) == []
@@ -59,7 +59,7 @@ def test_zero_steps_return_the_initial_error(disk_problem):
 
 def test_relative_error_of_the_last_iterate_matches_the_error_list(
         disk_problem):
-    shifts = ShiftSet("leja", (0.9, 1.2j + 1.0), (-0.9, -1.0 - 0.3j), 2)
+    shifts = ShiftSet("leja", (0.9, 1.2j + 1.0), (-0.9, -1.0 - 0.3j))
     errs = adi_iterate(disk_problem, shifts, return_errors=True)
     last = adi_iterate(disk_problem, shifts)[-1]
     assert disk_problem.relative_error(last) == errs[-1]
@@ -69,7 +69,7 @@ def test_spectrum_shifts_solve_exactly(disk_pair):
     # with kappa = eig(A) and tau = eig(B) the error rational vanishes
     problem = sylvester_problem(*disk_pair, 6, seed=3)
     shifts = ShiftSet("leja", tuple(problem.spectrum_a),
-                      tuple(problem.spectrum_b), 6)
+                      tuple(problem.spectrum_b))
     err = adi_iterate(problem, shifts, return_errors=True)
     assert err[-1] < 1e-10
 
@@ -96,7 +96,7 @@ def test_spectral_steps_match_dense_solves_on_a_rectangular_problem(
     x = adi_iterate(problem, shifts)[-1]
     ref = _dense_adi(problem, shifts, 3)
     assert np.linalg.norm(x - ref, 2) <= 1e-13 * np.linalg.norm(ref, 2)
-    hit = ShiftSet("leja", (shifts.kappa[0],), (problem.spectrum_a[0],), 1)
+    hit = ShiftSet("leja", (shifts.kappa[0],), (problem.spectrum_a[0],))
     with pytest.raises(FaberzolError):
         adi_iterate(problem, hit)
 
@@ -111,7 +111,7 @@ def test_too_few_resolved_shifts_raise(disk_pair):
 def test_shift_order_does_not_change_the_result(disk_pair, disk_problem):
     amap = solve_annulus_map(*disk_pair, tol=1e-10)
     shifts = fejer_shifts(amap, 4)
-    shuffled = ShiftSet("fejer", shifts.kappa[::-1], shifts.tau[::-1], 4)
+    shuffled = ShiftSet("fejer", shifts.kappa[::-1], shifts.tau[::-1])
     a = adi_iterate(disk_problem, shifts, return_errors=True)[-1]
     b = adi_iterate(disk_problem, shuffled, return_errors=True)[-1]
     assert a == pytest.approx(b, rel=1e-8)
@@ -157,16 +157,16 @@ def test_certificates_are_sound(kind, disk_pair, disk_map, disk_problem,
 
 def test_shift_set_validation():
     with pytest.raises(ValueError):
-        ShiftSet("newton", (1.0,), (2.0,), 1)
+        ShiftSet("newton", (1.0,), (2.0,))
     with pytest.raises(ValueError):
-        ShiftSet("faber", (1.0,), (2.0, 3.0), 2)
+        ShiftSet("faber", (1.0,), (2.0, 3.0))
     with pytest.raises(ValueError):
-        ShiftSet("faber", (1.0,), (1.0,), 1)  # zero meets pole
+        ShiftSet("faber", (1.0,), (1.0,))  # zero meets pole
 
 
 def test_certificate_requires_shifts(disk_quads):
     with pytest.raises(ValueError):
-        error_certificate(ShiftSet("leja", (), (), 0), *disk_quads)
+        error_certificate(ShiftSet("leja", (), ()), *disk_quads)
 
 
 def test_leja_needs_dense_boundaries(disk_pair):

@@ -208,6 +208,41 @@ def test_bad_flag_combination(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("flags", [
+    ["faber", "--nq", "32"],
+    ["adi", "--m", "0"],
+    ["adi", "--p", "0"],
+    ["svbounds", "--kind", "cauchy", "--m", "0"],
+    ["svbounds", "--kind", "cauchy", "--jmax", "-1"],
+    ["faber", "--n", "-1"],
+    ["faber", "--grid", "-1"],
+    ["bound", "--n-min", "-2"],
+    ["adi", "--seed", "-1"],
+], ids=" ".join)
+def test_integer_flags_out_of_range_exit_with_config_error(tmp_path, capsys,
+                                                           flags):
+    cfg = write_config(tmp_path, DISK_PAIR)
+    rc = main([flags[0], "--config", cfg, "--out", str(tmp_path / "x"),
+               *flags[1:]])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_leja_shifts_on_hexagons(tmp_path):
+    hexagon = [1.5 + 0.6 * np.exp(1j * np.pi * k / 3.0) for k in range(6)]
+    cfg = write_config(tmp_path, {
+        "e": {"kind": "polygon", "vertices": [[v.real, v.imag]
+                                              for v in hexagon]},
+        "f": {"kind": "polygon", "vertices": [[-v.real, -v.imag]
+                                              for v in hexagon]},
+    })
+    out = tmp_path / "shifts.json"
+    assert main(["shifts", "--config", cfg, "--out", str(out),
+                 "--kind", "leja", "--k", "4"]) == 0
+    assert len(json.loads(out.read_text())["kappa"]) == 4
+
+
 def test_overlapping_regions_exit_with_numerical_error(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "e": {"kind": "disk", "center": 0.0, "radius": 1.0},

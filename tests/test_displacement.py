@@ -84,12 +84,10 @@ def test_node_disk_h_rejections():
 
 def test_singular_value_bound_scaling():
     zj = [1.0, 0.1, 0.01]
-    out = singular_value_bounds(zj, 1, 5.0)
+    out = singular_value_bounds(zj, 5.0)
     assert np.allclose(out, [5.0, 0.5, 0.05])
     with pytest.raises(ValueError):
-        singular_value_bounds([2.0, 0.1], 1, 1.0)
-    with pytest.raises(ValueError):
-        singular_value_bounds(zj, 0, 1.0)
+        singular_value_bounds([2.0, 0.1], 1.0)
 
 
 def test_singular_values_match_lapack():

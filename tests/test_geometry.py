@@ -4,11 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from faberzol import geometry
-from faberzol.errors import BoundaryPointError, InvalidRegionError
+from faberzol.errors import InvalidRegionError
 from faberzol.geometry import (
     boundary_distance,
     boundary_samples,
-    contains,
     contains_many,
     curve,
     disk,
@@ -58,10 +57,9 @@ def test_affine_transform_composes():
 
 def test_contains_distinguishes_the_three_cases():
     d = disk(0.0, 1.0)
-    assert contains(d, 0.2 + 0.3j)
-    assert not contains(d, 1.5)
-    with pytest.raises(BoundaryPointError):
-        contains(d, 1.0)
+    inside, on = contains_many(d, [0.2 + 0.3j, 1.5, 1.0])
+    assert inside.tolist() == [True, False, False]
+    assert on.tolist() == [False, False, True]
 
 
 def test_contains_many_returns_inside_and_on_masks():
@@ -76,9 +74,9 @@ def test_polygon_orientation_is_normalized():
     # clockwise input gets reversed, so the winding stays +1
     p_ccw = polygon([0.0, 1.0, 1.0 + 1.0j])
     p_cw = polygon([0.0, 1.0 + 1.0j, 1.0])
-    assert p_ccw.vertices == tuple(reversed(p_cw.vertices)) or contains(
+    assert p_ccw.vertices == tuple(reversed(p_cw.vertices)) or contains_many(
         p_cw, 0.6 + 0.3j
-    )
+    )[0][0]
 
 
 def test_rotation_is_one_for_convex_shapes():
@@ -105,8 +103,8 @@ def test_smooth_curve_region():
     t = np.linspace(0.0, 1.0, 256, endpoint=False)
     z = c.boundary_point(t)
     assert np.all(np.isfinite(z))
-    assert contains(c, 0.0)
-    assert not contains(c, 3.0)
+    inside, on = contains_many(c, [0.0, 3.0])
+    assert inside.tolist() == [True, False] and not on.any()
     assert rotation(c) >= 1.0
 
 
@@ -133,6 +131,23 @@ def test_boundary_distance_matches_the_disk_formula():
     d = disk(1.0j, 2.0)
     assert boundary_distance(d, 1.0j) == pytest.approx(2.0)
     assert boundary_distance(d, 1.0j + 5.0) == pytest.approx(3.0)
+
+
+def test_interior_anchor_probes_inward_when_the_centroid_is_outside():
+    # the centroid of this C lies in its notch, outside the region
+    c_shape = polygon([0.0, 3.0, 3.0 + 1.0j, 1.0 + 1.0j, 1.0 + 2.0j,
+                       3.0 + 2.0j, 3.0 + 3.0j, 3.0j])
+    anchor = interior_anchor(c_shape)
+    assert anchor == 0.8 + 0.21213203435596428j
+    inside, on = contains_many(c_shape, anchor)
+    assert inside[0] and not on[0]
+
+
+def test_polygon_rules_have_at_least_the_requested_nodes():
+    # six equal edges round 512/6 nodes down to 80 each without the top-up
+    hexagon = polygon([1.5 + 0.6 * np.exp(1j * np.pi * k / 3.0)
+                       for k in range(6)])
+    assert len(boundary_samples(hexagon, 512)) >= 512
 
 
 def test_boundary_samples_integrate_cauchy_kernels():
@@ -192,6 +207,7 @@ def test_invalid_regions_are_rejected():
 def test_disk_invariants(cx, cy, r):
     d = disk(complex(cx, cy), r)
     assert rotation(d) == 1.0
-    assert contains(d, complex(cx, cy))
+    inside, on = contains_many(d, complex(cx, cy))
+    assert inside[0] and not on[0]
     assert boundary_distance(d, complex(cx, cy)) == pytest.approx(r)
     assert interior_anchor(d) == complex(cx, cy)

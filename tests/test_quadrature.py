@@ -12,20 +12,12 @@ from faberzol.quadrature import (
     cauchy_minus,
     cauchy_plus,
     cauchy_stabilized,
-    winding_number,
 )
 
 
 @pytest.fixture(scope="module")
 def circle():
     return boundary_samples(disk(0.0, 1.0), 256)
-
-
-def test_winding_number_inside_and_outside(circle):
-    for z in (0.0, 0.5j, -0.3):
-        assert winding_number(circle, z) == 1
-    for z in (3.0, -2.0 + 2.0j):
-        assert winding_number(circle, z) == 0
 
 
 def test_interior_transform_reproduces_analytic_values(circle):
