@@ -23,7 +23,6 @@ class GeometryConstants:
     h: float
     rot_e: float = 1.0
     rot_f: float = 1.0
-    convex: bool = True
     variant: str = "A1"
 
     def __post_init__(self):
@@ -36,13 +35,9 @@ class GeometryConstants:
 
     @classmethod
     def from_regions(cls, region_e, region_f, h: float) -> "GeometryConstants":
-        variant = "A2" if isinstance(region_f, ExteriorOf) else "A1"
-        f_inner = boundary_region(region_f)
-        rot_e = geometry.rotation(region_e)
-        rot_f = geometry.rotation(f_inner)
-        convex = geometry.is_convex(region_e) and geometry.is_convex(f_inner)
-        return cls(h=float(h), rot_e=rot_e, rot_f=rot_f,
-                   convex=convex, variant=variant)
+        return cls(h=float(h), rot_e=geometry.rotation(region_e),
+                   rot_f=geometry.rotation(boundary_region(region_f)),
+                   variant="A2" if isinstance(region_f, ExteriorOf) else "A1")
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 
 import numpy as np
@@ -43,6 +44,7 @@ from .faber import (
     eval_rn,
 )
 from .geometry import (
+    Disk,
     boundary_samples,
     curve,
     disk,
@@ -323,10 +325,10 @@ def _cmd_svbounds(args):
     else:
         data, digest = _load_config(args.config)
         region_e = _region_from(_require(data, "e", ""), "e")
-        if not hasattr(region_e, "true_center"):
+        if not isinstance(region_e, Disk):
             raise ConfigError("config field 'e' must be a disk for vandermonde")
         try:
-            h = vandermonde_h(region_e.true_center, region_e.true_radius)
+            h = vandermonde_h(region_e.center, region_e.radius)
         except FaberzolError as exc:
             raise ConfigError(f"config field 'e': {exc}") from exc
         rot_e, rot_f = 1.0, 1.0
@@ -356,12 +358,19 @@ def _build_parser():
             return value
         return parse
 
+    def positive(text):
+        """argparse type: a finite float above zero."""
+        value = float(text)
+        if not (math.isfinite(value) and value > 0.0):
+            raise argparse.ArgumentTypeError("must be finite and positive")
+        return value
+
     def common(sp):
         sp.add_argument("--config", required=True, help="pair config JSON")
         sp.add_argument("--out", required=True, help="output file")
         sp.add_argument("--nq", type=at_least(64), default=512,
                         help="boundary quadrature size")
-        sp.add_argument("--tol", type=float, default=1e-8,
+        sp.add_argument("--tol", type=positive, default=1e-8,
                         help="map solver residual target")
         sp.add_argument("--seed", type=at_least(0), default=0)
 

@@ -95,8 +95,8 @@ def mobius_two_disks(region_e: Region, region_f: Region) -> MobiusMap:
     """
     if not (isinstance(region_e, Disk) and isinstance(region_f, Disk)):
         raise InvalidRegionError("mobius_two_disks needs two disk regions")
-    c1, r1 = region_e.true_center, region_e.true_radius
-    c2, r2 = region_f.true_center, region_f.true_radius
+    c1, r1 = region_e.center, region_e.radius
+    c2, r2 = region_f.center, region_f.radius
     d = abs(c2 - c1)
     if d <= r1 + r2 + 1e-15 * (r1 + r2):
         raise NotDisjointError("disks overlap or touch")
@@ -259,7 +259,7 @@ def _corner_poles(region: Polygon):
     ratio stalls near 1e-4 on rectangle pairs while the taper converges
     like exp(-c sqrt(N)) down to 1e-9 and below.
     """
-    v = np.asarray(region.vertices, dtype=complex) * region.scale + region.shift
+    v = region._verts()
     n = len(v)
     poles, scales = [], []
     j = np.arange(1, _POLES_PER_CORNER + 1)
@@ -342,8 +342,11 @@ def solve_annulus_map(region_e, region_f, tol: float = 1e-8) -> AnnulusMap:
     step whose least-squares floor already certifies a residual above tol
     is not solved (see _solve_level).  Otherwise MapNotResolvedError
     carries the ladder and the best residual reached; its .residual is the
-    smallest certified lower bound when no step was solved.
+    smallest certified lower bound when no step was solved.  tol must be
+    finite and positive.
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     variant = "A2" if isinstance(region_f, ExteriorOf) else "A1"
     f_inner = boundary_region(region_f)
     _check_pair(region_e, region_f, variant)

@@ -3,8 +3,8 @@
 Every region exposes a counterclockwise boundary parameterization over
 t in [0, 1), an exact or numerically certified total rotation, convexity
 and membership predicates, and boundary quadrature rules suitable for
-Cauchy-type contour integrals.  Affine images a*z + b of the base shapes
-are supported directly so that mirrored pairs (F = -E) stay exact.
+Cauchy-type contour integrals.  ``negated()`` mirrors a region (F = -E) by
+negating its own data: polygon vertices, curve coefficients, disk center.
 """
 
 from __future__ import annotations
@@ -28,6 +28,9 @@ _MIN_PANEL = 1e-8
 # Boundary membership tolerance, relative to the region diameter.
 _BOUNDARY_RTOL = 1e-12
 
+# Samples of a curve boundary on which its turning is measured.
+_TURN_SAMPLES = 4096
+
 
 def _as_complex(value) -> complex:
     if isinstance(value, (tuple, list)) and len(value) == 2:
@@ -35,52 +38,30 @@ def _as_complex(value) -> complex:
     return complex(value)
 
 
-@dataclass(frozen=True)
 class Region:
-    """Base class; use the disk/rectangle/polygon/curve constructors.
+    """Base class; use the disk/rectangle/polygon/curve constructors."""
 
-    ``transform`` is the affine map z -> scale*z + shift applied to the
-    base shape.  scale is complex (rotation plus dilation), so the image
-    stays a counterclockwise Jordan region.
-    """
-
-    scale: complex = 1.0 + 0.0j
-    shift: complex = 0.0 + 0.0j
-
-    # -- base-shape interface (t is an ndarray in [0, 1)) ----------------
-    def _base_point(self, t):
+    # -- shape interface (t is an ndarray in [0, 1)) ----------------------
+    def _point(self, t):
         raise NotImplementedError
 
-    def _base_tangent(self, t):
+    def _tangent(self, t):
         raise NotImplementedError
 
-    def _base_diameter(self) -> float:
+    def diameter(self) -> float:
+        raise NotImplementedError
+
+    def negated(self) -> "Region":
+        """The mirrored set -E = {-z : z in E}."""
         raise NotImplementedError
 
     # -- public geometry --------------------------------------------------
     def boundary_point(self, t):
-        t = np.asarray(t, dtype=float) % 1.0
-        return self.scale * self._base_point(t) + self.shift
+        return self._point(np.asarray(t, dtype=float) % 1.0)
 
     def boundary_tangent(self, t):
         """d/dt of boundary_point; never zero for a valid region."""
-        t = np.asarray(t, dtype=float) % 1.0
-        return self.scale * self._base_tangent(t)
-
-    def diameter(self) -> float:
-        return abs(self.scale) * self._base_diameter()
-
-    def transformed(self, scale=1.0, shift=0.0) -> "Region":
-        """Region for scale*self + shift (composition of affine maps)."""
-        scale = _as_complex(scale)
-        shift = _as_complex(shift)
-        return dataclasses.replace(
-            self, scale=scale * self.scale, shift=scale * self.shift + shift
-        )
-
-    def negated(self) -> "Region":
-        """The mirrored set -E = {-z : z in E}."""
-        return self.transformed(scale=-1.0)
+        return self._tangent(np.asarray(t, dtype=float) % 1.0)
 
 
 @dataclass(frozen=True)
@@ -92,22 +73,18 @@ class Disk(Region):
         if not self.radius > 0:
             raise InvalidRegionError("disk radius must be positive")
 
-    def _base_point(self, t):
+    def _point(self, t):
         return self.center + self.radius * np.exp(2j * math.pi * t)
 
-    def _base_tangent(self, t):
+    def _tangent(self, t):
         return 2j * math.pi * self.radius * np.exp(2j * math.pi * t)
 
-    def _base_diameter(self):
+    def diameter(self):
         return 2.0 * self.radius
 
-    @property
-    def true_center(self) -> complex:
-        return self.scale * self.center + self.shift
-
-    @property
-    def true_radius(self) -> float:
-        return abs(self.scale) * self.radius
+    def negated(self):
+        # the same circle about -center, parametrized from half a turn around
+        return dataclasses.replace(self, center=-self.center)
 
 
 @dataclass(frozen=True)
@@ -144,7 +121,7 @@ class Polygon(Region):
         per = lengths.sum()
         return np.concatenate([[0.0], np.cumsum(lengths)]) / per
 
-    def _base_point(self, t):
+    def _point(self, t):
         v = self._verts()
         cum = self._cumulative()
         idx = np.clip(np.searchsorted(cum, t, side="right") - 1, 0, len(v) - 1)
@@ -152,16 +129,20 @@ class Polygon(Region):
         nxt = (idx + 1) % len(v)
         return v[idx] + frac * (v[nxt] - v[idx])
 
-    def _base_tangent(self, t):
+    def _tangent(self, t):
         v = self._verts()
         cum = self._cumulative()
         idx = np.clip(np.searchsorted(cum, t, side="right") - 1, 0, len(v) - 1)
         nxt = (idx + 1) % len(v)
         return (v[nxt] - v[idx]) / (cum[idx + 1] - cum[idx])
 
-    def _base_diameter(self):
+    def diameter(self):
         v = self._verts()
         return float(np.max(np.abs(v[:, None] - v[None, :])))
+
+    def negated(self):
+        # a half-turn keeps the orientation, so the vertex order stays
+        return dataclasses.replace(self, vertices=tuple((-self._verts()).tolist()))
 
 
 @dataclass(frozen=True)
@@ -180,77 +161,81 @@ class SmoothCurve(Region):
             raise InvalidRegionError("curve needs a nonconstant coefficient")
         object.__setattr__(self, "coefficients", coeff)
 
-    def _base_point(self, t):
+    def _point(self, t):
         z = np.zeros(np.shape(t), dtype=complex)
         for k, c in self.coefficients:
             z = z + c * np.exp(2j * math.pi * k * t)
         return z
 
-    def _base_tangent(self, t):
+    def _tangent(self, t):
         z = np.zeros(np.shape(t), dtype=complex)
         for k, c in self.coefficients:
             z = z + c * (2j * math.pi * k) * np.exp(2j * math.pi * k * t)
         return z
 
-    def _base_second(self, t):
+    def _second(self, t):
         z = np.zeros(np.shape(t), dtype=complex)
         for k, c in self.coefficients:
             z = z + c * (2j * math.pi * k) ** 2 * np.exp(2j * math.pi * k * t)
         return z
 
-    def _base_diameter(self):
+    def diameter(self):
         t = np.linspace(0.0, 1.0, 512, endpoint=False)
-        z = self._base_point(t)
+        z = self._point(t)
         return float(np.max(np.abs(z[:, None] - z[None, :])))
+
+    def negated(self):
+        return dataclasses.replace(
+            self, coefficients=tuple((k, -c) for k, c in self.coefficients))
 
 
 # -- constructors ---------------------------------------------------------
 
-def disk(center=0.0, radius=1.0, scale=1.0, shift=0.0) -> Disk:
-    return Disk(
-        center=_as_complex(center),
-        radius=float(radius),
-        scale=_as_complex(scale),
-        shift=_as_complex(shift),
-    )
+def disk(center=0.0, radius=1.0) -> Disk:
+    return Disk(center=_as_complex(center), radius=float(radius))
 
 
-def rectangle(re, im, scale=1.0, shift=0.0) -> Polygon:
-    """Axis-aligned box [re0, re1] x [im0, im1] as a 4-gon (pre-transform)."""
+def rectangle(re, im) -> Polygon:
+    """Axis-aligned box [re0, re1] x [im0, im1] as a 4-gon."""
     a, b = float(re[0]), float(re[1])
     c, d = float(im[0]), float(im[1])
     if not (b > a and d > c):
         raise InvalidRegionError("rectangle intervals must be increasing")
-    return polygon((complex(a, c), complex(b, c), complex(b, d), complex(a, d)),
-                   scale=scale, shift=shift)
+    return polygon((complex(a, c), complex(b, c), complex(b, d), complex(a, d)))
 
 
-def polygon(vertices, scale=1.0, shift=0.0) -> Polygon:
-    return Polygon(
-        vertices=tuple(_as_complex(v) for v in vertices),
-        scale=_as_complex(scale),
-        shift=_as_complex(shift),
-    )
+def polygon(vertices) -> Polygon:
+    return Polygon(vertices=tuple(_as_complex(v) for v in vertices))
 
 
-def curve(coefficients, scale=1.0, shift=0.0) -> SmoothCurve:
+def curve(coefficients) -> SmoothCurve:
     """coefficients: mapping or iterable of (k, c_k) pairs."""
     if hasattr(coefficients, "items"):
         coefficients = coefficients.items()
     return SmoothCurve(
-        coefficients=tuple((k, _as_complex(c)) for k, c in coefficients),
-        scale=_as_complex(scale),
-        shift=_as_complex(shift),
-    )
+        coefficients=tuple((k, _as_complex(c)) for k, c in coefficients))
 
 
 # -- rotation and convexity ----------------------------------------------
 
-def _polygon_exterior_angles(region: Polygon):
-    v = np.asarray(region.vertices, dtype=complex) * region.scale + region.shift
-    edges = np.roll(v, -1) - v
-    turn = np.angle(np.roll(edges, -1) / edges)  # exterior angle at each vertex
-    return np.roll(turn, 1)  # angle at vertex k between edges k-1 and k
+def _turning(region: Region):
+    """The boundary's turning and the least value that still counts as a
+    left turn (zero up to rounding): the exterior angle at each polygon
+    vertex (between edges k-1 and k), or d(arg tangent)/dt at
+    _TURN_SAMPLES samples of a curve."""
+    if isinstance(region, Polygon):
+        v = region._verts()
+        edges = np.roll(v, -1) - v
+        return np.roll(np.angle(np.roll(edges, -1) / edges), 1), -1e-12 * math.pi
+    if not isinstance(region, SmoothCurve):
+        raise InvalidRegionError(f"unsupported region kind {type(region).__name__}")
+    t = np.linspace(0.0, 1.0, _TURN_SAMPLES, endpoint=False)
+    dz = region._tangent(t)
+    speed = np.abs(dz)
+    if speed.min() < 1e-12 * speed.max():
+        raise InvalidRegionError("rotation undefined: vanishing tangent")
+    rate = np.imag(region._second(t) / dz)
+    return rate, -1e-9 * np.abs(rate).max()
 
 
 def rotation(region: Region) -> float:
@@ -261,46 +246,24 @@ def rotation(region: Region) -> float:
     """
     if isinstance(region, Disk):
         return 1.0
+    turn, left = _turning(region)
+    if np.all(turn >= left):
+        return 1.0
     if isinstance(region, Polygon):
-        if is_convex(region):
-            return 1.0
-        turn = _polygon_exterior_angles(region)
         if np.any(np.abs(np.abs(turn) - math.pi) < 1e-12):
             raise InvalidRegionError("rotation undefined: cusp (straight reversal)")
         return float(np.sum(np.abs(turn)) / _TWO_PI)
-    if isinstance(region, SmoothCurve):
-        n = 4096
-        t = np.linspace(0.0, 1.0, n, endpoint=False)
-        dz = region.scale * region._base_tangent(t)
-        d2z = region.scale * region._base_second(t)
-        speed = np.abs(dz)
-        if speed.min() < 1e-12 * speed.max():
-            raise InvalidRegionError("rotation undefined: vanishing tangent")
-        theta_dot = np.imag(d2z / dz)
-        value = float(np.sum(np.abs(theta_dot)) / n / _TWO_PI)
-        if is_convex(region):
-            return 1.0
-        if value < 1.0 - 1e-6:
-            raise InvalidRegionError("rotation below 1: curve is not Jordan")
-        return max(value, 1.0)
-    raise InvalidRegionError(f"unsupported region kind {type(region).__name__}")
+    value = float(np.sum(np.abs(turn)) / _TURN_SAMPLES / _TWO_PI)
+    if value < 1.0 - 1e-6:
+        raise InvalidRegionError("rotation below 1: curve is not Jordan")
+    return max(value, 1.0)
 
 
 def is_convex(region: Region) -> bool:
     if isinstance(region, Disk):
         return True
-    if isinstance(region, Polygon):
-        turn = _polygon_exterior_angles(region)
-        scale = math.pi
-        return bool(np.all(turn >= -1e-12 * scale))
-    if isinstance(region, SmoothCurve):
-        n = 4096
-        t = np.linspace(0.0, 1.0, n, endpoint=False)
-        dz = region.scale * region._base_tangent(t)
-        d2z = region.scale * region._base_second(t)
-        theta_dot = np.imag(d2z / dz)
-        return bool(np.all(theta_dot >= -1e-9 * np.abs(theta_dot).max()))
-    raise InvalidRegionError(f"unsupported region kind {type(region).__name__}")
+    turn, left = _turning(region)
+    return bool(np.all(turn >= left))
 
 
 # -- membership -----------------------------------------------------------
@@ -310,7 +273,7 @@ def boundary_distance(region: Region, z) -> np.ndarray:
     off disks and polygons)."""
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     if isinstance(region, Disk):
-        return np.abs(np.abs(z - region.true_center) - region.true_radius)
+        return np.abs(np.abs(z - region.center) - region.radius)
     if isinstance(region, Polygon):
         a = _polyline(region)
         ab = np.roll(a, -1) - a
@@ -336,7 +299,7 @@ def contains_many(region: Region, z):
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     on = boundary_distance(region, z) <= _BOUNDARY_RTOL * region.diameter()
     if isinstance(region, Disk):
-        inside = np.abs(z - region.true_center) < region.true_radius
+        inside = np.abs(z - region.center) < region.radius
     else:
         pts = _polyline(region)
         inside = _by_chunks(
@@ -348,7 +311,7 @@ def _polyline(region: Region):
     """The closed polyline membership is judged on: the vertices of a
     polygon, 4096 boundary samples of a curve."""
     if isinstance(region, Polygon):
-        return np.asarray(region.vertices, dtype=complex) * region.scale + region.shift
+        return region._verts()
     return region.boundary_point(np.linspace(0.0, 1.0, 4096, endpoint=False))
 
 
@@ -376,7 +339,7 @@ def interior_anchor(region: Region) -> complex:
     centroid when it lies strictly inside, else the first of 19 points
     probed inward from the boundary that does."""
     if isinstance(region, Disk):
-        return region.true_center
+        return region.center
     if isinstance(region, Polygon):
         pts = _polyline(region)
     else:
@@ -463,10 +426,9 @@ def _polygon_quadrature(region: Polygon, n_points: int) -> BoundaryQuadrature:
             nodes.append(a + frac * (b - a))
             weights.append((hi - lo) * gl_w * (b - a))
             params.append(cum[k] + frac * (cum[k + 1] - cum[k]))
-    nodes = region.scale * np.concatenate(nodes) + region.shift
-    weights = region.scale * np.concatenate(weights)
-    params = np.concatenate(params)
-    return BoundaryQuadrature(nodes=nodes, weights=weights, arc_params=params)
+    return BoundaryQuadrature(nodes=np.concatenate(nodes),
+                              weights=np.concatenate(weights),
+                              arc_params=np.concatenate(params))
 
 
 def random_points(region: Region, count: int, rng) -> np.ndarray:

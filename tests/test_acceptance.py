@@ -34,8 +34,8 @@ L_VERTS = [0.0, 2.0, 2.0 + 1.0j, 1.0 + 1.0j, 1.0 + 2.0j, 2.0j]
 
 
 def _omega_grid(e, f, margin=0.12):
-    c1, r1 = e.true_center, e.true_radius
-    c2, r2 = f.true_center, f.true_radius
+    c1, r1 = e.center, e.radius
+    c2, r2 = f.center, f.radius
     lo_r = min(c1.real - r1, c2.real - r2) - 0.5
     hi_r = max(c1.real + r1, c2.real + r2) + 0.5
     lo_i = min(c1.imag - r1, c2.imag - r2) - 0.5
@@ -57,7 +57,7 @@ def test_two_disk_pairs_match_closed_form_end_to_end():
     worst_h = worst_grid = worst_ratio = 0.0
     for _ in range(10):
         e, f = random_disk_pair(rng)
-        exact_h = two_disk_h(e.true_center, e.true_radius, f.true_center, f.true_radius)
+        exact_h = two_disk_h(e.center, e.radius, f.center, f.radius)
         amap = solve_annulus_map(e, f, tol=1e-9)
         worst_h = max(worst_h, abs(amap.h - exact_h) / exact_h)
 

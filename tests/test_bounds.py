@@ -42,12 +42,11 @@ def test_m_n_limits():
 def test_constants_from_regions():
     gc = GeometryConstants.from_regions(disk(1.0, 0.7), disk(-1.0, 0.7), 6.0)
     assert gc.rot_e == gc.rot_f == 1.0
-    assert gc.convex and gc.variant == "A1"
+    assert gc.variant == "A1"
 
     gc2 = GeometryConstants.from_regions(polygon(L_VERTS), disk(5.0, 0.5),
                                          40.0)
     assert gc2.rot_e == pytest.approx(1.5)
-    assert not gc2.convex
 
 
 def test_invalid_constants_are_rejected():
@@ -118,7 +117,7 @@ def test_ratio_approaches_the_asymptotic_constant():
     bv = zolotarev_upper(gc, 4)
     assert bv.upper / bv.lower == pytest.approx(9.0, rel=1e-2)
 
-    gc2 = GeometryConstants(h=40.0, rot_e=1.5, convex=False)
+    gc2 = GeometryConstants(h=40.0, rot_e=1.5)
     bv2 = zolotarev_upper(gc2, 3)
     assert bv2.upper / bv2.lower == pytest.approx(12.0, rel=1e-2)
 
@@ -147,8 +146,7 @@ def test_negative_degree_is_rejected():
 )
 @settings(max_examples=200, deadline=None)
 def test_bound_invariants(h, n, rot_e, rot_f):
-    convex = rot_e == rot_f == 1.0
-    gc = GeometryConstants(h=h, rot_e=rot_e, rot_f=rot_f, convex=convex)
+    gc = GeometryConstants(h=h, rot_e=rot_e, rot_f=rot_f)
     bv = zolotarev_upper(gc, n)
     assert 0.0 < bv.lower <= 1.0
     assert bv.lower <= bv.upper <= 1.0

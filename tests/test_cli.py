@@ -229,6 +229,22 @@ def test_integer_flags_out_of_range_exit_with_config_error(tmp_path, capsys,
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-8"])
+def test_tol_flag_must_be_finite_and_positive(tmp_path, capsys, tol):
+    # the triangle-disk map is unresolved at 1e-8; a NaN or infinite tol
+    # used to write its h anyway
+    cfg = write_config(tmp_path, {
+        "e": {"kind": "polygon", "vertices": [1.0, 2.0, [1.5, 1.0]]},
+        "f": {"kind": "disk", "center": -1.5, "radius": 0.5},
+    })
+    out = tmp_path / "x.json"
+    assert main(["map", "--config", cfg, "--out", str(out),
+                 f"--tol={tol}"]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 def test_leja_shifts_on_hexagons(tmp_path):
     hexagon = [1.5 + 0.6 * np.exp(1j * np.pi * k / 3.0) for k in range(6)]
     cfg = write_config(tmp_path, {

@@ -294,3 +294,12 @@ def test_failing_map_reports_its_ladder():
     message = str(err)
     assert message.startswith("map not resolved: ")
     assert "degrees 8-128" in message and "\n" not in message
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-8])
+def test_tol_must_be_finite_and_positive(tol):
+    # a NaN or infinite tol would pass an unresolved map as resolved, and
+    # tol <= 0 would climb the whole ladder before failing
+    e, f = AUDIT_PAIRS["triangle_disk"][0]()
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        solve_annulus_map(e, f, tol=tol)

@@ -27,8 +27,8 @@ def test_disk_boundary_is_a_circle():
     t = np.linspace(0.0, 1.0, 64, endpoint=False)
     z = d.boundary_point(t)
     assert np.abs(np.abs(z - (1.0 + 2.0j)) - 0.5).max() < 1e-14
-    assert d.true_center == 1.0 + 2.0j
-    assert d.true_radius == 0.5
+    assert d.center == 1.0 + 2.0j
+    assert d.radius == 0.5
 
 
 def test_rectangle_boundary_stays_on_the_box():
@@ -41,18 +41,32 @@ def test_rectangle_boundary_stays_on_the_box():
         assert np.abs(z - corner).min() < 2e-3
 
 
-def test_negated_region_mirrors_the_boundary():
-    e = rectangle((0.3, 1.3), (-1.3, 1.3))
-    f = e.negated()
+@pytest.mark.parametrize("region", [
+    disk(1.5 + 0.2j, 0.7),
+    rectangle((0.3, 1.3), (-1.3, 1.3)),
+    polygon(L_VERTS),
+    curve({1: 1.0, -2: 0.3}),  # nonconvex: rotation about 1.06
+], ids=["disk", "rectangle", "l_shape", "curve"])
+def test_negated_region_mirrors_the_boundary(region):
+    mirror = region.negated()
+    assert type(mirror) is type(region)
     t = np.linspace(0.0, 1.0, 200, endpoint=False)
-    assert np.allclose(f.boundary_point(t), -e.boundary_point(t))
-
-
-def test_affine_transform_composes():
-    d = disk(1.0, 0.5).transformed(scale=2.0j, shift=1.0)
-    assert d.true_center == pytest.approx(1.0 + 2.0j)
-    assert d.true_radius == pytest.approx(1.0)
-    assert d.diameter() == pytest.approx(2.0)
+    if isinstance(region, geometry.Disk):
+        # the same circle about -center, so compare as sets
+        assert (mirror.center, mirror.radius) == (-region.center, region.radius)
+        assert boundary_distance(region, -mirror.boundary_point(t)).max() < 1e-14
+    else:
+        assert np.array_equal(mirror.boundary_point(t), -region.boundary_point(t))
+    assert rotation(mirror) == rotation(region)
+    assert is_convex(mirror) == is_convex(region)
+    q, q_mirror = boundary_samples(region, 256), boundary_samples(mirror, 256)
+    # the contour closes (the increments sum to zero) and encloses the same
+    # positive area, 1/2 Im sum conj(z) dz, so it runs counterclockwise
+    assert abs(q_mirror.weights.sum()) < 1e-12
+    area = 0.5 * np.imag(np.conj(q_mirror.nodes) @ q_mirror.weights)
+    assert area > 0.0
+    assert area == pytest.approx(0.5 * np.imag(np.conj(q.nodes) @ q.weights),
+                                 rel=1e-12)
 
 
 def test_contains_distinguishes_the_three_cases():
