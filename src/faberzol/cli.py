@@ -51,7 +51,6 @@ from .geometry import (
     polygon,
     random_points,
     rectangle,
-    rotation,
 )
 
 
@@ -147,15 +146,6 @@ def _load_config(path):
     return data, hashlib.sha256(raw).hexdigest()
 
 
-def _load_pair(path):
-    data, digest = _load_config(path)
-    region_e = _region_from(_require(data, "e", ""), "e")
-    region_f = _region_from(_require(data, "f", ""), "f")
-    if isinstance(region_e, ExteriorOf):
-        raise ConfigError("config field 'e' must describe a bounded region")
-    return region_e, region_f, digest
-
-
 def _meta(args, digest, h, rot_e, rot_f):
     return {
         "version": __version__,
@@ -192,15 +182,28 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _solve(args, region_e, region_f):
-    return solve_annulus_map(region_e, region_f, tol=args.tol)
+def _solved_pair(args, bounded_for=None):
+    """(region_e, region_f, map, GeometryConstants, header) of the config.
+
+    bounded_for names the use that needs a bounded F; a config with an
+    exterior F is then rejected before the map is solved.
+    """
+    data, digest = _load_config(args.config)
+    region_e = _region_from(_require(data, "e", ""), "e")
+    region_f = _region_from(_require(data, "f", ""), "f")
+    if isinstance(region_e, ExteriorOf):
+        raise ConfigError("config field 'e' must describe a bounded region")
+    if bounded_for is not None and isinstance(region_f, ExteriorOf):
+        raise ConfigError(
+            f"config field 'f' must be bounded for {bounded_for}")
+    amap = solve_annulus_map(region_e, region_f, tol=args.tol)
+    gc = GeometryConstants.from_regions(region_e, region_f, amap.h)
+    meta = _meta(args, digest, amap.h, gc.rot_e, gc.rot_f)
+    return region_e, region_f, amap, gc, meta
 
 
 def _cmd_map(args):
-    region_e, region_f, digest = _load_pair(args.config)
-    amap = _solve(args, region_e, region_f)
-    meta = _meta(args, digest, amap.h,
-                 rotation(region_e), rotation(boundary_region(region_f)))
+    _, _, amap, _, meta = _solved_pair(args)
     _write_json(args.out, {
         "h": amap.h,
         "residual": amap.residual,
@@ -213,10 +216,8 @@ def _cmd_map(args):
 def _cmd_bound(args):
     if args.n_max < args.n_min:
         raise ConfigError("--n-max must be at least --n-min")
-    region_e, region_f, digest = _load_pair(args.config)
-    amap = _solve(args, region_e, region_f)
-    gc = GeometryConstants.from_regions(region_e, region_f, amap.h)
-    meta = _meta(args, digest, amap.h, gc.rot_e, gc.rot_f)
+    _, _, amap, gc, meta = _solved_pair(
+        args, "bound --empirical" if args.empirical else None)
     columns = ["n", "lower", "upper", "valid", "clamped"]
     if args.empirical:
         columns.append("empirical")
@@ -233,11 +234,8 @@ def _cmd_bound(args):
 
 
 def _cmd_faber(args):
-    region_e, region_f, digest = _load_pair(args.config)
-    amap = _solve(args, region_e, region_f)
+    region_e, _, amap, _, meta = _solved_pair(args, "faber")
     ctx = build_context(amap, args.n, n_quad=args.nq)
-    meta = _meta(args, digest, amap.h,
-                 rotation(region_e), rotation(boundary_region(region_f)))
     t = np.arange(2048) / 2048.0
     bnd = region_e.boundary_point(t)
     xs = np.linspace(bnd.real.min(), bnd.real.max(), args.grid)
@@ -269,12 +267,10 @@ def _shift_maker(kind, nq, amap, quads):
 
 
 def _cmd_shifts(args):
-    region_e, region_f, digest = _load_pair(args.config)
-    amap = _solve(args, region_e, region_f)
+    region_e, region_f, amap, _, meta = _solved_pair(
+        args, "shifts --kind faber" if args.kind == "faber" else None)
     quads = _quads(args.nq, region_e, region_f) if args.kind == "leja" else None
     shifts = _shift_maker(args.kind, args.nq, amap, quads)(args.k)
-    meta = _meta(args, digest, amap.h,
-                 rotation(region_e), rotation(boundary_region(region_f)))
     _write_json(args.out, {
         "kind": shifts.kind,
         "k": shifts.k,
@@ -286,12 +282,7 @@ def _cmd_shifts(args):
 
 
 def _cmd_adi(args):
-    region_e, region_f, digest = _load_pair(args.config)
-    if isinstance(region_f, ExteriorOf):
-        raise ConfigError("config field 'f' must be bounded for adi")
-    amap = _solve(args, region_e, region_f)
-    gc = GeometryConstants.from_regions(region_e, region_f, amap.h)
-    meta = _meta(args, digest, amap.h, gc.rot_e, gc.rot_f)
+    region_e, region_f, amap, gc, meta = _solved_pair(args, "adi")
     problem = sylvester_problem(region_e, region_f, args.m, args.p,
                                 seed=args.seed)
     quads = _quads(args.nq, region_e, region_f)
@@ -310,17 +301,13 @@ def _cmd_adi(args):
 def _cmd_svbounds(args):
     rng = np.random.default_rng(args.seed)
     p = args.m if args.p is None else args.p
+    n_bounds = min(args.jmax + 1, min(args.m, p))
     if args.kind == "cauchy":
-        region_e, region_f, digest = _load_pair(args.config)
-        if isinstance(region_f, ExteriorOf):
-            raise ConfigError("config field 'f' must be bounded for cauchy")
-        amap = _solve(args, region_e, region_f)
-        gc = GeometryConstants.from_regions(region_e, region_f, amap.h)
-        h, rot_e, rot_f = amap.h, gc.rot_e, gc.rot_f
+        region_e, region_f, _, gc, meta = _solved_pair(
+            args, "svbounds --kind cauchy")
         x = random_points(region_e, args.m, rng)
         y = random_points(region_f, p, rng)
         mat = cauchy_matrix(x, y)
-        n_bounds = min(args.jmax + 1, min(args.m, p))
         zj = [zolotarev_upper(gc, j).upper for j in range(n_bounds)]
     else:
         data, digest = _load_config(args.config)
@@ -331,12 +318,10 @@ def _cmd_svbounds(args):
             h = vandermonde_h(region_e.center, region_e.radius)
         except FaberzolError as exc:
             raise ConfigError(f"config field 'e': {exc}") from exc
-        rot_e, rot_f = 1.0, 1.0
+        meta = _meta(args, digest, h, 1.0, 1.0)
         nodes = random_points(region_e, args.m, rng)
         mat = vandermonde_matrix(nodes, p)
-        n_bounds = min(args.jmax + 1, min(args.m, p))
         zj = [h ** (-j) for j in range(n_bounds)]
-    meta = _meta(args, digest, h, rot_e, rot_f)
     sv = singular_values(mat)
     bounds = singular_value_bounds(zj, 1.0)
     rows = [[j, float(sv[j] / sv[0]), float(bounds[j])]

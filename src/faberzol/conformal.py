@@ -51,9 +51,6 @@ class ExteriorOf:
 
     inner: Region
 
-    def diameter(self) -> float:
-        return self.inner.diameter()
-
 
 def boundary_region(region) -> Region:
     """The compact region with the same boundary: the inner region of an
@@ -122,44 +119,57 @@ def mobius_two_disks(region_e: Region, region_f: Region) -> MobiusMap:
 
 @dataclass(frozen=True)
 class _LogBasis:
-    """Columns of the analytic part g(z); shared by solver and evaluator."""
+    """The ansatz Phi = base * exp(g) of one ladder step: the base factor
+    and the columns of the analytic part g, shared by solver and evaluator.
+    base is (z - anchor_e)/(z - anchor_f) in A1 and z - anchor_e in A2."""
 
     variant: str
     anchor_e: complex
     anchor_f: complex  # unused in A2
     scale_e: float
     scale_f: float     # outer polynomial scale in A2
-    degree_e: int
-    degree_f: int
+    degree: int        # Laurent degree about each anchor
     poles: np.ndarray        # clustered pole locations (possibly empty)
     pole_scales: np.ndarray  # one positive scale per pole
 
     @property
     def n_columns(self) -> int:
-        return 1 + self.degree_e + self.degree_f + len(self.poles)
+        return 1 + 2 * self.degree + len(self.poles)
 
     def columns(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=complex).ravel()
         cols = np.empty((z.size, self.n_columns), dtype=complex)
         cols[:, 0] = 1.0
-        j = 1
-        base = self.scale_e / (z - self.anchor_e)
-        term = np.ones_like(z)
-        for _ in range(self.degree_e):
-            term = term * base
-            cols[:, j] = term
-            j += 1
         if self.variant == "A1":
-            base = self.scale_f / (z - self.anchor_f)
+            outer = self.scale_f / (z - self.anchor_f)
         else:
-            base = (z - self.anchor_e) / self.scale_f
-        term = np.ones_like(z)
-        for _ in range(self.degree_f):
-            term = term * base
-            cols[:, j] = term
-            j += 1
+            outer = (z - self.anchor_e) / self.scale_f
+        j = 1
+        for base in (self.scale_e / (z - self.anchor_e), outer):
+            term = np.ones_like(z)
+            for _ in range(self.degree):
+                term = term * base
+                cols[:, j] = term
+                j += 1
         cols[:, j:] = self.pole_scales / (z[:, None] - self.poles)
         return cols
+
+    def log_abs_base(self, z):
+        z = np.asarray(z, dtype=complex)
+        out = np.log(np.abs(z - self.anchor_e))
+        if self.variant == "A1":
+            out = out - np.log(np.abs(z - self.anchor_f))
+        return out
+
+    def g(self, coef, z):
+        z = np.asarray(z, dtype=complex)
+        flat = z.ravel()
+        out = np.zeros(flat.shape, dtype=complex)
+        step = max(1, (1 << 21) // max(1, self.n_columns))
+        for lo in range(0, flat.size, step):
+            hi = min(flat.size, lo + step)
+            out[lo:hi] = self.columns(flat[lo:hi]) @ coef
+        return out.reshape(z.shape)
 
 
 @dataclass(frozen=True)
@@ -168,32 +178,14 @@ class AnnulusMap:
 
     region_e: Region
     region_f: object  # Region or ExteriorOf
-    variant: str
-    anchor_e: complex
-    anchor_f: complex
     h: float
     residual: float
     basis: _LogBasis
     coef: np.ndarray  # complex coefficients aligned with basis columns
 
-
-def _log_abs_base(variant, anchor_e, anchor_f, z):
-    z = np.asarray(z, dtype=complex)
-    out = np.log(np.abs(z - anchor_e))
-    if variant == "A1":
-        out = out - np.log(np.abs(z - anchor_f))
-    return out
-
-
-def _eval_g(basis: _LogBasis, coef, z):
-    z = np.asarray(z, dtype=complex)
-    flat = z.ravel()
-    out = np.zeros(flat.shape, dtype=complex)
-    step = max(1, (1 << 21) // max(1, basis.n_columns))
-    for lo in range(0, flat.size, step):
-        hi = min(flat.size, lo + step)
-        out[lo:hi] = basis.columns(flat[lo:hi]) @ coef
-    return out.reshape(z.shape)
+    @property
+    def variant(self) -> str:
+        return self.basis.variant
 
 
 def phi(annulus_map, z):
@@ -202,12 +194,12 @@ def phi(annulus_map, z):
         m = annulus_map
         z = np.asarray(z, dtype=complex)
         return (m.a * z + m.b) / (m.c * z + m.d)
-    m = annulus_map
-    g = _eval_g(m.basis, m.coef, z)
+    b = annulus_map.basis
+    g = b.g(annulus_map.coef, z)
     z = np.asarray(z, dtype=complex)
-    if m.variant == "A1":
-        return (z - m.anchor_e) / (z - m.anchor_f) * np.exp(g)
-    return (z - m.anchor_e) * np.exp(g)
+    if b.variant == "A1":
+        return (z - b.anchor_e) / (z - b.anchor_f) * np.exp(g)
+    return (z - b.anchor_e) * np.exp(g)
 
 
 # -- sampling for the least-squares solve ----------------------------------
@@ -250,15 +242,18 @@ def _validation_params(params: np.ndarray):
     return np.unique(np.concatenate([p, mids]))
 
 
-def _corner_poles(region: Polygon):
+def _corner_poles(region):
     """Lightning poles: clustered at each corner along the bisector pointing
-    into the region, scaled to half the shorter adjacent edge.
+    into the region, scaled to half the shorter adjacent edge.  A smooth
+    region (not a Polygon) has none.
 
     Tapered spacing d_j = exp(-_POLE_TAPER (sqrt(N) - sqrt(j))), with
     N = _POLES_PER_CORNER, rather than a fixed geometric ratio: the fixed
     ratio stalls near 1e-4 on rectangle pairs while the taper converges
     like exp(-c sqrt(N)) down to 1e-9 and below.
     """
+    if not isinstance(region, Polygon):
+        return np.empty(0, complex), np.empty(0)
     v = region._verts()
     n = len(v)
     poles, scales = [], []
@@ -352,24 +347,18 @@ def solve_annulus_map(region_e, region_f, tol: float = 1e-8) -> AnnulusMap:
     _check_pair(region_e, region_f, variant)
 
     anchor_e = geometry.interior_anchor(region_e)
-    anchor_f = geometry.interior_anchor(f_inner) if variant == "A1" else 0.0 + 0.0j
-    scale_e = _region_scale(region_e, anchor_e)
-    scale_f = _region_scale(f_inner, anchor_f)
-    if variant == "A2":
+    if variant == "A1":
+        anchor_f = geometry.interior_anchor(f_inner)
+        scale_f = _region_scale(f_inner, anchor_f)
+        spined = (region_e, f_inner)
+    else:
+        anchor_f = 0.0 + 0.0j
         # outer polynomial scale: radius of the outer boundary about anchor_e
         t = np.linspace(0.0, 1.0, 256, endpoint=False)
         scale_f = float(np.abs(f_inner.boundary_point(t) - anchor_e).max())
-
-    poles_e, pscale_e = (
-        _corner_poles(region_e)
-        if isinstance(region_e, Polygon)
-        else (np.empty(0, complex), np.empty(0))
-    )
-    poles_f, pscale_f = (
-        _corner_poles(f_inner)
-        if isinstance(f_inner, Polygon)
-        else (np.empty(0, complex), np.empty(0))
-    )
+        spined = (region_e,)
+    scale_e = _region_scale(region_e, anchor_e)
+    corners = [_corner_poles(region_e), _corner_poles(f_inner)]
     # boundary sampling must resolve the deepest pole cluster level
     depth = _POLE_TAPER * (math.sqrt(_POLES_PER_CORNER) - 1.0) / math.log(2.0)
     per_side = max(30, int(math.ceil(depth)) + 3)
@@ -378,21 +367,16 @@ def solve_annulus_map(region_e, region_f, tol: float = 1e-8) -> AnnulusMap:
     ladder = []
     degree = 8
     while degree <= _MAX_DEGREE:
-        spines, spine_scales = [], []
-        for reg in ([region_e, f_inner] if variant == "A1" else [region_e]):
-            sp, sc = _spine_poles(reg, degree)
-            spines.append(sp)
-            spine_scales.append(sc)
+        charges = corners + [_spine_poles(reg, degree) for reg in spined]
         basis = _LogBasis(
             variant=variant,
             anchor_e=anchor_e,
             anchor_f=anchor_f,
             scale_e=scale_e,
             scale_f=scale_f,
-            degree_e=degree,
-            degree_f=degree,
-            poles=np.concatenate([poles_e, poles_f, *spines]),
-            pole_scales=np.concatenate([pscale_e, pscale_f, *spine_scales]),
+            degree=degree,
+            poles=np.concatenate([poles for poles, _ in charges]),
+            pole_scales=np.concatenate([scales for _, scales in charges]),
         )
         rows, columns, floor, solution = _solve_level(
             region_e, f_inner, variant, basis, anchor_e, anchor_f, degree,
@@ -401,8 +385,7 @@ def solve_annulus_map(region_e, region_f, tol: float = 1e-8) -> AnnulusMap:
             ladder.append(LadderStep(degree, rows, columns, floor, True))
         else:
             coef, level = solution
-            residual = _map_residual(region_e, f_inner, variant, basis, coef,
-                                     anchor_e, anchor_f, level, degree,
+            residual = _map_residual(region_e, f_inner, basis, coef, level,
                                      per_side)
             ladder.append(LadderStep(degree, rows, columns, residual, False))
             if best is None or residual < best[0]:
@@ -428,9 +411,6 @@ def solve_annulus_map(region_e, region_f, tol: float = 1e-8) -> AnnulusMap:
     return AnnulusMap(
         region_e=region_e,
         region_f=region_f,
-        variant=variant,
-        anchor_e=anchor_e,
-        anchor_f=anchor_f,
         h=float(h),
         residual=float(residual),
         basis=basis,
@@ -461,9 +441,8 @@ def _check_pair(region_e, region_f, variant):
                                    "complement of F")
 
 
-def _level_system(region_e, f_inner, variant, basis, anchor_e, anchor_f,
-                  degree, per_side):
-    """The weighted real least-squares system of one ladder step.
+def _level_system(region_e, f_inner, basis, per_side):
+    """The weighted real least-squares system of the ladder step of basis.
 
     Unknowns are [Re a0, (Re, Im) per remaining column, L]; returns the
     column-normalised matrix (Fortran order), the right-hand side and the
@@ -473,13 +452,13 @@ def _level_system(region_e, f_inner, variant, basis, anchor_e, anchor_f,
     rows_a, rhs_a, wts = [], [], []
     is_f_side = []
     for region, f_side in ((region_e, False), (f_inner, True)):
-        params = _solver_params(region, degree, per_side)
+        params = _solver_params(region, basis.degree, per_side)
         pts = region.boundary_point(params)
         spacing = _param_spacing(params)
         w = np.sqrt(spacing)
         cols = basis.columns(pts)
         rows_a.append(cols)
-        rhs_a.append(-_log_abs_base(variant, anchor_e, anchor_f, pts))
+        rhs_a.append(-basis.log_abs_base(pts))
         wts.append(w)
         is_f_side.append(np.full(pts.size, f_side))
     cols = np.vstack(rows_a)
@@ -517,7 +496,10 @@ def _solve_level(region_e, f_inner, variant, basis, anchor_e, anchor_f,
 
     Returns (rows, columns, floor, solution).  solution is (coef, level),
     or None when floor > tol; floor is then a lower bound on the residual
-    _map_residual would report for the solved step.
+    _map_residual would report for the solved step.  variant, anchor_e,
+    anchor_f and degree repeat fields of basis: the head stays positional
+    because perfbench/spans.py (Tracer.count_ladder) wraps it so and reads
+    basis and degree.
 
     This is np.linalg.lstsq (LAPACK gelsd, rcond = eps max(m, n)) split in
     the two halves gelsd runs itself on systems with m >= 1.6 n, as every
@@ -536,8 +518,7 @@ def _solve_level(region_e, f_inner, variant, basis, anchor_e, anchor_f,
     computed tail exceeds the weighted residual of the computed solution
     by under 0.01 m eps ||W b||.
     """
-    a, b, scale = _level_system(region_e, f_inner, variant, basis, anchor_e,
-                                anchor_f, degree, per_side)
+    a, b, scale = _level_system(region_e, f_inner, basis, per_side)
     m, n = a.shape
     rcond = _EPS * max(m, n)
     lwork = int(lapack.dgelsd_lwork(m, n, 1, rcond)[0]) - n
@@ -562,15 +543,13 @@ def _param_spacing(params):
     return spacing
 
 
-def _map_residual(region_e, f_inner, variant, basis, coef,
-                  anchor_e, anchor_f, level, degree, per_side):
+def _map_residual(region_e, f_inner, basis, coef, level, per_side):
     worst = 0.0
     for region, target in ((region_e, 0.0), (f_inner, level)):
-        params = _validation_params(_solver_params(region, degree, per_side))
+        params = _validation_params(
+            _solver_params(region, basis.degree, per_side))
         pts = region.boundary_point(params)
-        log_mod = _log_abs_base(variant, anchor_e, anchor_f, pts) + np.real(
-            _eval_g(basis, coef, pts)
-        )
+        log_mod = basis.log_abs_base(pts) + np.real(basis.g(coef, pts))
         with np.errstate(over="ignore"):
             # | |Phi| - target_modulus | / target_modulus = |exp(err) - 1|
             err = np.abs(np.expm1(log_mod - target))

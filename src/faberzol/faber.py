@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
 
 from . import geometry
 from .conformal import ExteriorOf, phi
@@ -333,19 +333,12 @@ def _segment_level_start(ctx, rho: float) -> complex:
     above = idx[vals > rho]
     if len(below) == 0 or len(above) == 0:
         raise UncertifiedError("level curve not bracketed between E and F")
-    lo = float(s[below[-1]])
-    hi = float(s[above[0]])
-    if lo > hi:
-        lo, hi = hi, lo
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if abs(phi(ctx.map, a + mid * (b - a))) < rho:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-15:
-            break
-    return complex(a + 0.5 * (lo + hi) * (b - a))
+    ends = sorted((float(s[below[-1]]), float(s[above[0]])))
+
+    def gap(u):
+        return float(abs(phi(ctx.map, a + u * (b - a)))) - rho
+
+    return complex(a + brentq(gap, *ends, xtol=1e-15) * (b - a))
 
 
 def _trace_level_curve(ctx, rho: float, n_points: int):
@@ -423,7 +416,7 @@ def count_zeros(ctx: FaberContext) -> int:
         if np.abs(steps).max() < 0.5 * math.pi:
             break
         n_points *= 2
-    winding = winding_of_polyline(values, about=0.0)
+    winding = winding_of_polyline(values)
     if winding != ctx.n:
         raise UncertifiedError(
             f"winding of R_n on the level curve is {winding}, expected {ctx.n}"

@@ -86,10 +86,10 @@ def _raw_transform(values, quad: BoundaryQuadrature, z):
     return _kernel_sum(values * quad.weights, quad.nodes, z) / _TWO_PI_I
 
 
-def winding_of_polyline(points, about=0.0) -> int:
-    """Winding number of a closed sampled curve about a point, by argument
-    accumulation (exact for the polyline as long as it avoids the point)."""
-    rel = np.asarray(points, dtype=complex) - complex(about)
+def winding_of_polyline(points) -> int:
+    """Winding number of a closed sampled curve about 0, by argument
+    accumulation (exact for the polyline as long as it avoids 0)."""
+    rel = np.asarray(points, dtype=complex)
     if np.any(np.abs(rel) == 0.0):
         raise QuadratureError("curve passes through the base point")
     ang = np.angle(np.roll(rel, -1) / rel)

@@ -291,17 +291,38 @@ def test_vandermonde_requires_a_disk(tmp_path, capsys):
     assert "disk" in capsys.readouterr().err
 
 
-def test_exterior_f_is_accepted_for_map_but_not_adi(tmp_path):
+@pytest.mark.parametrize("argv, bounded_for", [
+    (["map"], None),
+    (["bound"], None),
+    (["bound", "--empirical"], "bound --empirical"),
+    (["faber"], "faber"),
+    (["shifts", "--kind", "faber"], "shifts --kind faber"),
+    (["shifts", "--kind", "fejer", "--k", "2"], None),
+    (["shifts", "--kind", "leja", "--k", "2"], None),
+    (["adi", "--k", "1"], "adi"),
+    (["svbounds", "--kind", "cauchy"], "svbounds --kind cauchy"),
+], ids=["map", "bound", "bound-empirical", "faber", "shifts-faber",
+        "shifts-fejer", "shifts-leja", "adi", "svbounds-cauchy"])
+def test_exterior_f_is_accepted_for_map_but_not_adi(tmp_path, capsys, argv,
+                                                    bounded_for):
+    # the uses that need a bounded F reject the config before the solve
     cfg = write_config(tmp_path, {
         "e": {"kind": "disk", "center": 0.0, "radius": 1.0},
         "f": {"kind": "exterior",
               "of": {"kind": "disk", "center": 0.0, "radius": 2.0}},
     })
-    out = tmp_path / "map.json"
-    assert main(["map", "--config", cfg, "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["h"] == pytest.approx(2.0, rel=1e-8)
-    assert main(["adi", "--config", cfg, "--out", str(tmp_path / "x.csv"),
-                 "--k", "1"]) == 1
+    out = tmp_path / "out"
+    rc = main([argv[0], "--config", cfg, "--out", str(out), *argv[1:]])
+    err = capsys.readouterr().err.splitlines()
+    if bounded_for is None:
+        assert rc == 0 and err == []
+    else:
+        assert rc == 1 and not out.exists()
+        assert err == [f"error: config field 'f' must be bounded for "
+                       f"{bounded_for}"]
+    if argv == ["map"]:
+        assert json.loads(out.read_text())["h"] == pytest.approx(2.0,
+                                                                 rel=1e-8)
 
 
 def test_polygon_and_curve_configs_parse(tmp_path):

@@ -200,9 +200,9 @@ def _ladder_audit():
     level_system, solve_level = conformal._level_system, conformal._solve_level
     systems, steps = {}, []
 
-    def recorded_system(*args):
-        a, b, scale = level_system(*args)
-        systems[args[6]] = (a.copy(order="F"), b.copy(), scale.copy())
+    def recorded_system(region_e, f_inner, basis, per_side):
+        a, b, scale = level_system(region_e, f_inner, basis, per_side)
+        systems[basis.degree] = (a.copy(order="F"), b.copy(), scale.copy())
         return a, b, scale
 
     def recorded_solve(*args):
@@ -226,14 +226,13 @@ def _ladder_audit():
                 except MapNotResolvedError:
                     pass
                 for args, (_, _, floor, solution) in steps:
-                    degree = args[6]
+                    e, f_inner, _, basis, _, _, degree, per_side, _ = args
                     if degree not in references:
                         a, b, scale = systems[degree]
                         x, *_ = np.linalg.lstsq(a, b, rcond=None)
                         coef, level = conformal._coef_level(x, scale)
                         residual = conformal._map_residual(
-                            *args[:4], coef, *args[4:6], level, degree,
-                            args[7])
+                            e, f_inner, basis, coef, level, per_side)
                         references[degree] = (coef, level, residual)
                     coef, level, residual = references[degree]
                     report[name].append({
@@ -278,6 +277,33 @@ def test_skipped_steps_fail_and_solved_steps_match_one_lstsq(ladder_audit,
             assert r["floor"] > r["tol"] and r["reference"] > r["tol"], r
         else:
             assert r["bitwise"], r
+
+
+def test_traced_solve_counts_its_ladder_and_keeps_the_map(monkeypatch):
+    # perfbench --trace 1 wraps _solve_level by position and reads basis
+    # and degree; a solve under its spans must count the ladder and give
+    # the untraced map bit for bit
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))
+    import spans
+
+    e, f = AUDIT_PAIRS["rect_disk"][0]()
+    plain = solve_annulus_map(e, f)
+    solve_level = conformal._solve_level
+    tracer = spans.Tracer()
+    undo = spans.install(tracer)
+    try:
+        traced = conformal.solve_annulus_map(e, f)
+    finally:
+        spans.restore(undo)
+    assert conformal._solve_level is solve_level
+    ladder = tracer.ladders
+    assert ladder[0] == 8
+    assert all(b == 2 * a for a, b in zip(ladder, ladder[1:]))
+    assert tracer.counts["conformal.ladder_steps"] == len(ladder)
+    assert tracer.counts["conformal.basis_columns"] > 0
+    assert traced.h == plain.h
+    assert np.array_equal(traced.coef, plain.coef)
 
 
 def test_failing_map_reports_its_ladder():
