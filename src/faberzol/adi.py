@@ -123,40 +123,30 @@ def sylvester_problem(region_e, region_f, m: int, p=None, seed=0):
     return SylvesterProblem(region_e, region_f, a, b, rhs, sol)
 
 
-def adi_iterate(problem: SylvesterProblem, shifts: ShiftSet, k=None,
-                return_errors: bool = False):
-    """Run k ADI steps from X^(0) = 0.
+def adi_iterate(problem: SylvesterProblem, shifts: ShiftSet):
+    """Run one ADI step per shift pair from X^(0) = 0.
 
     Each step solves the two half-step systems
         (A - tau_j I) X^(j-1/2) = X^(j-1) (B - tau_j I) + M,
         X^(j) (B - kappa_j I) = (A - kappa_j I) X^(j-1/2) - M,
     which for diagonal A and B are entrywise divisions by a_i - tau_j and
     b_l - kappa_j.  A shift on the spectrum raises FaberzolError.
-    Returns the list [X^(1), ..., X^(k)], or, with return_errors, the
-    relative 2-norm errors of [X^(0), ..., X^(k)] against the reference.
+    Returns the list [X^(1), ..., X^(k)] with k = shifts.k; the error of
+    an iterate x is problem.relative_error(x).
     """
-    k = shifts.k if k is None else int(k)
-    if k < 0 or k > shifts.k:
-        raise ValueError(f"need 0 <= k <= {shifts.k}, got {k}")
     a = problem.spectrum_a[:, None]
     b = problem.spectrum_b[None, :]
     rhs = problem.rhs
     x = np.zeros(problem.shape, dtype=complex)
     history = []
-    for j in range(k):
-        tau = shifts.tau[j]
-        kappa = shifts.kappa[j]
+    for kappa, tau in zip(shifts.kappa, shifts.tau):
         with np.errstate(divide="ignore", invalid="ignore"):
             half = (x * (b - tau) + rhs) / (a - tau)
             x = ((a - kappa) * half - rhs) / (b - kappa)
         if not np.all(np.isfinite(x)):
             raise FaberzolError("shift collides with spectrum")
         history.append(x)
-    if not return_errors:
-        return history
-    errors = [1.0]
-    errors.extend(problem.relative_error(it) for it in history)
-    return np.asarray(errors)
+    return history
 
 
 def _log_shift_product(z, kappa, tau):
@@ -233,14 +223,13 @@ def _pick_near(candidates, region, samples, k, label):
     return candidates[np.sort(order[:k])]
 
 
-def faber_shifts(ctx: FaberContext, k: int) -> ShiftSet:
-    """Zeros and poles of r_k, recovered from boundary fits.
+def faber_shifts(ctx: FaberContext) -> ShiftSet:
+    """Zeros and poles of r_k with k = ctx.n, recovered from boundary fits.
 
     r_k is sampled on each boundary and fit by AAA; kappa are the zeros of
     the E-side fit, tau the poles of the F-side fit.
     """
-    if ctx.n != k:
-        raise ValueError(f"context was built at degree {ctx.n}, need {k}")
+    k = ctx.n
     if k < 1:
         raise ValueError("need at least one shift")
     t = (np.arange(2000) + 0.5) / 2000.0
@@ -273,15 +262,6 @@ def fejer_shifts(amap, k: int) -> ShiftSet:
     roots = np.exp(2j * np.pi * np.arange(k) / k)
     kappa = psi_boundary(amap, roots)
     tau = psi_boundary(amap, amap.h * roots)
-    if not isinstance(amap.region_f, ExteriorOf):
-        # mirror-symmetric pair F = -E: pair each tau with -conj(kappa)
-        mirrored = -np.conj(kappa)
-        t = np.arange(4096) / 4096.0
-        bnd = amap.region_f.boundary_point(t)
-        gap = np.abs(mirrored[:, None] - bnd[None, :]).min(axis=1).max()
-        diam = max(amap.region_e.diameter(), amap.region_f.diameter())
-        if gap <= 1e-6 * diam:
-            tau = mirrored
     return ShiftSet("fejer", tuple(kappa), tuple(tau))
 
 

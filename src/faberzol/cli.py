@@ -260,7 +260,7 @@ def _shift_maker(kind, nq, amap, quads):
     Leja shifts only."""
     if kind == "faber":
         data = boundary_data(amap, n_quad=nq)
-        return lambda k: faber_shifts(degree_context(data, k), k)
+        return lambda k: faber_shifts(degree_context(data, k))
     if kind == "fejer":
         return lambda k: fejer_shifts(amap, k)
     return lambda k: leja_shifts(*quads, k)

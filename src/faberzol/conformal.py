@@ -42,6 +42,10 @@ _TWO_PI = 2.0 * math.pi
 _MAX_DEGREE = 128
 _POLES_PER_CORNER = 64
 _POLE_TAPER = 4.0
+# Dyadic sampling levels per polygon side toward each corner: enough to
+# resolve the deepest pole cluster level of the taper.
+_PER_SIDE = max(30, math.ceil(
+    _POLE_TAPER * (math.sqrt(_POLES_PER_CORNER) - 1.0) / math.log(2.0)) + 3)
 _EPS = float(np.finfo(float).eps)
 
 
@@ -204,7 +208,7 @@ def phi(annulus_map, z):
 
 # -- sampling for the least-squares solve ----------------------------------
 
-def _corner_clustered_params(region: Polygon, per_side: int, uniform: int):
+def _corner_clustered_params(region: Polygon, uniform: int):
     """Boundary params clustered geometrically toward each polygon corner."""
     cum = region._cumulative()
     params = []
@@ -217,7 +221,7 @@ def _corner_clustered_params(region: Polygon, per_side: int, uniform: int):
         params.append(lo + width * (np.arange(1, uniform + 1) / (uniform + 1)))
         # dyadic clusters toward both corners
         depth = np.concatenate(
-            [0.5 * (0.5**j) * offsets for j in range(per_side)]
+            [0.5 * (0.5**j) * offsets for j in range(_PER_SIDE)]
         )
         depth = depth[depth > 1e-13]
         params.append(lo + width * depth)
@@ -225,12 +229,12 @@ def _corner_clustered_params(region: Polygon, per_side: int, uniform: int):
     return np.unique(np.concatenate(params))
 
 
-def _solver_params(region, degree: int, per_side: int):
+def _solver_params(region, degree: int):
     if isinstance(region, Polygon):
         # 3x oversampling per edge: at 1.5x the ill-conditioned directions
         # of the fit are unconstrained between samples and blow up there
         uniform = max(24, int(math.ceil(3.0 * degree)))
-        return _corner_clustered_params(region, per_side, uniform)
+        return _corner_clustered_params(region, uniform)
     n = max(256, 6 * degree)
     return np.arange(n) / n
 
@@ -266,12 +270,14 @@ def _corner_poles(region):
         len_min = min(abs(e_in), abs(e_out))
         bis = (u - v[k]) / abs(u - v[k]) + (w - v[k]) / abs(w - v[k])
         if abs(bis) < 1e-12:
+            # straight angle: the left normal, inward on a counterclockwise
+            # boundary
             bis = 1j * e_out / abs(e_out)
-        bis = bis / abs(bis)
-        probe = v[k] + 1e-6 * len_min * bis
-        inside, _ = geometry.contains_many(region, np.array([probe]))
-        if not inside[0]:
+        elif (np.conj(e_in) * e_out).imag < 0.0:
+            # right turn of the counterclockwise vertices: a reflex corner,
+            # where the edge bisector points out of the region
             bis = -bis
+        bis = bis / abs(bis)
         dist = 0.5 * len_min * profile
         # drop levels too deep for boundary sampling to see between nodes
         dist = dist[dist > 1e-12 * len_min]
@@ -359,9 +365,6 @@ def solve_annulus_map(region_e, region_f, tol: float = 1e-8) -> AnnulusMap:
         spined = (region_e,)
     scale_e = _region_scale(region_e, anchor_e)
     corners = [_corner_poles(region_e), _corner_poles(f_inner)]
-    # boundary sampling must resolve the deepest pole cluster level
-    depth = _POLE_TAPER * (math.sqrt(_POLES_PER_CORNER) - 1.0) / math.log(2.0)
-    per_side = max(30, int(math.ceil(depth)) + 3)
 
     best = None
     ladder = []
@@ -379,14 +382,12 @@ def solve_annulus_map(region_e, region_f, tol: float = 1e-8) -> AnnulusMap:
             pole_scales=np.concatenate([scales for _, scales in charges]),
         )
         rows, columns, floor, solution = _solve_level(
-            region_e, f_inner, variant, basis, anchor_e, anchor_f, degree,
-            per_side, tol)
+            region_e, f_inner, variant, basis, anchor_e, anchor_f, degree, tol)
         if solution is None:
             ladder.append(LadderStep(degree, rows, columns, floor, True))
         else:
             coef, level = solution
-            residual = _map_residual(region_e, f_inner, basis, coef, level,
-                                     per_side)
+            residual = _map_residual(region_e, f_inner, basis, coef, level)
             ladder.append(LadderStep(degree, rows, columns, residual, False))
             if best is None or residual < best[0]:
                 best = (residual, basis, coef, level)
@@ -441,7 +442,7 @@ def _check_pair(region_e, region_f, variant):
                                    "complement of F")
 
 
-def _level_system(region_e, f_inner, basis, per_side):
+def _level_system(region_e, f_inner, basis):
     """The weighted real least-squares system of the ladder step of basis.
 
     Unknowns are [Re a0, (Re, Im) per remaining column, L]; returns the
@@ -452,7 +453,7 @@ def _level_system(region_e, f_inner, basis, per_side):
     rows_a, rhs_a, wts = [], [], []
     is_f_side = []
     for region, f_side in ((region_e, False), (f_inner, True)):
-        params = _solver_params(region, basis.degree, per_side)
+        params = _solver_params(region, basis.degree)
         pts = region.boundary_point(params)
         spacing = _param_spacing(params)
         w = np.sqrt(spacing)
@@ -491,7 +492,7 @@ def _coef_level(x, scale):
 
 
 def _solve_level(region_e, f_inner, variant, basis, anchor_e, anchor_f,
-                 degree, per_side, tol):
+                 degree, tol):
     """Solve one ladder step, unless its residual is certain to miss tol.
 
     Returns (rows, columns, floor, solution).  solution is (coef, level),
@@ -518,7 +519,7 @@ def _solve_level(region_e, f_inner, variant, basis, anchor_e, anchor_f,
     computed tail exceeds the weighted residual of the computed solution
     by under 0.01 m eps ||W b||.
     """
-    a, b, scale = _level_system(region_e, f_inner, basis, per_side)
+    a, b, scale = _level_system(region_e, f_inner, basis)
     m, n = a.shape
     rcond = _EPS * max(m, n)
     lwork = int(lapack.dgelsd_lwork(m, n, 1, rcond)[0]) - n
@@ -543,11 +544,10 @@ def _param_spacing(params):
     return spacing
 
 
-def _map_residual(region_e, f_inner, basis, coef, level, per_side):
+def _map_residual(region_e, f_inner, basis, coef, level):
     worst = 0.0
     for region, target in ((region_e, 0.0), (f_inner, level)):
-        params = _validation_params(
-            _solver_params(region, basis.degree, per_side))
+        params = _validation_params(_solver_params(region, basis.degree))
         pts = region.boundary_point(params)
         log_mod = basis.log_abs_base(pts) + np.real(basis.g(coef, pts))
         with np.errstate(over="ignore"):
@@ -563,9 +563,11 @@ def psi_boundary(annulus_map, w):
     """Points z on the E (|w| = 1) or F (|w| = h) boundary with phi(z) = w.
 
     w is one value or an array of values on one annulus circle; the result
-    has its shape (a complex for a scalar).  Uses the monotone boundary
-    correspondence of the argument, tabulated once per call, plus 1-D root
-    refinement for each w; for a MobiusMap the closed-form inverse is used.
+    has its shape (a complex for a scalar).  Phi is tabulated once per call
+    on the boundary; the root of each w lies in the first table interval
+    where arg(Phi/w) changes sign with both ends within pi/2 (the crossing
+    through 0, not the jump at +-pi), and is refined there in 1-D.  For a
+    MobiusMap the closed-form inverse is used.
     """
     w_arr = np.asarray(w, dtype=complex)
     ws = np.atleast_1d(w_arr).ravel()
@@ -589,51 +591,37 @@ def psi_boundary(annulus_map, w):
         t = np.arange(n + 1) / n
         vals = phi(annulus_map, region.boundary_point(t % 1.0))
         ang = np.unwrap(np.angle(vals))
-        if abs(abs(ang[-1] - ang[0]) - _TWO_PI) > 1e-3:
+        gap = np.angle(vals * np.conj(ws)[:, None])
+        near = np.abs(gap) < math.pi / 2
+        cross = (gap[:, :-1] * gap[:, 1:] <= 0.0) & near[:, :-1] & near[:, 1:]
+        if (abs(abs(ang[-1] - ang[0]) - _TWO_PI) > 1e-3
+                or not np.all(cross.any(axis=1))):
             raise EvaluationDomainError(
                 "boundary correspondence not resolved; increase samples"
             )
-        z = np.array([_psi_on(annulus_map, region, t, ang, complex(wi))
-                      for wi in ws])
+        first = np.argmax(cross, axis=1)
+        z = np.array([_psi_on(annulus_map, region, t[i], t[i + 1], complex(wi))
+                      for i, wi in zip(first, ws)])
     if w_arr.ndim == 0:
         return complex(z[0])
     return z.reshape(w_arr.shape)
 
 
-def _psi_on(annulus_map, region, t, ang, w) -> complex:
-    """psi_boundary for one w, from the unwrapped angles ang of Phi at the
-    boundary params t of region (t[0] = 0, t[-1] = 1)."""
-    n = t.size - 1
-    total = ang[-1] - ang[0]
-    target = math.atan2(w.imag, w.real)
-    # shift target into the covered angle range
-    k_lo = math.ceil((min(ang[0], ang[-1]) - target) / _TWO_PI)
-    theta = target + _TWO_PI * k_lo
-    sign = 1.0 if total > 0 else -1.0
-    a_mon = ang * sign
-    theta_m = theta * sign
-    if theta_m < a_mon.min() or theta_m > a_mon.max():
-        theta_m = theta_m + _TWO_PI
-        if theta_m > a_mon.max():
-            theta_m = theta_m - 2 * _TWO_PI
-    idx = int(np.searchsorted(a_mon, theta_m))
-    idx = min(max(idx, 1), n)
-    t_lo, t_hi = t[idx - 1], t[idx]
+def _psi_on(annulus_map, region, t_lo, t_hi, w) -> complex:
+    """psi_boundary for one w whose root the table brackets in the boundary
+    params [t_lo, t_hi] of region."""
 
     def angle_gap(tau):
         val = phi(annulus_map, region.boundary_point(np.array([tau % 1.0])))[0]
         return float(np.angle(val * np.conj(w)))
 
     g_lo, g_hi = angle_gap(t_lo), angle_gap(t_hi)
-    if g_lo == 0.0:
-        t_star = t_lo
-    elif g_hi == 0.0:
-        t_star = t_hi
-    elif g_lo * g_hi < 0 and abs(g_lo) < math.pi / 2 and abs(g_hi) < math.pi / 2:
+    if g_lo * g_hi <= 0.0 and max(abs(g_lo), abs(g_hi)) < math.pi / 2:
+        # brentq returns an end whose gap is exactly 0 as it stands
         t_star = brentq(angle_gap, t_lo, t_hi, xtol=1e-15)
     else:
-        # no sign change: a root on a table node can leave both ends on
-        # one side by rounding; take the closer end, certified below
+        # the single-point ends can differ from the table by rounding when
+        # the root sits on a table node; take the closer end, certified below
         t_star = t_lo if abs(g_lo) <= abs(g_hi) else t_hi
     z = complex(region.boundary_point(np.array([t_star % 1.0]))[0])
     err = abs(complex(phi(annulus_map, np.array([z]))[0]) - w)

@@ -120,7 +120,8 @@ def degree_context(data: BoundaryData, n: int) -> FaberContext:
     """The degree-n context on shared boundary data.
 
     Raises UncertifiedError if the map residual cannot certify
-    |Phi^n| <= 1 on the E boundary.
+    |Phi^n| <= 1 on the E boundary, or if Phi^n or the 1/R_n density on
+    the F boundary is not finite (h^n overflows).
     """
     if n < 0 or n != int(n):
         raise ValueError("degree n must be a non-negative integer")
@@ -132,9 +133,17 @@ def degree_context(data: BoundaryData, n: int) -> FaberContext:
             "map residual does not certify |Phi^n| <= 1 on the E boundary "
             f"(measured max 1 + {excess:.3e})"
         )
-    rn_on_f = cauchy_boundary(phi_n_on_e, data.quad_e, data.quad_f.nodes,
-                              data.phi_f ** n)
-    return FaberContext(data, n, phi_n_on_e, 1.0 / rn_on_f)
+    with np.errstate(over="ignore"):  # an overflow raises below
+        phi_n_on_f = data.phi_f ** n
+    if np.all(np.isfinite(phi_n_on_f)):
+        rn_on_f = cauchy_boundary(phi_n_on_e, data.quad_e, data.quad_f.nodes,
+                                  phi_n_on_f)
+        # a finite, nonzero R_n is a finite 1/R_n density
+        if np.all(np.isfinite(rn_on_f) & (rn_on_f != 0.0)):
+            return FaberContext(data, n, phi_n_on_e, 1.0 / rn_on_f)
+    raise UncertifiedError(
+        f"degree {n}: Phi^n or 1/R_n overflows on the F boundary "
+        f"(h = {data.map.h:.6g}), so the witness is not finite")
 
 
 def build_context(amap, n: int, n_quad: int = 512) -> FaberContext:
@@ -309,6 +318,9 @@ def empirical_ratio(ctx: FaberContext) -> float:
 
         ratio *= max(float(vals[i]),
                      _refine_max(fun, float(scan.t[i]), 1.0 / scan.t.size))
+    if not math.isfinite(ratio):
+        raise UncertifiedError(
+            f"degree {ctx.n}: the witness is not finite ({ratio})")
     return ratio
 
 

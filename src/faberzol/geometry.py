@@ -161,23 +161,19 @@ class SmoothCurve(Region):
             raise InvalidRegionError("curve needs a nonconstant coefficient")
         object.__setattr__(self, "coefficients", coeff)
 
-    def _point(self, t):
+    def _derivative(self, t, order: int):
+        """d^order/dt^order of the boundary point; order 0 is the point."""
         z = np.zeros(np.shape(t), dtype=complex)
         for k, c in self.coefficients:
-            z = z + c * np.exp(2j * math.pi * k * t)
+            rate = 2j * math.pi * k
+            z = z + c * rate**order * np.exp(rate * t)
         return z
+
+    def _point(self, t):
+        return self._derivative(t, 0)
 
     def _tangent(self, t):
-        z = np.zeros(np.shape(t), dtype=complex)
-        for k, c in self.coefficients:
-            z = z + c * (2j * math.pi * k) * np.exp(2j * math.pi * k * t)
-        return z
-
-    def _second(self, t):
-        z = np.zeros(np.shape(t), dtype=complex)
-        for k, c in self.coefficients:
-            z = z + c * (2j * math.pi * k) ** 2 * np.exp(2j * math.pi * k * t)
-        return z
+        return self._derivative(t, 1)
 
     def diameter(self):
         t = np.linspace(0.0, 1.0, 512, endpoint=False)
@@ -234,7 +230,7 @@ def _turning(region: Region):
     speed = np.abs(dz)
     if speed.min() < 1e-12 * speed.max():
         raise InvalidRegionError("rotation undefined: vanishing tangent")
-    rate = np.imag(region._second(t) / dz)
+    rate = np.imag(region._derivative(t, 2) / dz)
     return rate, -1e-9 * np.abs(rate).max()
 
 

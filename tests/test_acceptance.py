@@ -188,13 +188,13 @@ def test_adi_error_within_bound_and_certificates_track_rate(
     gc = GeometryConstants.from_regions(e, f, rect_map.h)
     problem = sylvester_problem(e, f, 100, seed=0)
     ctx = build_context(rect_map, 8, n_quad=512)
-    shifts = faber_shifts(ctx, 8)
-    errs = adi_iterate(problem, shifts, return_errors=True)
+    shifts = faber_shifts(ctx)
+    err = problem.relative_error(adi_iterate(problem, shifts)[-1])
     cert = error_certificate(shifts, ctx.quad_e, ctx.quad_f)
     bound = zolotarev_upper(gc, 8)
     assert bound.upper_valid
-    assert errs[-1] <= bound.upper
-    assert errs[-1] <= cert + 1e-10
+    assert err <= bound.upper
+    assert err <= cert + 1e-10
 
     # certificate decay rates approach 1/h on the disk pair by k = 20
     de, df = disk_pair
@@ -205,7 +205,7 @@ def test_adi_error_within_bound_and_certificates_track_rate(
         gaps[shift_set.kind] = abs(rate - 1.0 / disk_map.h)
     elapsed = time.time() - start
     print(
-        f"adi: rel err {errs[-1]:.2e} <= cert {cert:.2e} <= bound "
+        f"adi: rel err {err:.2e} <= cert {cert:.2e} <= bound "
         f"{bound.upper:.2e}; rate gaps fejer {gaps['fejer']:.4f} "
         f"leja {gaps['leja']:.4f} (tol 0.05), {elapsed:.0f}s"
     )
@@ -325,11 +325,11 @@ def test_inequality_and_property_suites_have_zero_violations(
     qe, qf = boundary_samples(e, 600), boundary_samples(f, 600)
     for k in (3, 8):
         for shifts in (
-            faber_shifts(build_context(disk_map, k, n_quad=256), k),
+            faber_shifts(build_context(disk_map, k, n_quad=256)),
             fejer_shifts(disk_map, k),
             leja_shifts(qe, qf, k),
         ):
-            err = adi_iterate(problem, shifts, return_errors=True)[-1]
+            err = problem.relative_error(adi_iterate(problem, shifts)[-1])
             cert = error_certificate(shifts, qe, qf)
             if err > cert + 1e-10:
                 violations.append(f"certificate {shifts.kind} k={k}: {err:.3e} > {cert:.3e}")

@@ -200,8 +200,8 @@ def _ladder_audit():
     level_system, solve_level = conformal._level_system, conformal._solve_level
     systems, steps = {}, []
 
-    def recorded_system(region_e, f_inner, basis, per_side):
-        a, b, scale = level_system(region_e, f_inner, basis, per_side)
+    def recorded_system(region_e, f_inner, basis):
+        a, b, scale = level_system(region_e, f_inner, basis)
         systems[basis.degree] = (a.copy(order="F"), b.copy(), scale.copy())
         return a, b, scale
 
@@ -226,13 +226,13 @@ def _ladder_audit():
                 except MapNotResolvedError:
                     pass
                 for args, (_, _, floor, solution) in steps:
-                    e, f_inner, _, basis, _, _, degree, per_side, _ = args
+                    e, f_inner, _, basis, _, _, degree, _ = args
                     if degree not in references:
                         a, b, scale = systems[degree]
                         x, *_ = np.linalg.lstsq(a, b, rcond=None)
                         coef, level = conformal._coef_level(x, scale)
                         residual = conformal._map_residual(
-                            e, f_inner, basis, coef, level, per_side)
+                            e, f_inner, basis, coef, level)
                         references[degree] = (coef, level, residual)
                     coef, level, residual = references[degree]
                     report[name].append({

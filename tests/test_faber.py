@@ -11,7 +11,12 @@ import numpy as np
 import pytest
 
 from faberzol.bounds import sup_rn_bound, zolotarev_upper, GeometryConstants
-from faberzol.conformal import ExteriorOf, phi, solve_annulus_map
+from faberzol.conformal import (
+    ExteriorOf,
+    mobius_two_disks,
+    phi,
+    solve_annulus_map,
+)
 from faberzol.errors import (
     EvaluationDomainError,
     InvalidRegionError,
@@ -133,6 +138,25 @@ def test_uncertified_map_power_raises(disk_map):
     wide = dataclasses.replace(disk_map, region_e=disk(1.0, 0.71))
     with pytest.raises(UncertifiedError, match="measured max 1 \\+ "):
         build_context(wide, 3, n_quad=128)
+
+
+def test_overflowing_degree_raises():
+    # h = 141.99 on the far disks, so Phi^n overflows on the F boundary
+    # from n = 144 on, and the witness of that degree cannot be finite
+    far = mobius_two_disks(disk(3.0, 0.5), disk(-3.0, 0.5))
+    data = boundary_data(far, 128)
+    assert np.all(np.isfinite(degree_context(data, 143).inv_rn_on_f))
+    with pytest.raises(UncertifiedError, match="witness is not finite"):
+        degree_context(data, 144)
+
+
+def test_non_finite_witness_raises(disk_map):
+    ctx = build_context(disk_map, 3, n_quad=128)
+    broken = dataclasses.replace(
+        ctx, inv_rn_on_f=np.full_like(ctx.inv_rn_on_f, np.inf))
+    with (np.errstate(invalid="ignore"),
+          pytest.raises(UncertifiedError, match="witness is not finite")):
+        empirical_ratio(broken)
 
 
 def _scan_cases(disk_map, rect_map):
