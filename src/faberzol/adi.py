@@ -163,7 +163,8 @@ def error_certificate(shifts: ShiftSet,
     """max_{dE} |s_k| / min_{dF} |s_k|, computed in log magnitude.
 
     Bounds the relative 2-norm ADI error after k steps for normal
-    coefficients with spectra in E and F.
+    coefficients with spectra in E and F.  A ratio beyond the float range
+    raises UncertifiedError with its natural log.
     """
     if shifts.k == 0:
         raise ValueError("shift set is empty")
@@ -182,7 +183,10 @@ def error_certificate(shifts: ShiftSet,
     try:
         return math.exp(max_e - min_f)
     except OverflowError:
-        return math.inf
+        raise UncertifiedError(
+            f"certificate overflows: log ratio {max_e - min_f:.6g} exceeds "
+            "the float range; the shifts do not separate E from F"
+        ) from None
 
 
 def _drop_doublets(poles, zeros, tol: float):

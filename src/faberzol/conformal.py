@@ -47,6 +47,9 @@ _POLE_TAPER = 4.0
 _PER_SIDE = max(30, math.ceil(
     _POLE_TAPER * (math.sqrt(_POLES_PER_CORNER) - 1.0) / math.log(2.0)) + 3)
 _EPS = float(np.finfo(float).eps)
+# How far inside gelsd's keep-everything range a ladder step's condition
+# estimate must lie for back substitution to replace the SVD solve.
+_SVD_MARGIN = 1e-3
 
 
 @dataclass(frozen=True)
@@ -322,10 +325,13 @@ class LadderStep:
     """One degree-ladder step of solve_annulus_map.
 
     rows x columns is the real least-squares system of the step.  When the
-    step was solved, residual is its validated boundary residual and
-    is_bound is False.  When the QR floor already certified that the
-    residual exceeds tol, the SVD solve and the validation were skipped,
-    residual is that certified lower bound and is_bound is True.
+    step was solved, residual is its validated boundary residual, is_bound
+    is False and condition is the 1-norm condition estimate of its QR
+    triangle, which chose between back substitution and the SVD solve
+    (see _solve_level).  When the QR floor already certified that the
+    residual exceeds tol, the solve and the validation were skipped,
+    residual is that certified lower bound, is_bound is True and condition
+    is None.
     """
 
     degree: int
@@ -333,6 +339,7 @@ class LadderStep:
     columns: int
     residual: float
     is_bound: bool
+    condition: float | None = None
 
 
 def solve_annulus_map(region_e, region_f, tol: float = 1e-8) -> AnnulusMap:
@@ -381,14 +388,15 @@ def solve_annulus_map(region_e, region_f, tol: float = 1e-8) -> AnnulusMap:
             poles=np.concatenate([poles for poles, _ in charges]),
             pole_scales=np.concatenate([scales for _, scales in charges]),
         )
-        rows, columns, floor, solution = _solve_level(
+        rows, columns, floor, condition, solution = _solve_level(
             region_e, f_inner, variant, basis, anchor_e, anchor_f, degree, tol)
         if solution is None:
             ladder.append(LadderStep(degree, rows, columns, floor, True))
         else:
             coef, level = solution
             residual = _map_residual(region_e, f_inner, basis, coef, level)
-            ladder.append(LadderStep(degree, rows, columns, residual, False))
+            ladder.append(LadderStep(degree, rows, columns, residual, False,
+                                     condition))
             if best is None or residual < best[0]:
                 best = (residual, basis, coef, level)
             if residual <= tol:
@@ -420,9 +428,11 @@ def solve_annulus_map(region_e, region_f, tol: float = 1e-8) -> AnnulusMap:
 
 
 def _step_text(step: LadderStep) -> str:
-    relation = ">=" if step.is_bound else "="
+    if step.is_bound:
+        return (f"{step.degree}: {step.rows}x{step.columns} residual "
+                f">= {step.residual:.2e}")
     return (f"{step.degree}: {step.rows}x{step.columns} residual "
-            f"{relation} {step.residual:.2e}")
+            f"= {step.residual:.2e} (condition {step.condition:.1e})")
 
 
 def _check_pair(region_e, region_f, variant):
@@ -495,19 +505,32 @@ def _solve_level(region_e, f_inner, variant, basis, anchor_e, anchor_f,
                  degree, tol):
     """Solve one ladder step, unless its residual is certain to miss tol.
 
-    Returns (rows, columns, floor, solution).  solution is (coef, level),
-    or None when floor > tol; floor is then a lower bound on the residual
-    _map_residual would report for the solved step.  variant, anchor_e,
-    anchor_f and degree repeat fields of basis: the head stays positional
-    because perfbench/spans.py (Tracer.count_ladder) wraps it so and reads
-    basis and degree.
+    Returns (rows, columns, floor, condition, solution).  solution is
+    (coef, level), or None when floor > tol; floor is then a lower bound on
+    the residual _map_residual would report for the solved step, and
+    condition is None.  variant, anchor_e, anchor_f and degree repeat
+    fields of basis: the head stays positional because perfbench/spans.py
+    (Tracer.count_ladder) wraps it so and reads basis and degree.
 
-    This is np.linalg.lstsq (LAPACK gelsd, rcond = eps max(m, n)) split in
-    the two halves gelsd runs itself on systems with m >= 1.6 n, as every
-    ladder system is: Householder QR with Q^T b, then the SVD solve on the
-    triangle.  The QR halves get the workspace gelsd hands them (its
-    optimal size less n), so the solution is bitwise that of the one-call
-    solve at one BLAS thread.
+    The solve starts as np.linalg.lstsq (LAPACK gelsd, rcond = eps
+    max(m, n)) does on systems with m >= 1.6 n, as every ladder system is:
+    a Householder QR with Q^T b, given the workspace gelsd hands it (its
+    optimal size less n).  Then LAPACK dtrcon estimates the 1-norm
+    condition number of the triangle R, and one of two paths solves
+    R x = (Q^T b)[:n]:
+
+    * back substitution (dtrtrs) when the estimate is at least _SVD_MARGIN
+      inside 1/rcond, the condition number beyond which gelsd drops
+      singular values.  There gelsd keeps every singular value (the ladder
+      audit in tests/test_conformal.py checks it on each such step), so
+      both solve the same full-rank problem and their h agree to rounding.
+    * otherwise gelsd's own second half, the truncated-SVD solve on the
+      triangle, so the solution is bitwise that of the one-call lstsq at
+      one BLAS thread.  On the rank-deficient README rectangles at degree
+      32 this path is what meets tol.
+
+    Either way the step's map is validated by _map_residual afterwards;
+    the gate picks the faster solve, not whether the map is certified.
 
     Why floor is certified: ||(Q^T b)[n:]||_2 is the minimum over all x of
     ||W (A x - b)||_2, the weighted residual of the log-modulus conditions.
@@ -532,9 +555,32 @@ def _solve_level(region_e, f_inner, variant, basis, anchor_e, anchor_f,
     slack = 10.0 * m * _EPS * float(np.linalg.norm(b))
     floor = -math.expm1(-max(0.0, tail - slack) / math.sqrt(2.0))
     if floor > tol:
-        return m, n, floor, None
-    x, *_ = np.linalg.lstsq(np.triu(qr[:n]), qtb[:n, 0], rcond=rcond)
-    return m, n, floor, _coef_level(x, scale)
+        return m, n, floor, None, None
+    # a square copy of the triangle: scipy's dtrcon misreads the leading
+    # dimension of the tall qr array, and lstsq needs the zeros below
+    r = np.array(qr[:n], order="F")
+    r[np.tri(n, k=-1, dtype=bool)] = 0.0
+    rcond_r, info_c = lapack.dtrcon(r)
+    if info_c != 0:
+        raise np.linalg.LinAlgError(
+            f"condition estimate of the map system failed (info {info_c})")
+    condition = 1.0 / rcond_r if rcond_r > 0.0 else math.inf
+    if _needs_svd(condition, m, n):
+        x, *_ = np.linalg.lstsq(r, qtb[:n, 0], rcond=rcond)
+    else:
+        x, info_t = lapack.dtrtrs(r, qtb[:n])
+        if info_t != 0:
+            raise np.linalg.LinAlgError(
+                f"back substitution on the map system failed (info {info_t})")
+        x = x[:, 0]
+    return m, n, floor, condition, _coef_level(x, scale)
+
+
+def _needs_svd(condition, m, n) -> bool:
+    """Whether a solved ladder step of an m x n system takes the SVD path:
+    its condition estimate is not at least _SVD_MARGIN inside gelsd's
+    cut-off 1/(eps max(m, n)); an infinite or NaN estimate needs it."""
+    return not condition <= _SVD_MARGIN / (_EPS * max(m, n))
 
 
 def _param_spacing(params):

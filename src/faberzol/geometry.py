@@ -104,6 +104,9 @@ class Polygon(Region):
         )
         if area == 0.0:
             raise InvalidRegionError("polygon is degenerate (zero area)")
+        if _edges_cross(verts):
+            raise InvalidRegionError("polygon edges cross or touch: the "
+                                     "vertex list is not a simple polygon")
         if area < 0.0:
             verts = verts[::-1]
         object.__setattr__(self, "vertices", tuple(verts.tolist()))
@@ -143,6 +146,38 @@ class Polygon(Region):
     def negated(self):
         # a half-turn keeps the orientation, so the vertex order stays
         return dataclasses.replace(self, vertices=tuple((-self._verts()).tolist()))
+
+
+def _edges_cross(verts) -> bool:
+    """Whether two non-adjacent edges of the closed vertex list meet.
+
+    O(n^2): every pair of edges is tested with the four orientation signs
+    of the segment test; collinear pairs meet where their projections on
+    the line overlap.  Touching counts as meeting.
+    """
+    n = len(verts)
+    a, b = verts, np.roll(verts, -1)
+    i, j = np.triu_indices(n, k=2)
+    keep = ~((i == 0) & (j == n - 1))  # the last edge is adjacent to the first
+    i, j = i[keep], j[keep]
+    if i.size == 0:
+        return False
+
+    def cross(u, v):
+        return u.real * v.imag - u.imag * v.real
+
+    p, q, r, s = a[i], b[i], a[j], b[j]
+    d1, d2 = cross(q - p, r - p), cross(q - p, s - p)
+    d3, d4 = cross(s - r, p - r), cross(s - r, q - r)
+    meet = (d1 * d2 <= 0.0) & (d3 * d4 <= 0.0)
+    collinear = (d1 == 0.0) & (d2 == 0.0)
+    # on a common line, parametrise both segments along q - p
+    direction = q - p
+    t_r = (np.conj(direction) * (r - p)).real
+    t_s = (np.conj(direction) * (s - p)).real
+    overlap = ((np.maximum(t_r, t_s) >= 0.0)
+               & (np.minimum(t_r, t_s) <= np.abs(direction) ** 2))
+    return bool(np.any(meet & (~collinear | overlap)))
 
 
 @dataclass(frozen=True)

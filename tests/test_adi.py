@@ -158,6 +158,15 @@ def test_certificate_requires_shifts(disk_quads):
         error_certificate(ShiftSet("leja", (), ()), *disk_quads)
 
 
+def test_overflowing_certificate_raises_with_its_log_ratio(disk_quads):
+    # zeros at the F center and poles at the E center: each of the 300
+    # pairs multiplies the ratio by about (2.7/0.7)^2, far past the float
+    # range, where an inf would pass for a certificate
+    shifts = ShiftSet("leja", (-1.0,) * 300, (1.0,) * 300)
+    with pytest.raises(UncertifiedError, match=r"log ratio 8\d\d\."):
+        error_certificate(shifts, *disk_quads)
+
+
 def test_leja_needs_dense_boundaries(disk_pair):
     e, f = disk_pair
     with pytest.raises(ValueError):

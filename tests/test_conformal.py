@@ -188,14 +188,17 @@ AUDIT_PAIRS = {
 }
 
 
-def _ladder_audit():
-    """Every ladder step of every AUDIT_PAIRS solve, against a reference
-    step solved in one np.linalg.lstsq call and validated like the solver.
+def _ladder_audit(names):
+    """Every ladder step of the AUDIT_PAIRS solves of names, against a
+    reference step solved in one np.linalg.lstsq call and validated like
+    the solver.
 
-    Returns {pair: [step record]}; a step record holds the tol, degree,
-    whether the step was skipped, its certified floor, the reference
-    residual and whether a solved step's coef and level equal the
-    reference bit for bit.
+    Returns {pair: [step record]}.  A step record holds the tol, degree and
+    system shape, whether the step was skipped, its certified floor, and
+    the reference's residual and rank.  A solved step also records its
+    condition estimate, whether that sent it down the SVD path, whether its
+    coef and level equal the reference bit for bit, |h/h_ref - 1| and, off
+    the SVD path, its own validated residual.
     """
     level_system, solve_level = conformal._level_system, conformal._solve_level
     systems, steps = {}, []
@@ -214,55 +217,93 @@ def _ladder_audit():
     conformal._solve_level = recorded_solve
     report = {}
     try:
-        for name, (pair, tols) in AUDIT_PAIRS.items():
-            region_e, region_f = pair()
+        for name in names:
+            region_e, region_f = AUDIT_PAIRS[name][0]()
             systems.clear()
             references = {}
             report[name] = []
-            for tol in tols:
+            for tol in AUDIT_PAIRS[name][1]:
                 steps.clear()
                 try:
                     solve_annulus_map(region_e, region_f, tol=tol)
                 except MapNotResolvedError:
                     pass
-                for args, (_, _, floor, solution) in steps:
+                for args, out in steps:
+                    rows, columns, floor, condition, solution = out
                     e, f_inner, _, basis, _, _, degree, _ = args
                     if degree not in references:
                         a, b, scale = systems[degree]
-                        x, *_ = np.linalg.lstsq(a, b, rcond=None)
+                        x, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
                         coef, level = conformal._coef_level(x, scale)
                         residual = conformal._map_residual(
                             e, f_inner, basis, coef, level)
-                        references[degree] = (coef, level, residual)
-                    coef, level, residual = references[degree]
-                    report[name].append({
-                        "tol": tol, "degree": degree,
-                        "skipped": solution is None, "floor": floor,
-                        "reference": residual,
-                        "bitwise": solution is not None
-                        and np.array_equal(solution[0], coef)
-                        and solution[1] == level,
-                    })
+                        references[degree] = (coef, level, residual,
+                                              int(rank))
+                    coef, level, residual, rank = references[degree]
+                    record = {
+                        "tol": tol, "degree": degree, "rows": rows,
+                        "columns": columns, "skipped": solution is None,
+                        "floor": floor, "reference": residual,
+                        "reference_rank": rank,
+                    }
+                    report[name].append(record)
+                    if solution is None:
+                        continue
+                    svd = conformal._needs_svd(condition, rows, columns)
+                    record.update(
+                        condition=condition, svd=svd,
+                        bitwise=bool(np.array_equal(solution[0], coef)
+                                     and solution[1] == level),
+                        h_rel=abs(math.expm1(solution[1] - level)),
+                        residual=None if svd else conformal._map_residual(
+                            e, f_inner, basis, *solution),
+                    )
     finally:
         conformal._level_system = level_system
         conformal._solve_level = solve_level
     return report
 
 
+# The audit's pairs in two halves of about equal cost, each run in its own
+# subprocess: at one BLAS thread each half takes about 17 s (L-shape 5.4 s,
+# README 4.7 s, rect_in_exterior 4.3 s, rect_disk 3.8 s, hexagons 3.5 s,
+# short_rects 2.6 s, each mirror pair 2.1 s, triangle 1.3 s, the rest
+# under 0.4 s together).
+_AUDIT_HALVES = (
+    ("lshape_disk", "rect_disk", "short_rects", "mirror045", "mirror100",
+     "triangle_disk"),
+    ("readme", "rect_in_exterior", "hexagons", "mirror060", "mirror300",
+     "disk_curve", "disks", "far_disks", "random0", "random1", "random2",
+     "disk_in_exterior"),
+)
+
+
 @pytest.fixture(scope="module")
 def ladder_audit():
-    # One BLAS thread: threaded OpenBLAS builds split the QR differently,
-    # so the split solve equals the one-call solve bit for bit only there.
+    # One BLAS thread in each subprocess: threaded OpenBLAS builds split
+    # the QR differently, so the SVD path equals the one-call solve bit for
+    # bit only there.  The two halves run at once, one per core.
     src = Path(faberzol.__file__).resolve().parents[1]
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join([str(src), str(Path(__file__).parent)]))
-    code = ("import json, test_conformal; "
-            "print(json.dumps(test_conformal._ladder_audit()))")
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=900)
-    assert done.returncode == 0, done.stderr
-    return json.loads(done.stdout)
+    code = ("import json, sys, test_conformal; "
+            "print(json.dumps(test_conformal._ladder_audit(sys.argv[1:])))")
+    workers = [subprocess.Popen([sys.executable, "-c", code, *half], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                text=True)
+               for half in _AUDIT_HALVES]
+    report = {}
+    try:
+        for worker in workers:
+            out, err = worker.communicate(timeout=900)
+            assert worker.returncode == 0, err
+            report.update(json.loads(out))
+    finally:
+        for worker in workers:
+            worker.kill()
+            worker.wait()
+    return report
 
 
 @pytest.mark.parametrize("name", sorted(AUDIT_PAIRS))
@@ -275,8 +316,22 @@ def test_skipped_steps_fail_and_solved_steps_match_one_lstsq(ladder_audit,
         assert r["floor"] <= r["reference"], r
         if r["skipped"]:
             assert r["floor"] > r["tol"] and r["reference"] > r["tol"], r
-        else:
+        elif r["svd"]:
             assert r["bitwise"], r
+        else:
+            # back substitution: gelsd truncated nothing on this system,
+            # and the step passes or fails tol exactly as the reference
+            assert r["reference_rank"] == r["columns"], r
+            assert (r["residual"] <= r["tol"]) == (r["reference"] <= r["tol"]), r
+            assert r["h_rel"] <= 1e-12, r
+
+
+def test_rank_deficient_readme_step_takes_the_svd_path(ladder_audit):
+    # the one rank-deficient step of the audit keeps the bitwise branch
+    # covered: back substitution there misses tol
+    [step] = [r for r in ladder_audit["readme"] if r["degree"] == 32]
+    assert step["reference_rank"] < step["columns"], step
+    assert step["svd"] and step["bitwise"], step
 
 
 def test_traced_solve_counts_its_ladder_and_keeps_the_map(monkeypatch):
@@ -317,9 +372,28 @@ def test_failing_map_reports_its_ladder():
     # smallest certified bound
     assert all(step.is_bound for step in err.ladder)
     assert err.residual == min(step.residual for step in err.ladder) > 1e-8
+    assert all(step.condition is None for step in err.ladder)
     message = str(err)
     assert message.startswith("map not resolved: ")
     assert "degrees 8-128" in message and "\n" not in message
+
+
+def test_failing_ladder_shows_the_condition_of_each_solved_step():
+    # below the rounding level of the disk pair's map: degrees 32-128 are
+    # solved and fail, each on a well-conditioned triangle
+    e, f = AUDIT_PAIRS["disks"][0]()
+    with pytest.raises(MapNotResolvedError) as info:
+        solve_annulus_map(e, f, tol=1e-16)
+    err = info.value
+    solved = [step for step in err.ladder if not step.is_bound]
+    assert [step.degree for step in solved] == [32, 64, 128]
+    for step in solved:
+        assert 1.0 <= step.condition < 1e3
+        assert not conformal._needs_svd(step.condition, step.rows,
+                                        step.columns)
+        assert (f"{step.degree}: {step.rows}x{step.columns} residual = "
+                f"{step.residual:.2e} (condition {step.condition:.1e})"
+                in str(err))
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-8])

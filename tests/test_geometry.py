@@ -212,6 +212,38 @@ def test_invalid_regions_are_rejected():
         boundary_samples(disk(), 8)
 
 
+@pytest.mark.parametrize("vertices", [
+    # an asymmetric bow-tie: its lobes do not cancel, so the shoelace area
+    # is not zero and only the crossing gives it away
+    [0.0, 2.0, 0.5 + 1.0j, 2.0 + 1.0j],
+    # a pentagram, traced point to point
+    [np.exp(2j * np.pi * (0.25 + 0.4 * k)) for k in range(5)],
+    # a vertex touching a non-adjacent edge
+    [0.0, 2.0, 2.0 + 2.0j, 1.0, 2.0j],
+    # collinear non-adjacent edges that overlap
+    [0.0, 3.0, 3.0 + 1.0j, 2.0, 1.0, 1.0j],
+], ids=["bow_tie", "pentagram", "touching", "collinear_overlap"])
+def test_self_intersecting_polygons_are_rejected(vertices):
+    with pytest.raises(InvalidRegionError, match="not a simple polygon"):
+        polygon(vertices)
+
+
+@pytest.mark.parametrize("vertices", [
+    L_VERTS,
+    [1.0, 2.0, 1.5 + 1.0j],
+    [1.5 + 0.6 * np.exp(1j * np.pi * k / 3.0) for k in range(6)],
+    [0.3 - 1.3j, 1.3 - 1.3j, 1.3 + 1.3j, 0.3 + 1.3j],
+    [-0.3 + 1.3j, -1.3 + 1.3j, -1.3 - 1.3j, -0.3 - 1.3j],
+    # collinear adjacent edges: a straight angle
+    [0.0, 1.0, 2.0, 2.0 + 1.0j, 1.0j],
+    # collinear non-adjacent edges that do not overlap: a notch from below
+    [0.0, 1.0, 1.0 + 1.0j, 2.0 + 1.0j, 2.0, 3.0, 3.0 + 2.0j, 2.0j],
+], ids=["l_shape", "triangle", "hexagon", "rectangle", "mirrored_rectangle",
+        "straight_angle", "notch"])
+def test_simple_polygons_are_accepted(vertices):
+    assert len(polygon(vertices).vertices) == len(vertices)
+
+
 @given(
     cx=st.floats(-3.0, 3.0),
     cy=st.floats(-3.0, 3.0),
