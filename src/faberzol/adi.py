@@ -24,7 +24,7 @@ from .errors import (
     QuadratureError,
     UncertifiedError,
 )
-from .faber import FaberContext, rn_on_e_boundary, rn_on_f_boundary
+from .faber import FaberContext, _reciprocal, _scan_inv_rn
 from .geometry import Region, contains_many, random_points
 from .quadrature import BoundaryQuadrature
 from .rational import aaa_fit, poles_zeros
@@ -230,20 +230,20 @@ def _pick_near(candidates, region, samples, k, label):
 def faber_shifts(ctx: FaberContext) -> ShiftSet:
     """Zeros and poles of r_k with k = ctx.n, recovered from boundary fits.
 
-    r_k is sampled on each boundary and fit by AAA; kappa are the zeros of
-    the E-side fit, tau the poles of the F-side fit.
+    r_k is sampled at the dense-scan points of each boundary (4 n_quad of
+    them, through the scan kernels of ctx.data, which are built once per
+    boundary data and shared by every k) and fit by AAA; kappa are the
+    zeros of the E-side fit, tau the poles of the F-side fit.
     """
     k = ctx.n
     if k < 1:
         raise ValueError("need at least one shift")
-    t = (np.arange(2000) + 0.5) / 2000.0
-    z_e = ctx.map.region_e.boundary_point(t)
-    z_f = ctx.map.region_f.boundary_point(t)
-    f_e = rn_on_e_boundary(ctx, t)
-    f_f = rn_on_f_boundary(ctx, t)
     shift_sets = []
-    for z, f, region, want in ((z_e, f_e, ctx.map.region_e, "zeros"),
-                               (z_f, f_f, ctx.map.region_f, "poles")):
+    for scan, region, want in zip(ctx.data.scans,
+                                  (ctx.map.region_e, ctx.map.region_f),
+                                  ("zeros", "poles")):
+        z = region.boundary_point(scan.t)
+        f = _reciprocal(_scan_inv_rn(ctx, scan))
         fit = aaa_fit(z, f, 1e-12, k + 12)  # tol, max_degree
         scale = float(np.max(np.abs(f)))
         if fit.residual > 1e-6 * scale:

@@ -354,7 +354,9 @@ def _build_parser():
         sp.add_argument("--config", required=True, help="pair config JSON")
         sp.add_argument("--out", required=True, help="output file")
         sp.add_argument("--nq", type=at_least(64), default=512,
-                        help="boundary quadrature size")
+                        help="boundary quadrature size; bound --empirical, "
+                             "shifts --kind faber and adi --kind faber also "
+                             "build 256*nq^2 bytes of scan kernels")
         sp.add_argument("--tol", type=positive, default=1e-8,
                         help="map solver residual target")
         sp.add_argument("--seed", type=at_least(0), default=0)

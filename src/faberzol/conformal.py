@@ -22,6 +22,7 @@ complement of an unbounded F (ExteriorOf a compact region).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,6 +38,7 @@ from .errors import (
     NotDisjointError,
 )
 from .geometry import Disk, Polygon, Region
+from .quadrature import _CHUNK
 
 _TWO_PI = 2.0 * math.pi
 _MAX_DEGREE = 128
@@ -50,6 +52,8 @@ _EPS = float(np.finfo(float).eps)
 # How far inside gelsd's keep-everything range a ladder step's condition
 # estimate must lie for back substitution to replace the SVD solve.
 _SVD_MARGIN = 1e-3
+# Intervals of the boundary Phi tables that psi_boundary brackets roots on.
+_PSI_TABLE = 4096
 
 
 @dataclass(frozen=True)
@@ -172,7 +176,7 @@ class _LogBasis:
         z = np.asarray(z, dtype=complex)
         flat = z.ravel()
         out = np.zeros(flat.shape, dtype=complex)
-        step = max(1, (1 << 21) // max(1, self.n_columns))
+        step = max(1, _CHUNK // self.n_columns)
         for lo in range(0, flat.size, step):
             hi = min(flat.size, lo + step)
             out[lo:hi] = self.columns(flat[lo:hi]) @ coef
@@ -193,6 +197,17 @@ class AnnulusMap:
     @property
     def variant(self) -> str:
         return self.basis.variant
+
+    @functools.cached_property
+    def _psi_tables(self):
+        """(E table, F table): Phi at the boundary params t = i/_PSI_TABLE,
+        i = 0.._PSI_TABLE, of each boundary, the last point repeating the
+        first.  Built on the first psi_boundary call and shared by every
+        later one on this map."""
+        t = np.arange(_PSI_TABLE + 1) / _PSI_TABLE
+        return tuple(phi(self, region.boundary_point(t % 1.0))
+                     for region in (self.region_e,
+                                    boundary_region(self.region_f)))
 
 
 def phi(annulus_map, z):
@@ -609,9 +624,10 @@ def psi_boundary(annulus_map, w):
     """Points z on the E (|w| = 1) or F (|w| = h) boundary with phi(z) = w.
 
     w is one value or an array of values on one annulus circle; the result
-    has its shape (a complex for a scalar).  Phi is tabulated once per call
-    on the boundary; the root of each w lies in the first table interval
-    where arg(Phi/w) changes sign with both ends within pi/2 (the crossing
+    has its shape (a complex for a scalar).  Phi is tabulated once per map
+    on each boundary (AnnulusMap._psi_tables) and the table is reused by
+    every call; the root of each w lies in the first table interval where
+    arg(Phi/w) changes sign with both ends within pi/2 (the crossing
     through 0, not the jump at +-pi), and is refined there in 1-D.  For a
     MobiusMap the closed-form inverse is used.
     """
@@ -633,9 +649,7 @@ def psi_boundary(annulus_map, w):
     else:
         region = (annulus_map.region_e if on_e
                   else boundary_region(annulus_map.region_f))
-        n = 4096
-        t = np.arange(n + 1) / n
-        vals = phi(annulus_map, region.boundary_point(t % 1.0))
+        vals = annulus_map._psi_tables[0 if on_e else 1]
         ang = np.unwrap(np.angle(vals))
         gap = np.angle(vals * np.conj(ws)[:, None])
         near = np.abs(gap) < math.pi / 2
@@ -646,7 +660,8 @@ def psi_boundary(annulus_map, w):
                 "boundary correspondence not resolved; increase samples"
             )
         first = np.argmax(cross, axis=1)
-        z = np.array([_psi_on(annulus_map, region, t[i], t[i + 1], complex(wi))
+        z = np.array([_psi_on(annulus_map, region, i / _PSI_TABLE,
+                              (i + 1) / _PSI_TABLE, complex(wi))
                       for i, wi in zip(first, ws)])
     if w_arr.ndim == 0:
         return complex(z[0])

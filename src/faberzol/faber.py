@@ -44,8 +44,8 @@ class BoundaryData:
 
     Holds the two boundary quadratures and Phi at their nodes, so that
     every degree n built on it (degree_context) costs a power of the cached
-    Phi and one transform.  The dense scans of empirical_ratio are built on
-    first use.
+    Phi and one transform.  The dense scans are built on first use, by
+    empirical_ratio or adi.faber_shifts, and then serve every degree.
     """
 
     map: object  # MobiusMap or AnnulusMap
@@ -58,8 +58,10 @@ class BoundaryData:
     def scans(self):
         """(E scan, F scan) at t = i/(4 len(quad_e)), i < 4 len(quad_e).
 
-        Each of the four kernels takes 64 n_quad^2 bytes (16 MiB at 512
-        nodes).
+        The points where empirical_ratio scans |r_n| and where
+        adi.faber_shifts samples r_k for its fits; each degree then costs
+        four matrix-vector products.  Each of the four kernels takes
+        64 n_quad^2 bytes (16 MiB at 512 nodes).
         """
         n_samples = 4 * len(self.quad_e)
         t = np.arange(n_samples) / n_samples

@@ -21,7 +21,7 @@ from .errors import EvaluationDomainError, QuadratureError
 _TWO_PI_I = 2j * math.pi
 
 # Chunk size (complex entries) for node-by-target outer products.
-_CHUNK = 1 << 21
+_CHUNK = 1 << 19
 
 # A target within this fraction of the contour diameter of a node is a hit.
 _HIT_RTOL = 1e-13
@@ -75,7 +75,10 @@ def _kernel_sum(coeffs, nodes, z):
     step = max(1, _CHUNK // nodes.size)
     for lo in range(0, zf.size, step):
         hi = min(zf.size, lo + step)
-        out[lo:hi] = (coeffs[None, :] / (nodes[None, :] - zf[lo:hi, None])).sum(axis=1)
+        # in place: one chunk-sized buffer per step, as in cauchy_boundary
+        terms = nodes[None, :] - zf[lo:hi, None]
+        np.divide(coeffs[None, :], terms, out=terms)
+        out[lo:hi] = terms.sum(axis=1)
     if scalar:
         return complex(out[0])
     return out.reshape(z.shape)
@@ -246,18 +249,20 @@ def cauchy_kernel(quad: BoundaryQuadrature, z) -> CauchyKernel:
     target is closer to node j than about the node spacing there.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
-    diff = quad.nodes[None, :] - z[:, None]
-    hit = np.abs(diff) <= _HIT_RTOL * quad.diameter
+    tol = _HIT_RTOL * quad.diameter
+    # one buffer: the differences zeta_j - z_i, then w_j over them in place
+    matrix = quad.nodes[None, :] - z[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        matrix = quad.weights[None, :] / diff
-    near = np.abs(matrix) > _NEAR
-    near &= ~hit
-    near_rows, near_cols = np.nonzero(near)
-    near_diff = diff[near]
-    matrix[near | hit] = 0.0
-    hit_rows, hit_cols = np.nonzero(hit)
-    return CauchyKernel(quad, matrix, matrix.sum(axis=1), near_rows,
-                        near_cols, near_diff, hit_rows, hit_cols)
+        np.divide(quad.weights[None, :], matrix, out=matrix)
+    # a hit has |w_j/(zeta_j - z_i)| >= |w_j|/tol, so it passes the cut too
+    cut = min(_NEAR, 0.5 * float(np.abs(quad.weights).min()) / tol)
+    rows, cols = np.divmod(np.flatnonzero(np.abs(matrix) > cut), len(quad))
+    diff = quad.nodes[cols] - z[rows]
+    hit = np.abs(diff) <= tol
+    near = ~hit & (np.abs(matrix[rows, cols]) > _NEAR)
+    matrix[rows[hit | near], cols[hit | near]] = 0.0
+    return CauchyKernel(quad, matrix, matrix.sum(axis=1), rows[near],
+                        cols[near], diff[near], rows[hit], cols[hit])
 
 
 def cauchy_stabilized(values, quad: BoundaryQuadrature, z):

@@ -1,8 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from faberzol.adi import (
     ShiftSet,
+    _drop_doublets,
     _pick_near,
     adi_iterate,
     error_certificate,
@@ -13,8 +17,15 @@ from faberzol.adi import (
 )
 from faberzol.conformal import ExteriorOf, solve_annulus_map
 from faberzol.errors import FaberzolError, InvalidRegionError, UncertifiedError
-from faberzol.faber import build_context
+from faberzol.faber import (
+    boundary_data,
+    build_context,
+    degree_context,
+    rn_on_e_boundary,
+    rn_on_f_boundary,
+)
 from faberzol.geometry import boundary_samples, contains_many, disk
+from faberzol.rational import aaa_fit, poles_zeros
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +125,75 @@ def test_faber_shift_certificate_attains_the_annulus_decay(
     shifts = faber_shifts(ctx)
     cert = error_certificate(shifts, *disk_quads)
     assert cert == pytest.approx(disk_map.h ** -5, rel=1e-6)
+
+
+def _pointwise_faber_shifts(ctx):
+    """faber_shifts with r_k sampled pointwise by rn_on_e_boundary and
+    rn_on_f_boundary at the scan params, not through the scan kernels;
+    returns (kappa, tau, span) with span the larger boundary radius."""
+    k = ctx.n
+    picked, spans = [], []
+    for scan, region, rn_on, want in zip(
+            ctx.data.scans, (ctx.map.region_e, ctx.map.region_f),
+            (rn_on_e_boundary, rn_on_f_boundary), ("zeros", "poles")):
+        z = region.boundary_point(scan.t)
+        poles, zeros = poles_zeros(aaa_fit(z, rn_on(ctx, scan.t), 1e-12,
+                                           k + 12))
+        span = float(np.abs(z - z.mean()).max())
+        poles, zeros = _drop_doublets(poles, zeros, 1e-5 * span)
+        cand = zeros if want == "zeros" else poles
+        picked.append(_pick_near(cand, region, z, k, want))
+        spans.append(span)
+    return picked[0], picked[1], max(spans)
+
+
+def _matched_distance(a, b):
+    """Largest distance between two point sets paired by least total
+    distance (so reordered conjugate pairs still match)."""
+    dist = np.abs(np.asarray(a)[:, None] - np.asarray(b)[None, :])
+    rows, cols = linear_sum_assignment(dist)
+    return float(dist[rows, cols].max())
+
+
+@pytest.mark.parametrize("pair, k, kappa_tol", [
+    ("rect", 4, 1e-8),
+    # on two disks r_k = Phi^k: its zero and its pole are k-fold, so a
+    # perturbation eps of the samples moves each of them by about eps^(1/k)
+    ("disk", 5, 1e-3),
+])
+def test_faber_shifts_from_scan_kernels_match_pointwise_fits(
+        pair, k, kappa_tol, rect_map, disk_map):
+    amap = rect_map if pair == "rect" else disk_map
+    ctx = build_context(amap, k, n_quad=512 if pair == "rect" else 256)
+    shifts = faber_shifts(ctx)
+    kappa, tau, span = _pointwise_faber_shifts(ctx)
+    assert _matched_distance(shifts.kappa, kappa) <= kappa_tol * span
+    # the F-side poles of r_k sit in k-point clusters, where one ulp of
+    # sample noise moves them far more than the zeros
+    assert _matched_distance(shifts.tau, tau) <= 1e-3 * span
+    # the mean of a cluster does not share that sensitivity
+    for got, ref in ((shifts.kappa, kappa), (shifts.tau, tau)):
+        assert abs(np.mean(got) - np.mean(ref)) <= 1e-12 * span
+
+
+def test_faber_certificates_hold_on_the_rectangles_for_every_k(
+        rect_pair, rect_map):
+    problem = sylvester_problem(*rect_pair, 60, seed=4)
+    quads = [boundary_samples(region, 512) for region in rect_pair]
+    data = boundary_data(rect_map)
+    for k in range(1, 7):
+        shifts = faber_shifts(degree_context(data, k))
+        err = problem.relative_error(adi_iterate(problem, shifts)[-1])
+        assert err <= error_certificate(shifts, *quads)
+
+
+def test_fejer_shifts_on_a_tabulated_map_equal_a_fresh_one(rect_map):
+    fejer_shifts(rect_map, 1)  # builds the map's psi_boundary tables
+    assert "_psi_tables" in vars(rect_map)
+    for k in range(1, 5):
+        fresh = dataclasses.replace(rect_map)
+        assert "_psi_tables" not in vars(fresh)
+        assert fejer_shifts(rect_map, k) == fejer_shifts(fresh, k)
 
 
 def test_fejer_shift_certificate_on_a_concentric_annulus():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import two_disk_h
+from faberzol import conformal, faber
 from faberzol.cli import main
 
 DISK_PAIR = {
@@ -123,6 +124,35 @@ def test_adi_command_errors_stay_under_certificates(tmp_path):
     assert len(rows) == 5
     for row in rows[1:]:
         assert float(row[1]) <= float(row[2]) + 1e-10
+
+
+@pytest.mark.parametrize("kind", ["faber", "fejer"])
+def test_adi_builds_its_boundary_tables_once_for_every_k(tmp_path,
+                                                         monkeypatch, kind):
+    # faber: the four scan kernels of one boundary data; fejer: one
+    # psi_boundary table of Phi per boundary of the map
+    kernels, tables = [], []
+    cauchy_kernel, phi = faber.cauchy_kernel, conformal.phi
+
+    def counted_kernel(quad, z):
+        kernels.append(len(z))
+        return cauchy_kernel(quad, z)
+
+    def counted_phi(amap, z):
+        if np.size(z) == conformal._PSI_TABLE + 1:
+            tables.append(amap)
+        return phi(amap, z)
+
+    monkeypatch.setattr(faber, "cauchy_kernel", counted_kernel)
+    monkeypatch.setattr(conformal, "phi", counted_phi)
+    cfg = write_config(tmp_path, DISK_PAIR)
+    out = tmp_path / "adi.csv"
+    rc = main(["adi", "--config", cfg, "--out", str(out), "--kind", kind,
+               "--k", "3", "--m", "20", "--nq", "128"])
+    assert rc == 0
+    assert len(read_table(out)[2]) == 4
+    assert len(kernels) == (4 if kind == "faber" else 0)
+    assert len(tables) == (2 if kind == "fejer" else 0)
 
 
 def test_svbounds_cauchy_rows_hold(tmp_path):

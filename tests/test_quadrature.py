@@ -8,7 +8,10 @@ from hypothesis import strategies as st
 from faberzol.errors import EvaluationDomainError
 from faberzol.geometry import boundary_samples, curve, disk, rectangle
 from faberzol.quadrature import (
+    _HIT_RTOL,
+    _NEAR,
     cauchy_boundary,
+    cauchy_kernel,
     cauchy_minus,
     cauchy_plus,
     cauchy_stabilized,
@@ -97,6 +100,37 @@ def test_boundary_transform_on_panel_rules():
     vals = np.exp(q.nodes)
     at_nodes = cauchy_boundary(vals, q, q.nodes[::7], vals[::7])
     assert np.abs(at_nodes - vals[::7]).max() < 1e-10
+
+
+@pytest.mark.parametrize("region, n_quad", [
+    (disk(0.0, 1.0), 128),                       # trapezoid rule
+    (rectangle((-1.0, 1.0), (-0.5, 0.5)), 256),  # Gauss-Legendre panels
+])
+def test_kernel_sets_its_pairs_apart_and_matches_the_transform(region, n_quad):
+    q = boundary_samples(region, n_quad)
+    t = np.arange(4 * n_quad) / (4 * n_quad)
+    # every node is a target, once more between scan points and once off
+    # the contour
+    z = np.concatenate([region.boundary_point(t), q.nodes,
+                        1.001 * q.nodes[::5]])
+    kernel = cauchy_kernel(q, z)
+    diff = q.nodes[None, :] - z[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = q.weights[None, :] / diff
+    hit = np.abs(diff) <= _HIT_RTOL * q.diameter
+    near = (np.abs(ratio) > _NEAR) & ~hit
+    assert hit.sum() >= q.nodes.size
+    for mask, rows, cols in ((hit, kernel.hit_rows, kernel.hit_cols),
+                             (near, kernel.near_rows, kernel.near_cols)):
+        assert np.array_equal(np.ravel_multi_index((rows, cols), mask.shape),
+                              np.flatnonzero(mask))
+    assert np.all(kernel.matrix[hit | near] == 0.0)
+    assert np.array_equal(kernel.matrix[~(hit | near)], ratio[~(hit | near)])
+    assert np.array_equal(kernel.near_diff,
+                          diff[kernel.near_rows, kernel.near_cols])
+    vals, f_at = np.exp(q.nodes), np.exp(z)
+    ref = cauchy_boundary(vals, q, z, f_at)
+    assert np.abs(kernel(vals, f_at) - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_stabilized_transform_near_the_boundary(circle):
