@@ -341,12 +341,12 @@ class LadderStep:
 
     rows x columns is the real least-squares system of the step.  When the
     step was solved, residual is its validated boundary residual, is_bound
-    is False and condition is the 1-norm condition estimate of its QR
-    triangle, which chose between back substitution and the SVD solve
-    (see _solve_level).  When the QR floor already certified that the
-    residual exceeds tol, the solve and the validation were skipped,
-    residual is that certified lower bound, is_bound is True and condition
-    is None.
+    is False, condition is the 1-norm condition estimate of its QR
+    triangle and svd says whether the step took the SVD solve rather than
+    back substitution (see _solve_level).  When the QR floor already
+    certified that the residual exceeds tol, the solve and the validation
+    were skipped, residual is that certified lower bound, is_bound is True
+    and condition and svd are None.
     """
 
     degree: int
@@ -355,6 +355,7 @@ class LadderStep:
     residual: float
     is_bound: bool
     condition: float | None = None
+    svd: bool | None = None
 
 
 def solve_annulus_map(region_e, region_f, tol: float = 1e-8) -> AnnulusMap:
@@ -403,7 +404,7 @@ def solve_annulus_map(region_e, region_f, tol: float = 1e-8) -> AnnulusMap:
             poles=np.concatenate([poles for poles, _ in charges]),
             pole_scales=np.concatenate([scales for _, scales in charges]),
         )
-        rows, columns, floor, condition, solution = _solve_level(
+        rows, columns, floor, condition, svd, solution = _solve_level(
             region_e, f_inner, variant, basis, anchor_e, anchor_f, degree, tol)
         if solution is None:
             ladder.append(LadderStep(degree, rows, columns, floor, True))
@@ -411,7 +412,7 @@ def solve_annulus_map(region_e, region_f, tol: float = 1e-8) -> AnnulusMap:
             coef, level = solution
             residual = _map_residual(region_e, f_inner, basis, coef, level)
             ladder.append(LadderStep(degree, rows, columns, residual, False,
-                                     condition))
+                                     condition, svd))
             if best is None or residual < best[0]:
                 best = (residual, basis, coef, level)
             if residual <= tol:
@@ -520,10 +521,11 @@ def _solve_level(region_e, f_inner, variant, basis, anchor_e, anchor_f,
                  degree, tol):
     """Solve one ladder step, unless its residual is certain to miss tol.
 
-    Returns (rows, columns, floor, condition, solution).  solution is
+    Returns (rows, columns, floor, condition, svd, solution).  solution is
     (coef, level), or None when floor > tol; floor is then a lower bound on
     the residual _map_residual would report for the solved step, and
-    condition is None.  variant, anchor_e, anchor_f and degree repeat
+    condition and svd are None.  svd says which of the two solves below
+    the step took.  variant, anchor_e, anchor_f and degree repeat
     fields of basis: the head stays positional because perfbench/spans.py
     (Tracer.count_ladder) wraps it so and reads basis and degree.
 
@@ -534,15 +536,20 @@ def _solve_level(region_e, f_inner, variant, basis, anchor_e, anchor_f,
     condition number of the triangle R, and one of two paths solves
     R x = (Q^T b)[:n]:
 
-    * back substitution (dtrtrs) when the estimate is at least _SVD_MARGIN
-      inside 1/rcond, the condition number beyond which gelsd drops
-      singular values.  There gelsd keeps every singular value (the ladder
-      audit in tests/test_conformal.py checks it on each such step), so
-      both solve the same full-rank problem and their h agree to rounding.
+    * back substitution (dtrtrs) when R is certainly inside 1/rcond, the
+      2-norm condition number beyond which gelsd drops singular values:
+      the estimate is at least _SVD_MARGIN inside it, or else the bound
+      ||R||_F ||R^-1||_F is at most half of it (_needs_svd).  There gelsd
+      keeps every singular value (the ladder audit in
+      tests/test_conformal.py checks it on each such step), so both solve
+      the same full-rank problem and their h agree to rounding.  The
+      rect_disk step at degree 16 is cleared by the bound (0.16 of
+      1/rcond) and not by the estimate.
     * otherwise gelsd's own second half, the truncated-SVD solve on the
       triangle, so the solution is bitwise that of the one-call lstsq at
       one BLAS thread.  On the rank-deficient README rectangles at degree
-      32 this path is what meets tol.
+      32 this path is what meets tol; their estimate is past n/rcond, so
+      they skip the bound.
 
     Either way the step's map is validated by _map_residual afterwards;
     the gate picks the faster solve, not whether the map is certified.
@@ -570,7 +577,7 @@ def _solve_level(region_e, f_inner, variant, basis, anchor_e, anchor_f,
     slack = 10.0 * m * _EPS * float(np.linalg.norm(b))
     floor = -math.expm1(-max(0.0, tail - slack) / math.sqrt(2.0))
     if floor > tol:
-        return m, n, floor, None, None
+        return m, n, floor, None, None, None
     # a square copy of the triangle: scipy's dtrcon misreads the leading
     # dimension of the tall qr array, and lstsq needs the zeros below
     r = np.array(qr[:n], order="F")
@@ -580,7 +587,8 @@ def _solve_level(region_e, f_inner, variant, basis, anchor_e, anchor_f,
         raise np.linalg.LinAlgError(
             f"condition estimate of the map system failed (info {info_c})")
     condition = 1.0 / rcond_r if rcond_r > 0.0 else math.inf
-    if _needs_svd(condition, m, n):
+    svd = _needs_svd(r, condition, rcond)
+    if svd:
         x, *_ = np.linalg.lstsq(r, qtb[:n, 0], rcond=rcond)
     else:
         x, info_t = lapack.dtrtrs(r, qtb[:n])
@@ -588,14 +596,33 @@ def _solve_level(region_e, f_inner, variant, basis, anchor_e, anchor_f,
             raise np.linalg.LinAlgError(
                 f"back substitution on the map system failed (info {info_t})")
         x = x[:, 0]
-    return m, n, floor, condition, _coef_level(x, scale)
+    return m, n, floor, condition, svd, _coef_level(x, scale)
 
 
-def _needs_svd(condition, m, n) -> bool:
-    """Whether a solved ladder step of an m x n system takes the SVD path:
-    its condition estimate is not at least _SVD_MARGIN inside gelsd's
-    cut-off 1/(eps max(m, n)); an infinite or NaN estimate needs it."""
-    return not condition <= _SVD_MARGIN / (_EPS * max(m, n))
+def _needs_svd(r, condition, rcond) -> bool:
+    """Whether the n x n triangle r of a solved ladder step takes the SVD
+    path, given its 1-norm condition estimate and gelsd's rcond: gelsd
+    drops singular values when the 2-norm condition number kappa_2
+    exceeds the cut-off 1/rcond.
+
+    An estimate at least _SVD_MARGIN inside the cut-off clears r at once.
+    The estimate never exceeds kappa_1, and kappa_1 <= n kappa_2, so an
+    estimate above n times the cut-off (or an infinite or NaN one) shows
+    that gelsd truncates: r takes the SVD path.  In between, LAPACK dtrtri
+    inverts r for the rigorous bound kappa_2 <= ||r||_F ||r^-1||_F, and r
+    is cleared when that bound is at most half the cut-off; the half
+    leaves room for the rounding of the computed inverse and of gelsd's
+    own singular values.
+    """
+    if condition <= _SVD_MARGIN / rcond:
+        return False
+    if not condition <= r.shape[0] / rcond:
+        return True
+    inverse, info = lapack.dtrtri(r)
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"inverse of the map triangle failed (info {info})")
+    return not np.linalg.norm(r) * np.linalg.norm(inverse) <= 0.5 / rcond
 
 
 def _param_spacing(params):

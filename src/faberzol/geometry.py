@@ -10,6 +10,7 @@ negating its own data: polygon vertices, curve coefficients, disk center.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -19,6 +20,7 @@ from .errors import InvalidRegionError
 from .quadrature import _CHUNK, BoundaryQuadrature
 
 _TWO_PI = 2.0 * math.pi
+_EPS = float(np.finfo(float).eps)
 
 # Gauss-Legendre order per polygon panel; panels are graded toward the
 # corners with ratio 1/2 and never shrink below _MIN_PANEL of the edge.
@@ -211,6 +213,12 @@ class SmoothCurve(Region):
         return self._derivative(t, 1)
 
     def diameter(self):
+        return self._diameter
+
+    @functools.cached_property
+    def _diameter(self):
+        # once per region: 512^2 distances; not a field, so equality,
+        # hashing and negated() see only the coefficients
         t = np.linspace(0.0, 1.0, 512, endpoint=False)
         z = self._point(t)
         return float(np.max(np.abs(z[:, None] - z[None, :])))
@@ -308,34 +316,45 @@ def boundary_distance(region: Region, z) -> np.ndarray:
     if isinstance(region, Polygon):
         a = _polyline(region)
         ab = np.roll(a, -1) - a
-        s = np.clip(
-            ((z[:, None] - a[None, :]) * np.conj(ab)[None, :]).real
-            / (np.abs(ab) ** 2)[None, :],
-            0.0,
-            1.0,
-        )
-        return np.min(np.abs(z[:, None] - (a[None, :] + s * ab[None, :])), axis=1)
+        return np.min(_segment_distance(z[:, None], a[None, :], ab[None, :]),
+                      axis=1)
     pts = _polyline(region)
     return _by_chunks(
         lambda chunk: np.min(np.abs(chunk[:, None] - pts[None, :]), axis=1),
         z, pts.size)
 
 
+def _segment_distance(z, a, ab):
+    """Elementwise distance from z to the segment from a to a + ab."""
+    s = np.clip(((z - a) * np.conj(ab)).real / np.abs(ab) ** 2, 0.0, 1.0)
+    return np.abs(z - (a + s * ab))
+
+
+def _sample_distance(z, a, ab):
+    """Elementwise distance from z to the start a of an edge."""
+    return np.abs(z - a)
+
+
 def contains_many(region: Region, z):
     """Vectorized membership: returns (inside, on_boundary) bool arrays.
 
     A point within _BOUNDARY_RTOL * diameter of the boundary is on it and
-    not inside.
+    not inside.  Off disks both masks come from the closed polyline of
+    _polyline (_polyline_masks): inside is a nonzero winding number, and
+    on is boundary_distance's test, to the nearest edge of a polygon and
+    to the nearest sample of a curve.  Only the edges whose y-span holds
+    a point are visited, so the cost grows with the points times the edges
+    a horizontal line crosses, not with the points times the edges.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    on = boundary_distance(region, z) <= _BOUNDARY_RTOL * region.diameter()
+    thr = _BOUNDARY_RTOL * region.diameter()
     if isinstance(region, Disk):
-        inside = np.abs(z - region.center) < region.radius
-    else:
-        pts = _polyline(region)
-        inside = _by_chunks(
-            lambda chunk: _winding_polyline_many(pts, chunk) != 0, z, pts.size)
-    return inside & ~on, on
+        on = boundary_distance(region, z) <= thr
+        return (np.abs(z - region.center) < region.radius) & ~on, on
+    distance = (_segment_distance if isinstance(region, Polygon)
+                else _sample_distance)
+    winding, on = _polyline_masks(_polyline(region), z, thr, distance)
+    return (winding != 0) & ~on, on
 
 
 def _polyline(region: Region):
@@ -346,21 +365,84 @@ def _polyline(region: Region):
     return region.boundary_point(np.linspace(0.0, 1.0, 4096, endpoint=False))
 
 
+def _polyline_masks(pts, z, thr, distance):
+    """Winding numbers of the closed polyline pts about the points z, and
+    whether distance(z, a, b - a) <= thr for one of its edges a -> b.
+
+    The winding number is the signed crossing count of Hormann and Agathos
+    (The point in polygon problem for arbitrary polygons, CGTA 2001): an
+    edge whose half-open y-span [min, max) holds Im z adds +1 when it runs
+    upward with z on its left and -1 when it runs downward with z on its
+    right, by the sign of (b - a) x (z - a).  A point on the polyline gets
+    an arbitrary count; the caller's on mask wins there.
+
+    The points are sorted by y, so each edge finds the points of its span
+    by bisection.  The span is widened by a pad for the distance test: an
+    edge within thr of z has |Im z - y| <= thr at some y of its span, and
+    the pad also covers the rounding of the differences, of the nearest
+    point and of the span ends, so the mask equals the dense test of
+    boundary_distance bit for bit.  The (edge, point) pairs are formed in
+    blocks of at most _CHUNK, however many edges a line crosses.
+    """
+    order = np.argsort(z.imag, kind="stable")
+    zs = z[order]
+    a, b = pts, np.roll(pts, -1)
+    ab = b - a
+    bottom, top = np.minimum(a.imag, b.imag), np.maximum(a.imag, b.imag)
+    rising = b.imag > a.imag
+    pad = 4.0 * thr + 16.0 * _EPS * np.abs(pts.imag).max()
+    lo = np.searchsorted(zs.imag, bottom - pad)
+    hi = np.searchsorted(zs.imag, top + pad, side="right")
+    # the padded spans that hold each sorted point
+    cost = np.cumsum(np.bincount(lo, minlength=z.size + 1)
+                     - np.bincount(hi, minlength=z.size + 1))[:-1]
+    winding = np.empty(z.size, dtype=int)
+    on = np.zeros(z.size, dtype=bool)
+    for start, stop in _blocks(cost):
+        edge, point = _span_pairs(np.clip(lo, start, stop),
+                                  np.clip(hi, start, stop))
+        zp, ae, abe = zs[point], a[edge], ab[edge]
+        on[point[distance(zp, ae, abe) <= thr]] = True
+        rel = zp - ae
+        side = abe.real * rel.imag - abe.imag * rel.real
+        held = (bottom[edge] <= zp.imag) & (zp.imag < top[edge])
+        up, down = held & rising[edge], held & ~rising[edge]
+        point -= start
+        winding[start:stop] = (
+            np.bincount(point[up & (side > 0.0)], minlength=stop - start)
+            - np.bincount(point[down & (side < 0.0)], minlength=stop - start))
+    out_winding, out_on = np.empty_like(winding), np.empty_like(on)
+    out_winding[order], out_on[order] = winding, on
+    return out_winding, out_on
+
+
+def _blocks(cost):
+    """Consecutive (start, stop) ranges of items whose costs sum to at most
+    _CHUNK; an item that costs more than that is a range of its own."""
+    total = np.cumsum(cost)
+    start = 0
+    while start < total.size:
+        before = total[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(total, before + _CHUNK,
+                                                  side="right")))
+        yield start, stop
+        start = stop
+
+
+def _span_pairs(lo, hi):
+    """The index pairs (i, j) with lo[i] <= j < hi[i], grouped by i."""
+    count = hi - lo
+    i = np.repeat(np.arange(count.size), count)
+    j = np.arange(i.size) + np.repeat(lo - (np.cumsum(count) - count), count)
+    return i, j
+
+
 def _by_chunks(fn, z, width: int):
     """fn over slices of z, each small enough that its slice-by-width
     temporaries stay within _CHUNK entries."""
     step = max(1, _CHUNK // width)
     return np.concatenate([fn(z[lo:lo + step])
                            for lo in range(0, max(1, z.size), step)])
-
-
-def _winding_polyline_many(pts, z):
-    rel = pts[None, :] - z[:, None]
-    # exact node hits are boundary points; the caller's "on" mask wins, so
-    # any nonzero placeholder keeps the arithmetic clean
-    rel = np.where(rel == 0.0, 1.0, rel)
-    ang = np.angle(np.roll(rel, -1, axis=1) / rel)
-    return np.rint(ang.sum(axis=1) / _TWO_PI).astype(int)
 
 
 # -- anchors --------------------------------------------------------------

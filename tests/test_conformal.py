@@ -196,7 +196,7 @@ def _ladder_audit(names):
     Returns {pair: [step record]}.  A step record holds the tol, degree and
     system shape, whether the step was skipped, its certified floor, and
     the reference's residual and rank.  A solved step also records its
-    condition estimate, whether that sent it down the SVD path, whether its
+    condition estimate, whether the solver took the SVD path, whether its
     coef and level equal the reference bit for bit, |h/h_ref - 1| and, off
     the SVD path, its own validated residual.
     """
@@ -229,7 +229,7 @@ def _ladder_audit(names):
                 except MapNotResolvedError:
                     pass
                 for args, out in steps:
-                    rows, columns, floor, condition, solution = out
+                    rows, columns, floor, condition, svd, solution = out
                     e, f_inner, _, basis, _, _, degree, _ = args
                     if degree not in references:
                         a, b, scale = systems[degree]
@@ -249,7 +249,6 @@ def _ladder_audit(names):
                     report[name].append(record)
                     if solution is None:
                         continue
-                    svd = conformal._needs_svd(condition, rows, columns)
                     record.update(
                         condition=condition, svd=svd,
                         bitwise=bool(np.array_equal(solution[0], coef)
@@ -334,6 +333,73 @@ def test_rank_deficient_readme_step_takes_the_svd_path(ladder_audit):
     assert step["svd"] and step["bitwise"], step
 
 
+def _cutoff(step):
+    """gelsd's cut-off 1/rcond for the condition number of a step."""
+    return 1.0 / (conformal._EPS * max(step["rows"], step["columns"]))
+
+
+def test_full_rank_rect_disk_step_is_cleared_by_the_frobenius_bound(
+        ladder_audit, monkeypatch):
+    # the condition estimate of rect_disk at degree 16 is not _SVD_MARGIN
+    # inside the cut-off, but ||R||_F ||R^-1||_F, a bound on kappa_2, is
+    # within half of it: the step is back-substituted, and gelsd would
+    # have kept every singular value
+    [step] = [r for r in ladder_audit["rect_disk"]
+              if r["degree"] == 16 and not r["skipped"]]
+    assert step["condition"] > conformal._SVD_MARGIN * _cutoff(step), step
+    assert not step["svd"], step
+    assert step["reference_rank"] == step["columns"], step
+    assert step["h_rel"] <= 1e-12, step
+
+    solved = {}
+    solve_level = conformal._solve_level
+
+    def recorded(*args):
+        solved[args[6]] = args
+        return solve_level(*args)
+
+    monkeypatch.setattr(conformal, "_solve_level", recorded)
+    solve_annulus_map(*AUDIT_PAIRS["rect_disk"][0]())
+    region_e, f_inner, _, basis, *_ = solved[16]
+    a, _, _ = conformal._level_system(region_e, f_inner, basis)
+    r = np.linalg.qr(a, mode="r")
+    bound = np.linalg.norm(r) * np.linalg.norm(np.linalg.inv(r))
+    assert bound <= 0.5 * _cutoff(step)
+
+
+@pytest.mark.parametrize("name, degree", [("short_rects", 16),
+                                          ("rect_in_exterior", 32)])
+def test_steps_the_bound_cannot_clear_keep_the_svd_path(ladder_audit, name,
+                                                        degree):
+    # estimates between _SVD_MARGIN and n times the cut-off, whose
+    # Frobenius bound exceeds half of it: the bitwise SVD solve stays
+    steps = [r for r in ladder_audit[name]
+             if r["degree"] == degree and not r["skipped"]]
+    assert steps
+    for step in steps:
+        assert (conformal._SVD_MARGIN * _cutoff(step) < step["condition"]
+                <= step["columns"] * _cutoff(step)), step
+        assert step["svd"] and step["bitwise"], step
+
+
+def test_gate_inverts_the_triangle_only_between_its_two_estimate_tests():
+    rcond = 1e-12
+    # an estimate past n times the cut-off is rank-deficient for gelsd
+    # without the bound: the singular triangle would make dtrtri fail
+    singular = np.triu(np.ones((3, 3)))
+    singular[2, 2] = 0.0
+    for condition in (3.1e12, math.inf, math.nan):
+        assert conformal._needs_svd(singular, condition, rcond)
+    # in between, the Frobenius bound decides: 3 for the identity, and
+    # above 1e12 for a triangle with a 1e-13 pivot
+    assert not conformal._needs_svd(np.eye(3), 2e9, rcond)
+    assert conformal._needs_svd(np.diag([1.0, 1.0, 1e-13]), 2e9, rcond)
+    # inside the margin nothing is inverted
+    assert not conformal._needs_svd(singular, 1e9, rcond)
+    with pytest.raises(np.linalg.LinAlgError, match="inverse of the map"):
+        conformal._needs_svd(singular, 2e9, rcond)
+
+
 def test_traced_solve_counts_its_ladder_and_keeps_the_map(monkeypatch):
     # perfbench --trace 1 wraps _solve_level by position and reads basis
     # and degree; a solve under its spans must count the ladder and give
@@ -389,8 +455,7 @@ def test_failing_ladder_shows_the_condition_of_each_solved_step():
     assert [step.degree for step in solved] == [32, 64, 128]
     for step in solved:
         assert 1.0 <= step.condition < 1e3
-        assert not conformal._needs_svd(step.condition, step.rows,
-                                        step.columns)
+        assert step.svd is False
         assert (f"{step.degree}: {step.rows}x{step.columns} residual = "
                 f"{step.residual:.2e} (condition {step.condition:.1e})"
                 in str(err))

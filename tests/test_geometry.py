@@ -141,6 +141,94 @@ def test_chunked_contains_many_matches_one_block(monkeypatch):
     assert on.sum() >= 150 and inside.sum() > 100 and (~inside & ~on).any()
 
 
+def _dense_contains(region, z):
+    """contains_many by the dense rule the crossing kernel replaced: the
+    boundary_distance test, and the winding number as the angle sum of the
+    polyline seen from each point, 256 points at a time."""
+    z = np.asarray(z, dtype=complex)
+    on = boundary_distance(region, z) <= (geometry._BOUNDARY_RTOL
+                                          * region.diameter())
+    pts = geometry._polyline(region)
+    winding = []
+    for lo in range(0, z.size, 256):
+        rel = pts[None, :] - z[lo:lo + 256, None]
+        rel = np.where(rel == 0.0, 1.0, rel)
+        angles = np.angle(np.roll(rel, -1, axis=1) / rel)
+        winding.append(np.rint(angles.sum(axis=1) / (2.0 * np.pi)))
+    return (np.concatenate(winding) != 0) & ~on, on
+
+
+MEMBERSHIP_REGIONS = {
+    "ellipse": curve({1: 1.0, -1: 0.2}),
+    "third_harmonic": curve({1: 1.0, 3: 0.05}),
+    "disk_curve_f": curve({0: 4.0, 1: 0.8}),
+    "rectangle": rectangle((0.3, 1.3), (-1.3, 1.3)),
+    "l_shape": polygon(L_VERTS),
+    "c_shape": polygon([0.0, 3.0, 3.0 + 1.0j, 1.0 + 1.0j, 1.0 + 2.0j,
+                        3.0 + 2.0j, 3.0 + 3.0j, 3.0j]),
+    "hexagon": polygon([1.5 + 0.6 * np.exp(1j * np.pi * k / 3.0)
+                        for k in range(6)]),
+    "triangle": polygon([1.0, 2.0, 1.5 + 1.0j]),
+}
+
+
+def _membership_targets(region, rng):
+    """A random cloud about the region, a grid on the horizontal lines
+    through the vertices (every vertex of a polygon, 64 samples of a
+    curve), the polyline's vertices, points 0.7 of the on-tolerance away
+    from them in random directions, and boundary points 1e-10 inside and
+    outside."""
+    pts = geometry._polyline(region)
+    lo = complex(pts.real.min(), pts.imag.min())
+    span = complex(pts.real.max(), pts.imag.max()) - lo
+    cloud = (lo - 0.2 * span
+             + 1.4 * (span.real * rng.uniform(0.0, 1.0, 1000)
+                      + 1j * span.imag * rng.uniform(0.0, 1.0, 1000)))
+    xs = lo.real + span.real * np.linspace(-0.1, 1.1, 23)
+    if isinstance(region, geometry.Polygon):
+        xs, ys, vertices = np.concatenate([xs, pts.real]), pts.imag, pts
+    else:
+        ys = pts.imag[::64]
+        vertices = pts[::4]
+    grid = (xs[None, :] + 1j * ys[:, None]).ravel()
+    t = rng.uniform(0.0, 1.0, 250)
+    tangent = region.boundary_tangent(t)
+    normal = -1j * tangent / np.abs(tangent)
+    near = region.boundary_point(t)
+    off = np.concatenate([near + 1e-10 * normal, near - 1e-10 * normal])
+    thr = geometry._BOUNDARY_RTOL * region.diameter()
+    close = vertices + 0.7 * thr * np.exp(
+        2j * np.pi * rng.uniform(0.0, 1.0, vertices.size))
+    return np.concatenate([cloud, grid, vertices, close, off])
+
+
+@pytest.mark.parametrize("name", sorted(MEMBERSHIP_REGIONS))
+def test_contains_many_matches_the_dense_angle_sum(name):
+    region = MEMBERSHIP_REGIONS[name]
+    z = _membership_targets(region, np.random.default_rng(7))
+    inside, on = contains_many(region, z)
+    dense_inside, dense_on = _dense_contains(region, z)
+    assert np.array_equal(inside, dense_inside)
+    assert np.array_equal(on, dense_on)
+    assert inside.any() and on.any() and (~inside & ~on).any()
+
+
+def test_contains_many_in_small_blocks_matches_one_block(monkeypatch):
+    # the star-shaped r = 1 + 0.08 cos(60 theta): a horizontal line crosses
+    # up to 22 edges, so with _CHUNK = 8 the pairs of one point can fill
+    # more than a block
+    comb = curve({1: 1.0, 61: 0.04, -59: 0.04})
+    z = _membership_targets(comb, np.random.default_rng(3))
+    inside, on = contains_many(comb, z)
+    monkeypatch.setattr(geometry, "_CHUNK", 8)
+    small_inside, small_on = contains_many(comb, z)
+    assert np.array_equal(inside, small_inside)
+    assert np.array_equal(on, small_on)
+    dense_inside, dense_on = _dense_contains(comb, z)
+    assert np.array_equal(inside, dense_inside)
+    assert np.array_equal(on, dense_on)
+
+
 def test_boundary_distance_matches_the_disk_formula():
     d = disk(1.0j, 2.0)
     assert boundary_distance(d, 1.0j) == pytest.approx(2.0)
