@@ -475,36 +475,61 @@ def _level_system(region_e, f_inner, basis):
     column-normalised matrix (Fortran order), the right-hand side and the
     column scales.  The rows are the solver points of both boundaries,
     weighted by sqrt(spacing), and the spacings sum to 1 on each boundary.
+
+    The matrix is allocated once, in Fortran order, and filled in row
+    blocks of _CHUNK // basis.n_columns points (_fill_rows), so the build
+    peaks at about the matrix plus one block of basis columns.  The squared
+    column norms are summed one row at a time, the order in which
+    np.linalg.norm(axis=0) sums a C-order array, so the system equals the
+    dense formula bit for bit.
     """
-    rows_a, rhs_a, wts = [], [], []
-    is_f_side = []
+    sides = []
     for region, f_side in ((region_e, False), (f_inner, True)):
         params = _solver_params(region, basis.degree)
-        pts = region.boundary_point(params)
-        spacing = _param_spacing(params)
-        w = np.sqrt(spacing)
-        cols = basis.columns(pts)
-        rows_a.append(cols)
-        rhs_a.append(-basis.log_abs_base(pts))
-        wts.append(w)
-        is_f_side.append(np.full(pts.size, f_side))
-    cols = np.vstack(rows_a)
-    rhs = np.concatenate(rhs_a)
-    w = np.concatenate(wts)
-    f_side = np.concatenate(is_f_side)
-
-    n_cols = basis.n_columns
-    a_real = np.empty((cols.shape[0], 1 + 2 * (n_cols - 1) + 1))
-    a_real[:, 0] = cols[:, 0].real
-    a_real[:, 1 : 2 * n_cols - 1 : 2] = cols[:, 1:].real
-    a_real[:, 2 : 2 * n_cols - 1 : 2] = -cols[:, 1:].imag
-    a_real[:, -1] = np.where(f_side, -1.0, 0.0)
-    a_real *= w[:, None]
-    b = rhs * w
-
-    scale = np.linalg.norm(a_real, axis=0)
+        sides.append((region.boundary_point(params),
+                      np.sqrt(_param_spacing(params)), f_side))
+    m = sum(pts.size for pts, _, _ in sides)
+    n = 2 * basis.n_columns
+    a = np.empty((m, n), order="F")
+    b = np.empty(m)
+    norm2 = np.zeros(n)
+    step = max(1, _CHUNK // basis.n_columns)
+    lo = 0
+    for pts, w, f_side in sides:
+        b[lo : lo + pts.size] = -basis.log_abs_base(pts) * w
+        for i in range(0, pts.size, step):
+            z = pts[i : i + step]
+            _fill_rows(a[lo + i : lo + i + z.size], basis.columns(z),
+                       w[i : i + step], f_side, norm2)
+        lo += pts.size
+    # the level column is second in norm2 (see _fill_rows) and last in a
+    scale = np.sqrt(np.concatenate([norm2[:1], norm2[2:], norm2[1:2]]))
     scale[scale == 0.0] = 1.0
-    return np.divide(a_real, scale, order="F"), b, scale
+    a /= scale
+    return a, b, scale
+
+
+def _fill_rows(block, cols, w, f_side, norm2):
+    """Write the rows of block from the basis columns cols of its points,
+    weighted by w, and add their squares to norm2 row by row.
+
+    The rows are built in place in cols, whose real view is [Re c0, Im c0,
+    Re c1, Im c1, ...]: Im c0 = 0 makes room for the level column, so the
+    view holds [Re c0, L, Re c1, -Im c1, ...] and is copied into block,
+    [Re c0, Re c1, -Im c1, ..., L], once.  norm2 follows the view's order.
+    """
+    v = cols.view(float)
+    v *= w[:, None]
+    np.negative(v[:, 3::2], out=v[:, 3::2])
+    v[:, 1] = -w if f_side else 0.0
+    block[:, 0] = v[:, 0]
+    block[:, 1:-1] = v[:, 2:]
+    block[:, -1] = v[:, 1]
+    np.square(v, out=v)
+    # a C-order reduction over axis 0 adds row after row: this is
+    # ((norm2 + s_0) + s_1) + ..., the running sum continued
+    v[0] += norm2
+    np.add.reduce(v, axis=0, out=norm2)
 
 
 def _coef_level(x, scale):

@@ -223,6 +223,14 @@ class SmoothCurve(Region):
         z = self._point(t)
         return float(np.max(np.abs(z[:, None] - z[None, :])))
 
+    @functools.cached_property
+    def _samples(self):
+        # once per region, read-only: the 4096 boundary samples membership
+        # is judged on (_polyline); not a field, like _diameter
+        pts = self.boundary_point(np.linspace(0.0, 1.0, 4096, endpoint=False))
+        pts.flags.writeable = False
+        return pts
+
     def negated(self):
         return dataclasses.replace(
             self, coefficients=tuple((k, -c) for k, c in self.coefficients))
@@ -359,10 +367,10 @@ def contains_many(region: Region, z):
 
 def _polyline(region: Region):
     """The closed polyline membership is judged on: the vertices of a
-    polygon, 4096 boundary samples of a curve."""
+    polygon, the 4096 boundary samples of a curve (cached per region)."""
     if isinstance(region, Polygon):
         return region._verts()
-    return region.boundary_point(np.linspace(0.0, 1.0, 4096, endpoint=False))
+    return region._samples
 
 
 def _polyline_masks(pts, z, thr, distance):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -264,10 +265,10 @@ def _ladder_audit(names):
 
 
 # The audit's pairs in two halves of about equal cost, each run in its own
-# subprocess: at one BLAS thread each half takes about 17 s (L-shape 5.4 s,
-# README 4.7 s, rect_in_exterior 4.3 s, rect_disk 3.8 s, hexagons 3.5 s,
-# short_rects 2.6 s, each mirror pair 2.1 s, triangle 1.3 s, the rest
-# under 0.4 s together).
+# subprocess: at one BLAS thread each half takes about 13 s (README 3.9 s,
+# L-shape 3.8 s, rect_in_exterior 3.2 s, rect_disk 2.8 s, hexagons 2.3 s,
+# short_rects 2.1 s, the mirror pairs 1.6-1.9 s each, triangle 1.1 s, the
+# rest under 0.2 s together).
 _AUDIT_HALVES = (
     ("lshape_disk", "rect_disk", "short_rects", "mirror045", "mirror100",
      "triangle_disk"),
@@ -398,6 +399,95 @@ def test_gate_inverts_the_triangle_only_between_its_two_estimate_tests():
     assert not conformal._needs_svd(singular, 1e9, rcond)
     with pytest.raises(np.linalg.LinAlgError, match="inverse of the map"):
         conformal._needs_svd(singular, 2e9, rcond)
+
+
+class _LadderStop(Exception):
+    pass
+
+
+def _ladder_system_args(name, degree, monkeypatch):
+    """(region_e, f_inner, basis) of the ladder step of degree of the
+    AUDIT_PAIRS pair name; the steps below it are skipped unsolved."""
+    seen = {}
+
+    def record(region_e, f_inner, variant, basis, anchor_e, anchor_f, step,
+               tol):
+        if step == degree:
+            seen["args"] = (region_e, f_inner, basis)
+            raise _LadderStop
+        return 0, 0, math.inf, None, None, None
+
+    monkeypatch.setattr(conformal, "_solve_level", record)
+    with pytest.raises(_LadderStop):
+        solve_annulus_map(*AUDIT_PAIRS[name][0]())
+    monkeypatch.undo()
+    return seen["args"]
+
+
+def _dense_level_system(region_e, f_inner, basis):
+    """_level_system's definition: every column of both sides at once, the
+    real matrix in C order, np.linalg.norm column scales."""
+    rows_a, rhs_a, wts = [], [], []
+    is_f_side = []
+    for region, f_side in ((region_e, False), (f_inner, True)):
+        params = conformal._solver_params(region, basis.degree)
+        pts = region.boundary_point(params)
+        w = np.sqrt(conformal._param_spacing(params))
+        rows_a.append(basis.columns(pts))
+        rhs_a.append(-basis.log_abs_base(pts))
+        wts.append(w)
+        is_f_side.append(np.full(pts.size, f_side))
+    cols = np.vstack(rows_a)
+    rhs = np.concatenate(rhs_a)
+    w = np.concatenate(wts)
+    f_side = np.concatenate(is_f_side)
+
+    n_cols = basis.n_columns
+    a_real = np.empty((cols.shape[0], 1 + 2 * (n_cols - 1) + 1))
+    a_real[:, 0] = cols[:, 0].real
+    a_real[:, 1 : 2 * n_cols - 1 : 2] = cols[:, 1:].real
+    a_real[:, 2 : 2 * n_cols - 1 : 2] = -cols[:, 1:].imag
+    a_real[:, -1] = np.where(f_side, -1.0, 0.0)
+    a_real *= w[:, None]
+    b = rhs * w
+
+    scale = np.linalg.norm(a_real, axis=0)
+    scale[scale == 0.0] = 1.0
+    return np.divide(a_real, scale, order="F"), b, scale
+
+
+@pytest.mark.parametrize("name, degree", [
+    ("readme", 8), ("readme", 16), ("readme", 32), ("rect_disk", 8),
+    ("rect_disk", 16), ("hexagons", 8), ("disk_curve", 8),
+    ("disk_curve", 16), ("rect_in_exterior", 8), ("rect_in_exterior", 16),
+    ("rect_in_exterior", 32), ("lshape_disk", 128)])
+def test_level_system_equals_the_dense_definition_bit_for_bit(
+        name, degree, monkeypatch):
+    # bit for bit keeps every solved map, the rank-deficient README step
+    # and the audit's bitwise SVD check as they were
+    args = _ladder_system_args(name, degree, monkeypatch)
+    a, b, scale = conformal._level_system(*args)
+    dense_a, dense_b, dense_scale = _dense_level_system(*args)
+    assert a.flags.f_contiguous
+    assert a.shape == dense_a.shape and a.shape[0] > a.shape[1]
+    assert np.array_equal(a, dense_a)
+    assert np.array_equal(b, dense_b)
+    assert np.array_equal(scale, dense_scale)
+
+
+@pytest.mark.parametrize("name, degree", [("readme", 32),
+                                          ("lshape_disk", 128)])
+def test_level_system_peaks_within_twice_its_matrix(name, degree,
+                                                     monkeypatch):
+    # the dense build held four full-size copies: its traced peak was 4.0x
+    args = _ladder_system_args(name, degree, monkeypatch)
+    tracemalloc.start()
+    try:
+        a, _, _ = conformal._level_system(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.0 * a.nbytes, (peak, a.nbytes)
 
 
 def test_traced_solve_counts_its_ladder_and_keeps_the_map(monkeypatch):

@@ -229,6 +229,42 @@ def test_contains_many_in_small_blocks_matches_one_block(monkeypatch):
     assert np.array_equal(on, dense_on)
 
 
+def test_curve_polyline_is_sampled_once_per_region(monkeypatch):
+    # contains_many, boundary_distance and interior_anchor share one
+    # read-only sample array per curve; the masks are those of fresh
+    # samples, and equality, hashing and negated() ignore the cache
+    twin = curve({0: 4.0, 1: 0.8})
+    z = _membership_targets(twin, np.random.default_rng(5))
+    samples = twin.boundary_point(np.linspace(0.0, 1.0, 4096,
+                                              endpoint=False))
+    thr = geometry._BOUNDARY_RTOL * twin.diameter()
+    winding, fresh_on = geometry._polyline_masks(
+        samples, z, thr, geometry._sample_distance)
+    evaluations = []
+    point = geometry.SmoothCurve._point
+
+    def counted(self, t):
+        evaluations.append(np.size(t))
+        return point(self, t)
+
+    monkeypatch.setattr(geometry.SmoothCurve, "_point", counted)
+    region = curve({0: 4.0, 1: 0.8})
+    for _ in range(3):
+        inside, on = contains_many(region, z)
+        assert np.array_equal(inside, (winding != 0) & ~fresh_on)
+        assert np.array_equal(on, fresh_on)
+        distance = boundary_distance(region, z[:20])
+    assert evaluations.count(4096) == 1
+    assert np.array_equal(geometry._polyline(region), samples)
+    assert not geometry._polyline(region).flags.writeable
+    assert np.array_equal(
+        distance, np.abs(z[:20, None] - samples[None, :]).min(axis=1))
+    interior_anchor(region)
+    assert evaluations.count(4096) == 1
+    assert twin == region and hash(twin) == hash(region)
+    assert "_samples" not in vars(region.negated())
+
+
 def test_boundary_distance_matches_the_disk_formula():
     d = disk(1.0j, 2.0)
     assert boundary_distance(d, 1.0j) == pytest.approx(2.0)
