@@ -57,8 +57,6 @@ from .faber import (
     eval_Rn,
     eval_inv_rn,
     eval_rn,
-    rn_on_e_boundary,
-    rn_on_f_boundary,
 )
 from .geometry import (
     Disk,

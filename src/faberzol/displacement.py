@@ -55,10 +55,8 @@ def vandermonde_matrix(nodes, p: int) -> np.ndarray:
     if p < 1:
         raise ValueError("column count p must be at least 1")
     v = alpha[:, None] ** np.arange(p)[None, :]
-    q = np.zeros((p, p))
-    q[0, -1] = 1.0
-    q[1:, :-1] = np.eye(p - 1)
-    resid = alpha[:, None] * v - v @ q
+    # V Q shifts the columns of V left by one, cyclically
+    resid = alpha[:, None] * v - np.roll(v, -1, axis=1)
     resid[:, -1] -= alpha**p - 1.0
     tol = 1e-12 * max(1.0, np.abs(v).max())
     if np.abs(resid).max() > tol:

@@ -269,16 +269,6 @@ def _inv_rn_on_boundary(ctx, region, t):
     return _inv_rn(ctx, z, _rn(ctx, z, phi(ctx.map, z)))
 
 
-def rn_on_e_boundary(ctx: FaberContext, t):
-    """r_n at E-boundary params t, via the boundary-limit transforms."""
-    return _reciprocal(_inv_rn_on_boundary(ctx, ctx.map.region_e, t))
-
-
-def rn_on_f_boundary(ctx: FaberContext, t):
-    """r_n at F-boundary params t (boundary limits of 1/r_n, inverted)."""
-    return _reciprocal(_inv_rn_on_boundary(ctx, ctx.map.region_f, t))
-
-
 def _refine_max(fun, t0: float, half_width: float) -> float:
     res = minimize_scalar(
         lambda t: -float(fun(np.array([t]))[0]),

@@ -185,7 +185,9 @@ def _keep_roots(candidates, support, coeffs, diam):
 
 
 def poles_zeros(rational: BarycentricRational):
-    """(poles, zeros) from the arrowhead pencils, spurious roots removed."""
+    """(poles, zeros) from the arrowhead pencils, sorted by real then
+    imaginary part.  _keep_roots removes spurious eigenvalues; pole/zero
+    doublets are left to the caller (adi._drop_doublets)."""
     diam = _diameter(rational)
     poles = _keep_roots(
         _arrowhead_eigenvalues(rational.support, rational.weights),
@@ -200,29 +202,7 @@ def poles_zeros(rational: BarycentricRational):
     else:
         zeros = np.empty(0, dtype=complex)
 
-    poles, zeros = _drop_froissart(rational, poles, zeros, diam)
     order = np.lexsort((poles.imag, poles.real))
     poles = poles[order]
     order = np.lexsort((zeros.imag, zeros.real))
     return poles, zeros[order]
-
-
-def _drop_froissart(rational, poles, zeros, diam):
-    """Remove pole/zero doublets that carry (numerically) no residue."""
-    if len(poles) == 0 or len(zeros) == 0:
-        return poles, zeros
-    scale = float(np.abs(rational.values).max()) * diam
-    drop_p = np.zeros(len(poles), dtype=bool)
-    drop_z = np.zeros(len(zeros), dtype=bool)
-    for i, p in enumerate(poles):
-        j = int(np.argmin(np.abs(zeros - p)))
-        if drop_z[j] or abs(zeros[j] - p) > 1e-10 * diam:
-            continue
-        with np.errstate(divide="ignore", invalid="ignore"):
-            kernel = rational.weights / (p - rational.support)
-            d_prime = -(rational.weights / (p - rational.support) ** 2).sum()
-            residue = (kernel * rational.values).sum() / d_prime
-        if abs(residue) < 1e-12 * scale:
-            drop_p[i] = True
-            drop_z[j] = True
-    return poles[~drop_p], zeros[~drop_z]

@@ -18,11 +18,11 @@ from faberzol.adi import (
 from faberzol.conformal import ExteriorOf, solve_annulus_map
 from faberzol.errors import FaberzolError, InvalidRegionError, UncertifiedError
 from faberzol.faber import (
+    _inv_rn_on_boundary,
+    _reciprocal,
     boundary_data,
     build_context,
     degree_context,
-    rn_on_e_boundary,
-    rn_on_f_boundary,
 )
 from faberzol.geometry import boundary_samples, contains_many, disk
 from faberzol.rational import aaa_fit, poles_zeros
@@ -108,6 +108,53 @@ def test_too_few_resolved_shifts_raise(disk_pair):
         _pick_near(np.array([1.0 + 0.1j]), e, samples, 2, "zeros")
 
 
+def test_doublets_pair_closest_first():
+    # pole 0.5 is nearer zero 0.9 than zero 0.0, but the closest pair
+    # (0.9, 1.0) goes first; (0.0, 0.5) is then beyond tol
+    poles, zeros = _drop_doublets(np.array([0.5, 1.0]),
+                                  np.array([0.0, 0.9]), 0.45)
+    assert poles.tolist() == [0.5]
+    assert zeros.tolist() == [0.0]
+
+
+def test_a_doublet_exactly_at_tol_is_dropped():
+    poles, zeros = np.array([1.0 + 0.0j]), np.array([1.25 + 0.0j])
+    kept = _drop_doublets(poles, zeros, 0.25)
+    assert kept[0].size == 0 and kept[1].size == 0
+    kept = _drop_doublets(poles, zeros, np.nextafter(0.25, 0.0))
+    assert kept[0].tolist() == [1.0] and kept[1].tolist() == [1.25]
+
+
+def test_unmatched_roots_survive_in_order():
+    poles, zeros = _drop_doublets(np.array([-2.0, 1.0 + 1e-9j, 3.0j]),
+                                  np.array([1.0]), 1e-6)
+    assert poles.tolist() == [-2.0, 3.0j]
+    assert zeros.size == 0
+
+
+def test_doublets_of_empty_root_sets():
+    for poles, zeros in (([], []), ([], [1.0, 2.0]), ([0.5], [])):
+        kept_p, kept_z = _drop_doublets(poles, zeros, 1.0)
+        assert kept_p.tolist() == poles and kept_z.tolist() == zeros
+        assert kept_p.dtype == kept_z.dtype == complex
+
+
+def test_a_noisy_fit_keeps_its_doublet_until_the_shift_filter():
+    # AAA absorbs 1e-10 noise on (z - 0.5)/(z + 2) into a pole/zero pair
+    # near the unit circle; poles_zeros reports it, _drop_doublets drops it
+    z = np.exp(2j * np.pi * np.arange(512) / 512)
+    rng = np.random.default_rng(3)
+    f = (z - 0.5) / (z + 2.0) + 1e-10 * (rng.standard_normal(512)
+                                         + 1j * rng.standard_normal(512))
+    poles, zeros = poles_zeros(aaa_fit(z, f, 1e-12, 13))
+    assert poles.size == zeros.size == 2
+    assert np.abs(zeros[:, None] - poles[None, :]).min() < 1e-8
+    span = float(np.abs(z - z.mean()).max())
+    poles, zeros = _drop_doublets(poles, zeros, 1e-5 * span)
+    assert poles.size == zeros.size == 1
+    assert abs(poles[0] + 2.0) < 1e-8 and abs(zeros[0] - 0.5) < 1e-8
+
+
 def test_shift_order_does_not_change_the_result(disk_pair, disk_problem):
     amap = solve_annulus_map(*disk_pair, tol=1e-10)
     shifts = fejer_shifts(amap, 4)
@@ -128,17 +175,17 @@ def test_faber_shift_certificate_attains_the_annulus_decay(
 
 
 def _pointwise_faber_shifts(ctx):
-    """faber_shifts with r_k sampled pointwise by rn_on_e_boundary and
-    rn_on_f_boundary at the scan params, not through the scan kernels;
-    returns (kappa, tau, span) with span the larger boundary radius."""
+    """faber_shifts with r_k sampled pointwise by _inv_rn_on_boundary at
+    the scan params, not through the scan kernels; returns
+    (kappa, tau, span) with span the larger boundary radius."""
     k = ctx.n
     picked, spans = [], []
-    for scan, region, rn_on, want in zip(
+    for scan, region, want in zip(
             ctx.data.scans, (ctx.map.region_e, ctx.map.region_f),
-            (rn_on_e_boundary, rn_on_f_boundary), ("zeros", "poles")):
+            ("zeros", "poles")):
         z = region.boundary_point(scan.t)
-        poles, zeros = poles_zeros(aaa_fit(z, rn_on(ctx, scan.t), 1e-12,
-                                           k + 12))
+        rk = _reciprocal(_inv_rn_on_boundary(ctx, region, scan.t))
+        poles, zeros = poles_zeros(aaa_fit(z, rk, 1e-12, k + 12))
         span = float(np.abs(z - z.mean()).max())
         poles, zeros = _drop_doublets(poles, zeros, 1e-5 * span)
         cand = zeros if want == "zeros" else poles

@@ -24,6 +24,7 @@ from faberzol.errors import (
 )
 from faberzol.faber import (
     _inv_rn_on_boundary,
+    _reciprocal,
     _scan_inv_rn,
     boundary_data,
     build_context,
@@ -33,8 +34,6 @@ from faberzol.faber import (
     eval_Rn,
     eval_inv_rn,
     eval_rn,
-    rn_on_e_boundary,
-    rn_on_f_boundary,
 )
 from faberzol.geometry import contains_many, disk
 from faberzol.quadrature import cauchy_boundary
@@ -79,10 +78,11 @@ def test_power_is_undefined_inside_f(ctx6):
         eval_Rn(ctx6, np.array([-1.0 + 0.1j]))
 
 
-def test_boundary_moduli_match_the_annulus(disk_map, ctx6):
+def test_boundary_moduli_match_the_annulus(disk_map, disk_pair, ctx6):
+    e, f = disk_pair
     t = np.linspace(0.0, 1.0, 300, endpoint=False)
-    on_e = np.abs(rn_on_e_boundary(ctx6, t))
-    on_f = np.abs(rn_on_f_boundary(ctx6, t))
+    on_e = np.abs(eval_rn(ctx6, e.boundary_point(t)))
+    on_f = np.abs(eval_rn(ctx6, f.boundary_point(t)))
     assert np.abs(on_e - 1.0).max() < 1e-10
     assert (np.abs(on_f - disk_map.h ** 6) / disk_map.h ** 6).max() < 1e-10
 
@@ -230,10 +230,11 @@ def test_exterior_deviation_bound_on_a_cloud(rect_map, rect_ctx, rect_pair):
 def test_boundary_evaluators_match_the_classifying_one(rect_pair, rect_ctx):
     e, f = rect_pair
     t = np.linspace(0.0, 1.0, 300, endpoint=False)
-    assert np.array_equal(rn_on_e_boundary(rect_ctx, t),
-                          eval_rn(rect_ctx, e.boundary_point(t)))
-    assert np.array_equal(rn_on_f_boundary(rect_ctx, t),
-                          eval_rn(rect_ctx, f.boundary_point(t)))
+    # the unclassified boundary path of empirical_ratio's refinement
+    for region in (e, f):
+        assert np.array_equal(
+            _reciprocal(_inv_rn_on_boundary(rect_ctx, region, t)),
+            eval_rn(rect_ctx, region.boundary_point(t)))
 
 
 def test_ratio_is_sandwiched_by_the_bounds(rect_map, rect_ctx):

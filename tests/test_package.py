@@ -1,4 +1,5 @@
-"""Source-level rules for the package: no catch-all handlers, no assert."""
+"""Source-level rules for the package: no catch-all handlers, no assert,
+no private helper without a caller."""
 
 import ast
 from pathlib import Path
@@ -26,6 +27,39 @@ def _violations(path):
     return found
 
 
+def _referenced_names(stmt):
+    """Every name a statement reads, imports or looks up as an attribute."""
+    names = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def _dead_private_helpers(paths):
+    """Module-level private functions and classes that no other top-level
+    statement of the package refers to (a helper's own body does not count,
+    so a recursive helper is not its own caller)."""
+    defs, uses = [], []
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for stmt in tree.body:
+            refs = _referenced_names(stmt)
+            if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef))
+                    and stmt.name.startswith("_")
+                    and not stmt.name.startswith("__")):
+                defs.append((path.name, stmt.name, stmt))
+            uses.append((stmt, refs))
+    return sorted((module, name) for module, name, node in defs
+                  if not any(name in refs for stmt, refs in uses
+                             if stmt is not node))
+
+
 def test_sources_are_found():
     assert any(path.name == "__init__.py" for path in SOURCES)
 
@@ -33,3 +67,19 @@ def test_sources_are_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_catch_all_handlers_or_asserts(path):
     assert _violations(path) == []
+
+
+def test_every_private_helper_has_a_caller():
+    assert _dead_private_helpers(SOURCES) == []
+
+
+def test_a_helper_without_a_caller_is_reported(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text(
+        "def _used():\n    return 1\n\n\n"
+        "def _dead():\n    return _dead()\n\n\n"
+        "class _Shape:\n    pass\n\n\n"
+        "def public():\n    return _used()\n"
+    )
+    assert _dead_private_helpers([source]) == [("mod.py", "_Shape"),
+                                               ("mod.py", "_dead")]
