@@ -24,7 +24,6 @@ from .bounds import (
 from .conformal import (
     AnnulusMap,
     ExteriorOf,
-    MobiusMap,
     mobius_two_disks,
     phi,
     psi_boundary,

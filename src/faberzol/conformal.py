@@ -1,20 +1,20 @@
 """Conformal maps from the complement of a pair of disjoint sets onto an
 annulus A = {1 < |w| < h}.
 
-Two representations are provided:
+Every map is an AnnulusMap, written as
 
-* MobiusMap: exact closed form when both sets are disks.
-* AnnulusMap: a numerical map for general pairs, written as
+    Phi(z) = (z - z_E)/(z - z_F) * exp(g(z))        (case A1)
+    Phi(z) = (z - z_E) * exp(g(z))                  (case A2)
 
-      Phi(z) = (z - z_E)/(z - z_F) * exp(g(z))        (case A1)
-      Phi(z) = (z - z_E) * exp(g(z))                  (case A2)
-
-  with g analytic on the domain.  g is expanded in Laurent-type series
-  anchored inside each set plus poles clustered exponentially toward the
-  corners (lightning-style), and the real-linear conditions log|Phi| = 0
-  on the E boundary and log|Phi| = L on the F boundary are solved by
-  weighted least squares with the level L = log h as an extra unknown.
-  Exponentiating the log ansatz removes every branch-cut issue.
+with g analytic on the domain.  For a general pair (solve_annulus_map) g
+is expanded in Laurent-type series anchored inside each set plus poles
+clustered exponentially toward the corners (lightning-style), and the
+real-linear conditions log|Phi| = 0 on the E boundary and log|Phi| = L on
+the F boundary are solved by weighted least squares with the level
+L = log h as an extra unknown.  Exponentiating the log ansatz removes
+every branch-cut issue.  For two disks (mobius_two_disks) the anchors are
+the limit points of the circle pencil and g is a constant: the exact
+Mobius map, as a degree-0 AnnulusMap with residual 0.
 
 Case A1 has two compact sets; case A2 has E inside the bounded
 complement of an unbounded F (ExteriorOf a compact region).
@@ -69,70 +69,14 @@ def boundary_region(region) -> Region:
     return region.inner if isinstance(region, ExteriorOf) else region
 
 
-@dataclass(frozen=True)
-class MobiusMap:
-    """Phi(z) = (a z + b)/(c z + d) mapping the two-disk complement onto
-    1 < |w| < h, with |Phi| = 1 on the E circle and h on the F circle."""
+# -- annulus map -----------------------------------------------------------
 
-    residual = 0.0  # closed form: no boundary residual
-
-    a: complex
-    b: complex
-    c: complex
-    d: complex
-    h: float
-    region_e: Region
-    region_f: Region
-
-    def __post_init__(self):
-        if abs(self.a * self.d - self.b * self.c) == 0.0:
-            raise InvalidRegionError("degenerate Mobius map (ad - bc = 0)")
-
-    def inverse(self, w):
-        w = np.asarray(w, dtype=complex)
-        return (self.d * w - self.b) / (-self.c * w + self.a)
-
-
-def mobius_two_disks(region_e: Region, region_f: Region) -> MobiusMap:
-    """Exact annulus map for two disjoint closed disks.
-
-    The limit points p (inside E) and q (inside F) of the coaxial circle
-    pencil are the common inverse points of the two circles; the map
-    (z - p)/(z - q), normalized to 1 at the far endpoint of E on the
-    center line, sends the circles to concentric circles about 0.
-    """
-    if not (isinstance(region_e, Disk) and isinstance(region_f, Disk)):
-        raise InvalidRegionError("mobius_two_disks needs two disk regions")
-    c1, r1 = region_e.center, region_e.radius
-    c2, r2 = region_f.center, region_f.radius
-    d = abs(c2 - c1)
-    if d <= r1 + r2 + 1e-15 * (r1 + r2):
-        raise NotDisjointError("disks overlap or touch")
-    direction = (c2 - c1) / d
-    big_b = d * d + r1 * r1 - r2 * r2
-    disc = math.sqrt(big_b * big_b - 4.0 * d * d * r1 * r1)
-    p = (big_b - disc) / (2.0 * d)
-    q = (big_b + disc) / (2.0 * d)
-    pp = c1 + p * direction
-    qq = c1 + q * direction
-    z_far_e = c1 - r1 * direction
-    t_star = (z_far_e - pp) / (z_far_e - qq)
-    # Phi(z) = (z - pp) / (t_star * (z - qq))
-    a, b = 1.0 + 0.0j, -pp
-    c, dd = t_star, -t_star * qq
-    z_far_f = c2 + r2 * direction
-    h = abs((z_far_f - pp) / (t_star * (z_far_f - qq)))
-    return MobiusMap(a=a, b=b, c=c, d=dd, h=float(h),
-                     region_e=region_e, region_f=region_f)
-
-
-# -- numerical annulus map -------------------------------------------------
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _LogBasis:
-    """The ansatz Phi = base * exp(g) of one ladder step: the base factor
-    and the columns of the analytic part g, shared by solver and evaluator.
-    base is (z - anchor_e)/(z - anchor_f) in A1 and z - anchor_e in A2."""
+    """The ansatz Phi = base * exp(g) of one ladder step, or of the
+    two-disk closed form at degree 0: the base factor and the columns of
+    the analytic part g, shared by solver and evaluator.  base is
+    (z - anchor_e)/(z - anchor_f) in A1 and z - anchor_e in A2."""
 
     variant: str
     anchor_e: complex
@@ -183,9 +127,10 @@ class _LogBasis:
         return out.reshape(z.shape)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AnnulusMap:
-    """Numerically solved annulus map; evaluate through phi()."""
+    """Annulus map of a pair; evaluate through phi().  residual is the
+    validated boundary residual of the solve, 0 for a closed form."""
 
     region_e: Region
     region_f: object  # Region or ExteriorOf
@@ -212,16 +157,46 @@ class AnnulusMap:
 
 def phi(annulus_map, z):
     """Evaluate the annulus map at points of the closed domain."""
-    if isinstance(annulus_map, MobiusMap):
-        m = annulus_map
-        z = np.asarray(z, dtype=complex)
-        return (m.a * z + m.b) / (m.c * z + m.d)
     b = annulus_map.basis
     g = b.g(annulus_map.coef, z)
     z = np.asarray(z, dtype=complex)
     if b.variant == "A1":
         return (z - b.anchor_e) / (z - b.anchor_f) * np.exp(g)
     return (z - b.anchor_e) * np.exp(g)
+
+
+def mobius_two_disks(region_e: Region, region_f: Region) -> AnnulusMap:
+    """Exact annulus map for two disjoint closed disks.
+
+    The limit points p (inside E) and q (inside F) of the coaxial circle
+    pencil are the common inverse points of the two circles; the map
+    (z - p)/(z - q), normalized to 1 at the far endpoint of E on the
+    center line, sends the circles to concentric circles about 0.  It is
+    the degree-0 AnnulusMap with anchors p, q and g = -log t_star, where
+    t_star is (z - p)/(z - q) at that endpoint.
+    """
+    if not (isinstance(region_e, Disk) and isinstance(region_f, Disk)):
+        raise InvalidRegionError("mobius_two_disks needs two disk regions")
+    c1, r1 = region_e.center, region_e.radius
+    c2, r2 = region_f.center, region_f.radius
+    d = abs(c2 - c1)
+    if d <= r1 + r2 + 1e-15 * (r1 + r2):
+        raise NotDisjointError("disks overlap or touch")
+    direction = (c2 - c1) / d
+    big_b = d * d + r1 * r1 - r2 * r2
+    disc = math.sqrt(big_b * big_b - 4.0 * d * d * r1 * r1)
+    p = (big_b - disc) / (2.0 * d)
+    q = (big_b + disc) / (2.0 * d)
+    pp = c1 + p * direction
+    qq = c1 + q * direction
+    z_far_e = c1 - r1 * direction
+    t_star = (z_far_e - pp) / (z_far_e - qq)
+    z_far_f = c2 + r2 * direction
+    h = abs((z_far_f - pp) / (t_star * (z_far_f - qq)))
+    basis = _LogBasis("A1", pp, qq, 1.0, 1.0, 0,
+                      np.empty(0, complex), np.empty(0))
+    return AnnulusMap(region_e, region_f, float(h), 0.0, basis,
+                      np.array([-np.log(t_star)]))
 
 
 # -- sampling for the least-squares solve ----------------------------------
@@ -680,8 +655,8 @@ def psi_boundary(annulus_map, w):
     on each boundary (AnnulusMap._psi_tables) and the table is reused by
     every call; the root of each w lies in the first table interval where
     arg(Phi/w) changes sign with both ends within pi/2 (the crossing
-    through 0, not the jump at +-pi), and is refined there in 1-D.  For a
-    MobiusMap the closed-form inverse is used.
+    through 0, not the jump at +-pi), and is refined there in 1-D.  Every
+    map, the closed-form two-disk map included, takes this one path.
     """
     w_arr = np.asarray(w, dtype=complex)
     ws = np.atleast_1d(w_arr).ravel()
@@ -696,25 +671,22 @@ def psi_boundary(annulus_map, w):
             f"|w| in [{mod.min():g}, {mod.max():g}] is not on one annulus "
             f"boundary (1 or {h:g})"
         )
-    if isinstance(annulus_map, MobiusMap):
-        z = annulus_map.inverse(ws)
-    else:
-        region = (annulus_map.region_e if on_e
-                  else boundary_region(annulus_map.region_f))
-        vals = annulus_map._psi_tables[0 if on_e else 1]
-        ang = np.unwrap(np.angle(vals))
-        gap = np.angle(vals * np.conj(ws)[:, None])
-        near = np.abs(gap) < math.pi / 2
-        cross = (gap[:, :-1] * gap[:, 1:] <= 0.0) & near[:, :-1] & near[:, 1:]
-        if (abs(abs(ang[-1] - ang[0]) - _TWO_PI) > 1e-3
-                or not np.all(cross.any(axis=1))):
-            raise EvaluationDomainError(
-                "boundary correspondence not resolved; increase samples"
-            )
-        first = np.argmax(cross, axis=1)
-        z = np.array([_psi_on(annulus_map, region, i / _PSI_TABLE,
-                              (i + 1) / _PSI_TABLE, complex(wi))
-                      for i, wi in zip(first, ws)])
+    region = (annulus_map.region_e if on_e
+              else boundary_region(annulus_map.region_f))
+    vals = annulus_map._psi_tables[0 if on_e else 1]
+    ang = np.unwrap(np.angle(vals))
+    gap = np.angle(vals * np.conj(ws)[:, None])
+    near = np.abs(gap) < math.pi / 2
+    cross = (gap[:, :-1] * gap[:, 1:] <= 0.0) & near[:, :-1] & near[:, 1:]
+    if (abs(abs(ang[-1] - ang[0]) - _TWO_PI) > 1e-3
+            or not np.all(cross.any(axis=1))):
+        raise EvaluationDomainError(
+            "boundary correspondence not resolved; increase samples"
+        )
+    first = np.argmax(cross, axis=1)
+    z = np.array([_psi_on(annulus_map, region, i / _PSI_TABLE,
+                          (i + 1) / _PSI_TABLE, complex(wi))
+                  for i, wi in zip(first, ws)])
     if w_arr.ndim == 0:
         return complex(z[0])
     return z.reshape(w_arr.shape)

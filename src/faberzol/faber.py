@@ -13,7 +13,7 @@ import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
 from . import geometry
-from .conformal import ExteriorOf, phi
+from .conformal import AnnulusMap, ExteriorOf, phi
 from .errors import EvaluationDomainError, InvalidRegionError, UncertifiedError
 from .quadrature import (
     BoundaryQuadrature,
@@ -27,7 +27,7 @@ from .quadrature import (
 _POLE_EPS = 1e-14  # |R_n| below this marks a pole of 1/r_n (a zero of r_n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Scan:
     """The dense scan of one boundary: parameters t, Phi at the points, and
     the kernels of the subtracted transforms across each boundary there."""
@@ -48,7 +48,7 @@ class BoundaryData:
     empirical_ratio or adi.faber_shifts, and then serve every degree.
     """
 
-    map: object  # MobiusMap or AnnulusMap
+    map: AnnulusMap
     quad_e: BoundaryQuadrature
     quad_f: BoundaryQuadrature
     phi_e: np.ndarray
@@ -88,7 +88,7 @@ def boundary_data(amap, n_quad: int = 512) -> BoundaryData:
                         phi(amap, quad_e.nodes), phi(amap, quad_f.nodes))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FaberContext:
     """Quadrature-backed evaluator state for one map and one degree n.
 

@@ -72,6 +72,8 @@ class Disk(Region):
     radius: float = 1.0
 
     def __post_init__(self):
+        if not (np.isfinite(self.center) and np.isfinite(self.radius)):
+            raise InvalidRegionError("disk center and radius must be finite")
         if not self.radius > 0:
             raise InvalidRegionError("disk radius must be positive")
 
@@ -97,6 +99,8 @@ class Polygon(Region):
         verts = np.asarray([_as_complex(v) for v in self.vertices], dtype=complex)
         if verts.size < 3:
             raise InvalidRegionError("polygon needs at least 3 vertices")
+        if not np.all(np.isfinite(verts)):
+            raise InvalidRegionError("polygon vertices must be finite")
         edges = np.roll(verts, -1) - verts
         if np.any(np.abs(edges) == 0.0):
             raise InvalidRegionError("polygon has a zero-length edge")
@@ -194,6 +198,8 @@ class SmoothCurve(Region):
 
     def __post_init__(self):
         coeff = tuple((int(k), _as_complex(c)) for k, c in self.coefficients)
+        if not all(np.isfinite(c) for _, c in coeff):
+            raise InvalidRegionError("curve coefficients must be finite")
         if not any(k != 0 for k, _ in coeff):
             raise InvalidRegionError("curve needs a nonconstant coefficient")
         object.__setattr__(self, "coefficients", coeff)

@@ -31,7 +31,7 @@ _HIT_RTOL = 1e-13
 _NEAR = 1.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryQuadrature:
     """Nodes, complex weights ~ d zeta, and arc parameters in [0, 1)."""
 

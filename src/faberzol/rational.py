@@ -15,7 +15,7 @@ import scipy.linalg
 from .errors import FaberzolError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BarycentricRational:
     """N(z)/D(z) with N = sum w_j f_j/(z - z_j), D = sum w_j/(z - z_j)."""
 

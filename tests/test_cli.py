@@ -290,6 +290,25 @@ def test_leja_shifts_on_hexagons(tmp_path):
     assert len(json.loads(out.read_text())["kappa"]) == 4
 
 
+@pytest.mark.parametrize("region_e", [
+    {"kind": "disk", "center": [float("nan"), 0.0], "radius": 0.5},
+    {"kind": "disk", "center": [float("inf"), 0.0], "radius": 0.5},
+    {"kind": "disk", "center": 1.0, "radius": float("inf")},
+    {"kind": "curve", "coefficients": {"0": [4.0, 0.0],
+                                       "1": [float("nan"), 0.0]}},
+    {"kind": "polygon", "vertices": [1.0, 2.0, [float("nan"), 1.0]]},
+], ids=["disk_nan_center", "disk_inf_center", "disk_inf_radius",
+        "curve_nan_coefficient", "polygon_nan_vertex"])
+def test_non_finite_config_values_exit_with_config_error(tmp_path, capsys,
+                                                         region_e):
+    # json reads NaN and Infinity, so a config file can hold them
+    cfg = write_config(tmp_path, {"e": region_e, "f": DISK_PAIR["f"]})
+    rc = main(["map", "--config", cfg, "--out", str(tmp_path / "x.json")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: config field 'e': ")
+
+
 def test_overlapping_regions_exit_with_numerical_error(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "e": {"kind": "disk", "center": 0.0, "radius": 1.0},

@@ -126,6 +126,46 @@ def test_far_field_modulus_is_sqrt_h_for_mirrored_pairs(disk_map):
     assert np.abs(mod - np.sqrt(disk_map.h)).max() < 1e-6
 
 
+def _two_disk_closed_form(e, f):
+    """(p, q, t) of the exact two-disk map Phi(z) = (z - p)/(t (z - q)):
+    p and q are the limit points of the circle pencil, and t makes
+    Phi = 1 at the point of the E circle farthest from F."""
+    d = abs(f.center - e.center)
+    u = (f.center - e.center) / d
+    b = d * d + e.radius**2 - f.radius**2
+    root = math.sqrt(b * b - 4.0 * d * d * e.radius**2)
+    p = e.center + (b - root) / (2.0 * d) * u
+    q = e.center + (b + root) / (2.0 * d) * u
+    z = e.center - e.radius * u
+    return p, q, (z - p) / (z - q)
+
+
+def test_two_disk_map_matches_its_closed_form_and_inverse():
+    rng = np.random.default_rng(20260815)
+    t9 = np.arange(9) / 9.0
+    for _ in range(20):
+        e, f = random_disk_pair(rng)
+        amap = mobius_two_disks(e, f)
+        p, q, t = _two_disk_closed_form(e, f)
+
+        # Phi on both circles and at domain points outside both disks
+        cloud = e.center + 6.0 * (f.center - e.center) * (
+            rng.uniform(-1.0, 1.0, 400) + 1j * rng.uniform(-1.0, 1.0, 400))
+        outside = ((np.abs(cloud - e.center) > e.radius)
+                   & (np.abs(cloud - f.center) > f.radius))
+        s = np.linspace(0.0, 1.0, 64, endpoint=False)
+        z = np.concatenate([e.boundary_point(s), f.boundary_point(s),
+                            cloud[outside]])
+        exact = (z - p) / (t * (z - q))
+        assert (np.abs(phi(amap, z) - exact) / np.abs(exact)).max() <= 1e-13
+
+        # psi_boundary at 9 points per circle against (p - t q w)/(1 - t w)
+        scale = max(e.radius, f.radius)
+        for w in (np.exp(2j * np.pi * t9), amap.h * np.exp(2j * np.pi * t9)):
+            inverse = (p - t * q * w) / (1.0 - t * w)
+            assert np.abs(psi_boundary(amap, w) - inverse).max() <= 1e-13 * scale
+
+
 def test_overlapping_pairs_are_rejected():
     with pytest.raises(NotDisjointError):
         mobius_two_disks(disk(0.0, 1.0), disk(0.5, 1.0))

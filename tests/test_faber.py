@@ -37,6 +37,7 @@ from faberzol.faber import (
 )
 from faberzol.geometry import contains_many, disk
 from faberzol.quadrature import cauchy_boundary
+from faberzol.rational import aaa_fit
 
 
 @pytest.fixture(scope="module")
@@ -196,6 +197,19 @@ def test_scan_kernels_match_the_pointwise_transform(disk_map, rect_map):
         if nq == 256:
             own = (ctx.data.scans[0].across_e, ctx.data.scans[1].across_f)
             assert all(k.hit_rows.size == nq for k in own)
+
+
+def test_array_holding_objects_hash_by_identity(disk_map, rect_map, ctx6):
+    # a generated __eq__/__hash__ would compare or hash the arrays and fail
+    unit = np.exp(2j * np.pi * np.arange(64) / 64)
+    fit = aaa_fit(unit, 1.0 / (unit - 2.0), tol=1e-13)
+    data = ctx6.data
+    for obj in (rect_map, disk_map, rect_map.basis, ctx6, data, data.quad_e,
+                data.scans[0], fit):
+        hash(obj)
+        assert obj == obj
+    # equality is identity: an equal-valued copy is another object
+    assert dataclasses.replace(disk_map) != disk_map
 
 
 # -- inequalities on a cornered pair ---------------------------------------

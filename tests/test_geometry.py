@@ -336,6 +336,19 @@ def test_invalid_regions_are_rejected():
         boundary_samples(disk(), 8)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: disk(complex(np.nan, 0.0), 0.5),
+    lambda: disk(complex(np.inf, 0.0), 0.5),
+    lambda: disk(0.0, np.inf),
+    lambda: curve({0: 4.0, 1: complex(np.nan, 0.0)}),
+    lambda: polygon([0.0, 1.0, complex(np.nan, 1.0)]),
+], ids=["disk_nan_center", "disk_inf_center", "disk_inf_radius",
+        "curve_nan_coefficient", "polygon_nan_vertex"])
+def test_non_finite_region_data_is_rejected(make):
+    with pytest.raises(InvalidRegionError, match="must be finite"):
+        make()
+
+
 @pytest.mark.parametrize("vertices", [
     # an asymmetric bow-tie: its lobes do not cancel, so the shoelace area
     # is not zero and only the crossing gives it away

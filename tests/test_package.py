@@ -1,5 +1,5 @@
 """Source-level rules for the package: no catch-all handlers, no assert,
-no private helper without a caller."""
+no private helper without a caller, no value equality on array fields."""
 
 import ast
 from pathlib import Path
@@ -60,6 +60,32 @@ def _dead_private_helpers(paths):
                              if stmt is not node))
 
 
+def _array_dataclasses_with_value_eq(paths):
+    """Classes decorated @dataclass that annotate a field with np.ndarray
+    but do not pass eq=False: their generated __eq__ compares the arrays
+    (ambiguous truth value) and __hash__ hashes them (unhashable)."""
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            decorators = [d for d in node.decorator_list
+                          if "dataclass" in _referenced_names(d)]
+            holds_array = any(
+                isinstance(stmt, ast.AnnAssign)
+                and "ndarray" in _referenced_names(stmt.annotation)
+                for stmt in node.body)
+            identity_eq = any(
+                kw.arg == "eq" and isinstance(kw.value, ast.Constant)
+                and kw.value.value is False
+                for d in decorators if isinstance(d, ast.Call)
+                for kw in d.keywords)
+            if decorators and holds_array and not identity_eq:
+                found.append((path.name, node.name))
+    return sorted(found)
+
+
 def test_sources_are_found():
     assert any(path.name == "__init__.py" for path in SOURCES)
 
@@ -71,6 +97,31 @@ def test_no_catch_all_handlers_or_asserts(path):
 
 def test_every_private_helper_has_a_caller():
     assert _dead_private_helpers(SOURCES) == []
+
+
+def test_array_dataclasses_compare_by_identity():
+    assert _array_dataclasses_with_value_eq(SOURCES) == []
+
+
+def test_an_array_dataclass_with_value_eq_is_reported(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text(
+        "import dataclasses\n"
+        "from dataclasses import dataclass\n\n"
+        "import numpy as np\n\n\n"
+        "@dataclass(frozen=True)\n"
+        "class Frozen:\n    a: np.ndarray\n\n\n"
+        "@dataclass\n"
+        "class Bare:\n    a: np.ndarray | None\n\n\n"
+        "@dataclasses.dataclass(eq=True)\n"
+        "class Qualified:\n    a: np.ndarray\n\n\n"
+        "@dataclass(frozen=True, eq=False)\n"
+        "class Identity:\n    a: np.ndarray\n\n\n"
+        "@dataclass(frozen=True)\n"
+        "class Scalars:\n    a: float\n"
+    )
+    assert _array_dataclasses_with_value_eq([source]) == [
+        ("mod.py", "Bare"), ("mod.py", "Frozen"), ("mod.py", "Qualified")]
 
 
 def test_a_helper_without_a_caller_is_reported(tmp_path):
