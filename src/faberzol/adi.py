@@ -242,7 +242,7 @@ def faber_shifts(ctx: FaberContext) -> ShiftSet:
     for scan, region, want in zip(ctx.data.scans,
                                   (ctx.map.region_e, ctx.map.region_f),
                                   ("zeros", "poles")):
-        z = region.boundary_point(scan.t)
+        z = scan.z
         f = _reciprocal(_scan_inv_rn(ctx, scan))
         fit = aaa_fit(z, f, 1e-12, k + 12)  # tol, max_degree
         scale = float(np.max(np.abs(f)))

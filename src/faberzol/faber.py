@@ -18,6 +18,8 @@ from .errors import EvaluationDomainError, InvalidRegionError, UncertifiedError
 from .quadrature import (
     BoundaryQuadrature,
     CauchyKernel,
+    _flat,
+    _shaped,
     cauchy_boundary,
     cauchy_kernel,
     cauchy_stabilized,
@@ -29,10 +31,11 @@ _POLE_EPS = 1e-14  # |R_n| below this marks a pole of 1/r_n (a zero of r_n)
 
 @dataclass(frozen=True, eq=False)
 class _Scan:
-    """The dense scan of one boundary: parameters t, Phi at the points, and
-    the kernels of the subtracted transforms across each boundary there."""
+    """Boundary points z at parameters t, Phi there, and the kernels of the
+    transforms across each boundary at those points (see _scan)."""
 
     t: np.ndarray
+    z: np.ndarray
     phi: np.ndarray
     across_e: CauchyKernel
     across_f: CauchyKernel
@@ -65,13 +68,15 @@ class BoundaryData:
         """
         n_samples = 4 * len(self.quad_e)
         t = np.arange(n_samples) / n_samples
-        scans = []
-        for region in (self.map.region_e, self.map.region_f):
-            z = region.boundary_point(t)
-            scans.append(_Scan(t, phi(self.map, z),
-                               cauchy_kernel(self.quad_e, z),
-                               cauchy_kernel(self.quad_f, z)))
-        return tuple(scans)
+        return (_scan(self, self.map.region_e, t),
+                _scan(self, self.map.region_f, t))
+
+
+def _scan(data: BoundaryData, region, t) -> _Scan:
+    """The _Scan of data at boundary params t of region (E or F)."""
+    z = region.boundary_point(t)
+    return _Scan(t, z, phi(data.map, z), cauchy_kernel(data.quad_e, z),
+                 cauchy_kernel(data.quad_f, z))
 
 
 def boundary_data(amap, n_quad: int = 512) -> BoundaryData:
@@ -187,16 +192,10 @@ def _inv_rn(ctx, z, rn):
 def _classify(ctx, z):
     """Strict-interior masks of the targets in E and in F (contour points
     count as outside)."""
-    zf = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
+    zf = _flat(z)
     in_e, _ = geometry.contains_many(ctx.map.region_e, zf)
     in_f, _ = geometry.contains_many(ctx.map.region_f, zf)
     return zf, in_e, in_f
-
-
-def _shaped(out, z_arr):
-    if z_arr.ndim == 0:
-        return complex(out[0])
-    return out.reshape(z_arr.shape)
 
 
 def _rn_by_side(ctx, zf, in_e):
@@ -263,12 +262,6 @@ def eval_rn(ctx: FaberContext, z):
     return _shaped(_reciprocal(np.atleast_1d(inv)), inv)
 
 
-def _inv_rn_on_boundary(ctx, region, t):
-    """1/r_n at boundary params t of region (E or F)."""
-    z = region.boundary_point(t)
-    return _inv_rn(ctx, z, _rn(ctx, z, phi(ctx.map, z)))
-
-
 def _refine_max(fun, t0: float, half_width: float) -> float:
     res = minimize_scalar(
         lambda t: -float(fun(np.array([t]))[0]),
@@ -280,8 +273,8 @@ def _refine_max(fun, t0: float, half_width: float) -> float:
 
 
 def _scan_inv_rn(ctx, scan):
-    """1/r_n at the points of a dense scan: _inv_rn_on_boundary through the
-    scan's precomputed kernels."""
+    """1/r_n at the boundary points of a scan, through its kernels: R_n by
+    the transform across E, then 1/R_n across F (see _pole_marked)."""
     rn = scan.across_e(ctx.phi_n_on_e, scan.phi ** ctx.n)
     return _pole_marked(rn, lambda inv: scan.across_f(ctx.inv_rn_on_f, inv))
 
@@ -293,7 +286,7 @@ def empirical_ratio(ctx: FaberContext) -> float:
     maximum principle, so the value upper-bounds the Zolotarev number up
     to sampling error.  Dense sampling (4x the node count, through the
     scan kernels of ctx.data) is followed by a bounded 1-D refinement
-    around the best parameter, evaluated pointwise.
+    around the best parameter, on one-point scans.
     """
     scan_e, scan_f = ctx.data.scans
     ratio = 1.0
@@ -306,7 +299,7 @@ def empirical_ratio(ctx: FaberContext) -> float:
         i = int(np.argmax(vals))
 
         def fun(s):
-            return magnitude(_inv_rn_on_boundary(ctx, region, s))
+            return magnitude(_scan_inv_rn(ctx, _scan(ctx.data, region, s)))
 
         ratio *= max(float(vals[i]),
                      _refine_max(fun, float(scan.t[i]), 1.0 / scan.t.size))
@@ -399,9 +392,9 @@ def count_zeros(ctx: FaberContext) -> int:
     if ctx.n == 0:
         raise UncertifiedError("zero count not certified at this n")
     h = ctx.map.h
-    t_dense = np.arange(4 * len(ctx.quad_e)) / (4 * len(ctx.quad_e))
-    z_dense = ctx.map.region_e.boundary_point(t_dense)
-    sup_rn = float(np.abs(_rn(ctx, z_dense, phi(ctx.map, z_dense))).max())
+    scan_e = ctx.data.scans[0]
+    rn_e = scan_e.across_e(ctx.phi_n_on_e, scan_e.phi ** ctx.n)
+    sup_rn = float(np.abs(rn_e).max())
     zc = ctx.quad_e.nodes.mean()
     far = zc + 1e7 * ctx.diameter() * np.exp(0.5j * math.pi * np.arange(4))
     phi_inf = float(np.abs(phi(ctx.map, far)).min())

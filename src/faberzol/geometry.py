@@ -101,13 +101,16 @@ class Polygon(Region):
             raise InvalidRegionError("polygon needs at least 3 vertices")
         if not np.all(np.isfinite(verts)):
             raise InvalidRegionError("polygon vertices must be finite")
-        edges = np.roll(verts, -1) - verts
+        # an overflow gives NaN or inf, which the checks below let through
+        with np.errstate(over="ignore", invalid="ignore"):
+            edges = np.roll(verts, -1) - verts
+            # Enforce counterclockwise orientation via the shoelace area.
+            area = 0.5 * np.sum(verts.real * np.roll(verts, -1).imag
+                                - verts.imag * np.roll(verts, -1).real)
+            if not (np.isfinite(area) and np.isfinite(np.abs(edges).sum())):
+                raise InvalidRegionError("polygon area or perimeter overflows")
         if np.any(np.abs(edges) == 0.0):
             raise InvalidRegionError("polygon has a zero-length edge")
-        # Enforce counterclockwise orientation via the shoelace area.
-        area = 0.5 * np.sum(
-            verts.real * np.roll(verts, -1).imag - verts.imag * np.roll(verts, -1).real
-        )
         if area == 0.0:
             raise InvalidRegionError("polygon is degenerate (zero area)")
         if _edges_cross(verts):

@@ -4,9 +4,10 @@ All transforms work on a BoundaryQuadrature whose complex weights
 approximate the increments d zeta of a counterclockwise closed contour,
 so that sum(values * weights) ~ the contour integral of the sampled
 function.  cauchy_stabilized (interior targets) and cauchy_boundary
-(targets on or outside the contour) stay accurate up to the contour itself;
-cauchy_kernel precomputes cauchy_boundary for targets that many densities
-share.
+(targets on or outside the contour) stay accurate up to the contour itself.
+Every transform is a sum over w_j/(zeta_j - z), formed only by
+cauchy_kernel, one block of targets at a time; a kernel kept for fixed
+targets serves any number of densities.
 """
 
 from __future__ import annotations
@@ -66,27 +67,25 @@ class BoundaryQuadrature:
         return float(math.hypot(hi - lo, hi2 - lo2))
 
 
-def _kernel_sum(coeffs, nodes, z):
-    """sum_j coeffs_j / (nodes_j - z), vectorized and chunked over z."""
-    z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    zf = np.atleast_1d(z).ravel()
-    out = np.empty(zf.shape, dtype=complex)
-    step = max(1, _CHUNK // nodes.size)
-    for lo in range(0, zf.size, step):
-        hi = min(zf.size, lo + step)
-        # in place: one chunk-sized buffer per step, as in cauchy_boundary
-        terms = nodes[None, :] - zf[lo:hi, None]
-        np.divide(coeffs[None, :], terms, out=terms)
-        out[lo:hi] = terms.sum(axis=1)
-    if scalar:
+def _kernels(quad: BoundaryQuadrature, z):
+    """(block, cauchy_kernel(quad, z[block])) over consecutive blocks of the
+    flat targets z, each kernel of at most _CHUNK entries."""
+    step = max(1, _CHUNK // len(quad))
+    for lo in range(0, z.size, step):
+        block = slice(lo, lo + step)
+        yield block, cauchy_kernel(quad, z[block])
+
+
+def _flat(z):
+    return np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
+
+
+def _shaped(out, z):
+    """out (flat) in the shape of the targets z; a scalar for a scalar z."""
+    z = np.asarray(z)
+    if z.ndim == 0:
         return complex(out[0])
     return out.reshape(z.shape)
-
-
-def _raw_transform(values, quad: BoundaryQuadrature, z):
-    values = np.asarray(values, dtype=complex)
-    return _kernel_sum(values * quad.weights, quad.nodes, z) / _TWO_PI_I
 
 
 def winding_of_polyline(points) -> int:
@@ -109,25 +108,41 @@ def cauchy_plus(values, quad: BoundaryQuadrature, z):
     Plain quadrature; accurate for z well inside the contour.  A winding
     estimate flags targets outside the contour.
     """
-    _check_winding(quad, z, 1)
-    return _raw_transform(values, quad, z)
+    return _plain_transform(values, quad, z, 1)
 
 
 def cauchy_minus(values, quad: BoundaryQuadrature, z):
     """Exterior Cauchy transform, same integral for z outside the contour."""
-    _check_winding(quad, z, 0)
-    return _raw_transform(values, quad, z)
+    return _plain_transform(values, quad, z, 0)
 
 
-def _check_winding(quad, z, winding: int):
-    """Raise unless every target has the given winding number (1 inside)."""
-    w = _kernel_sum(quad.weights, quad.nodes, z) / _TWO_PI_I
-    bad = np.abs(np.atleast_1d(w) - winding) > 0.5
+def _plain_transform(values, quad, z, winding: int):
+    """(1/2 pi i) sum_j values_j w_j/(zeta_j - z) at targets z, after
+    checking that every target has the given winding number (1 inside),
+    estimated by the same sum for values 1 (inf on a node)."""
+    num, den, _ = _plain_sums(values, quad, z)
+    bad = np.abs(den / _TWO_PI_I - winding) > 0.5
     if np.any(bad):
         where = "inside" if winding else "outside"
         raise EvaluationDomainError(
             f"{int(bad.sum())} target(s) are not {where} the contour"
         )
+    return _shaped(num / _TWO_PI_I, z)
+
+
+def _plain_sums(values, quad, z):
+    """CauchyKernel.plain of values and of 1 at the targets z, flattened,
+    and the node each target hits (-1 for none)."""
+    ones = np.ones(len(quad))
+    z = _flat(z)
+    num = np.empty(z.shape, dtype=complex)
+    den = np.empty(z.shape, dtype=complex)
+    node = np.full(z.shape, -1)
+    for block, kernel in _kernels(quad, z):
+        num[block] = kernel.plain(values)
+        den[block] = kernel.plain(ones)
+        node[block][kernel.hit_rows] = kernel.hit_cols
+    return num, den, node
 
 
 def _nodal_derivative(vals, quad: BoundaryQuadrature):
@@ -174,45 +189,26 @@ def cauchy_boundary(values, quad: BoundaryQuadrature, z, f_at):
     quadrature weights differ from barycentric weights.  A node collision
     contributes w_j f'(node), with f' from _nodal_derivative.
     """
-    z = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
+    z = _flat(z)
     f_at = np.broadcast_to(np.asarray(f_at, dtype=complex).ravel(), z.shape)
-    vals = np.asarray(values, dtype=complex)
-    tol = _HIT_RTOL * quad.diameter
     out = np.empty(z.shape, dtype=complex)
-    step = max(1, _CHUNK // len(quad))
-    deriv = None
-    for lo in range(0, z.size, step):
-        hi = min(z.size, lo + step)
-        diff = quad.nodes[None, :] - z[lo:hi, None]
-        hit = np.abs(diff) <= tol
-        # in place: a fresh temporary per step of a chunk this large is
-        # paid for in page faults
-        terms = vals[None, :] - f_at[lo:hi, None]
-        terms *= quad.weights[None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms /= diff
-        if np.any(hit):
-            if deriv is None:
-                deriv = _nodal_derivative(vals, quad)
-            rows, cols = np.nonzero(hit)
-            terms[rows, cols] = quad.weights[cols] * deriv[cols]
-        out[lo:hi] = terms.sum(axis=1)
-    return f_at + out / _TWO_PI_I
+    for block, kernel in _kernels(quad, z):
+        out[block] = kernel(values, f_at[block])
+    return out
 
 
 @dataclass(frozen=True, eq=False)
 class CauchyKernel:
-    """cauchy_boundary at fixed targets z_i, precomputed as a matrix.
+    """The Cauchy sums over quad at fixed targets z_i, precomputed.
 
     matrix[i, j] = w_j/(zeta_j - z_i) and row_sums its row sums, with two
     kinds of pair left out and listed apart: near pairs (near_rows,
-    near_cols, near_diff = zeta_j - z_i), whose subtracted terms
-    (f(zeta_j) - f(z_i)) w_j/(zeta_j - z_i) are formed per call, since
-    splitting them into two large products would cancel; and node hits
-    (hit_rows, hit_cols), which contribute w_j f'(zeta_j) as in
-    cauchy_boundary.  Applying the kernel costs one matrix-vector product,
-    against a fresh node-by-target division per call of cauchy_boundary;
-    the two agree to rounding, not bitwise.
+    near_cols, near_diff = zeta_j - z_i), whose terms are formed per call,
+    since in the subtracted form splitting them into two large products
+    would cancel; and node hits (hit_rows, hit_cols), where the target is
+    a node.  Calling the kernel gives the subtracted form of
+    cauchy_boundary, plain the plain sum; each costs one matrix-vector
+    product.
     """
 
     quad: BoundaryQuadrature
@@ -225,7 +221,8 @@ class CauchyKernel:
     hit_cols: np.ndarray
 
     def __call__(self, values, f_at):
-        """cauchy_boundary(values, quad, z, f_at) at the kernel's targets."""
+        """cauchy_boundary(values, quad, z, f_at) at the kernel's targets: a
+        node hit contributes w_j f'(zeta_j), f' from _nodal_derivative."""
         vals = np.asarray(values, dtype=complex)
         f_at = np.asarray(f_at, dtype=complex)
         total = self.matrix @ vals - f_at * self.row_sums
@@ -240,15 +237,27 @@ class CauchyKernel:
             np.add.at(total, self.hit_rows, self.quad.weights[hit] * deriv[hit])
         return f_at + total / _TWO_PI_I
 
+    def plain(self, values):
+        """sum_j values_j w_j/(zeta_j - z_i) at the kernel's targets; a row
+        with a node hit is flagged inf."""
+        vals = np.asarray(values, dtype=complex)
+        total = self.matrix @ vals
+        near = self.near_cols
+        np.add.at(total, self.near_rows,
+                  vals[near] * self.quad.weights[near] / self.near_diff)
+        total[self.hit_rows] = np.inf
+        return total
+
 
 def cauchy_kernel(quad: BoundaryQuadrature, z) -> CauchyKernel:
-    """The kernel of cauchy_boundary over quad at targets z (on or outside
-    the contour), for transforming many densities at the same targets.
+    """The Cauchy kernel over quad at targets z, for transforming many
+    densities at the same targets; every transform here is built from it.
 
     A pair is near when |w_j/(zeta_j - z_i)| > _NEAR, that is when the
-    target is closer to node j than about the node spacing there.
+    target is closer to node j than about the node spacing there; a pair
+    is a hit when |zeta_j - z_i| <= _HIT_RTOL times the contour diameter.
     """
-    z = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
+    z = _flat(z)
     tol = _HIT_RTOL * quad.diameter
     # one buffer: the differences zeta_j - z_i, then w_j over them in place
     matrix = quad.nodes[None, :] - z[:, None]
@@ -269,20 +278,13 @@ def cauchy_stabilized(values, quad: BoundaryQuadrature, z):
     """Interior Cauchy transform in barycentric ratio form
         [sum v_j w_j/(z_j - z)] / [sum w_j/(z_j - z)],
     exact for constant values at any interior z and usable up to the
-    contour, where it reduces to an interpolant of the samples.
+    contour, where it reduces to an interpolant of the samples: a target on
+    a node takes that node's value.
     """
-    values = np.asarray(values, dtype=complex)
-    z = np.asarray(z, dtype=complex)
-    zf = np.atleast_1d(z).ravel()
+    vals = np.asarray(values, dtype=complex)
+    num, den, node = _plain_sums(vals, quad, z)
     with np.errstate(divide="ignore", invalid="ignore"):
-        num = _kernel_sum(values * quad.weights, quad.nodes, zf)
-        den = _kernel_sum(quad.weights, quad.nodes, zf)
-        out = np.atleast_1d(num / den)
-    bad = ~np.isfinite(out)
-    if np.any(bad):
-        # target collided with a node: the interpolant takes its value
-        idx = np.abs(quad.nodes[None, :] - zf[bad, None]).argmin(axis=1)
-        out[bad] = values[idx]
-    if z.ndim == 0:
-        return complex(out[0])
-    return out.reshape(z.shape)
+        out = num / den
+    hit = node >= 0
+    out[hit] = vals[node[hit]]
+    return _shaped(out, z)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from conftest import direct_inv_rn
 from faberzol.adi import (
     ShiftSet,
     _drop_doublets,
@@ -18,7 +19,6 @@ from faberzol.adi import (
 from faberzol.conformal import ExteriorOf, solve_annulus_map
 from faberzol.errors import FaberzolError, InvalidRegionError, UncertifiedError
 from faberzol.faber import (
-    _inv_rn_on_boundary,
     _reciprocal,
     boundary_data,
     build_context,
@@ -175,8 +175,8 @@ def test_faber_shift_certificate_attains_the_annulus_decay(
 
 
 def _pointwise_faber_shifts(ctx):
-    """faber_shifts with r_k sampled pointwise by _inv_rn_on_boundary at
-    the scan params, not through the scan kernels; returns
+    """faber_shifts with r_k sampled pointwise by direct_inv_rn at the
+    scan params, not through the scan kernels; returns
     (kappa, tau, span) with span the larger boundary radius."""
     k = ctx.n
     picked, spans = [], []
@@ -184,7 +184,7 @@ def _pointwise_faber_shifts(ctx):
             ctx.data.scans, (ctx.map.region_e, ctx.map.region_f),
             ("zeros", "poles")):
         z = region.boundary_point(scan.t)
-        rk = _reciprocal(_inv_rn_on_boundary(ctx, region, scan.t))
+        rk = _reciprocal(direct_inv_rn(ctx, region, scan.t))
         poles, zeros = poles_zeros(aaa_fit(z, rk, 1e-12, k + 12))
         span = float(np.abs(z - z.mean()).max())
         poles, zeros = _drop_doublets(poles, zeros, 1e-5 * span)

@@ -309,6 +309,20 @@ def test_non_finite_config_values_exit_with_config_error(tmp_path, capsys,
     assert len(err) == 1 and err[0].startswith("error: config field 'e': ")
 
 
+def test_overflowing_polygon_exits_with_config_error(tmp_path, capsys):
+    # finite vertices whose shoelace area overflows to NaN
+    cfg = write_config(tmp_path, {
+        "e": {"kind": "polygon",
+              "vertices": [[1e308, 0.0], [1.5e308, 0.0], [1.2e308, 1e308]]},
+        "f": DISK_PAIR["f"],
+    })
+    rc = main(["map", "--config", cfg, "--out", str(tmp_path / "x.json")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: config field 'e': polygon area or perimeter "
+                   "overflows"]
+
+
 def test_overlapping_regions_exit_with_numerical_error(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "e": {"kind": "disk", "center": 0.0, "radius": 1.0},

@@ -10,6 +10,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conftest import direct_cauchy_boundary, direct_inv_rn
 from faberzol.bounds import sup_rn_bound, zolotarev_upper, GeometryConstants
 from faberzol.conformal import (
     ExteriorOf,
@@ -23,8 +24,8 @@ from faberzol.errors import (
     UncertifiedError,
 )
 from faberzol.faber import (
-    _inv_rn_on_boundary,
     _reciprocal,
+    _scan,
     _scan_inv_rn,
     boundary_data,
     build_context,
@@ -36,7 +37,6 @@ from faberzol.faber import (
     eval_rn,
 )
 from faberzol.geometry import contains_many, disk
-from faberzol.quadrature import cauchy_boundary
 from faberzol.rational import aaa_fit
 
 
@@ -182,16 +182,18 @@ def test_scan_kernels_match_the_pointwise_transform(disk_map, rect_map):
         for scan, region in zip(ctx.data.scans,
                                 (amap.region_e, amap.region_f)):
             z = region.boundary_point(scan.t)
+            assert np.array_equal(scan.z, z)
             phi_n = scan.phi ** 6
-            rn = cauchy_boundary(ctx.phi_n_on_e, ctx.quad_e, z, phi_n)
+            rn = direct_cauchy_boundary(ctx.phi_n_on_e, ctx.quad_e, z, phi_n)
             got = scan.across_e(ctx.phi_n_on_e, phi_n)
             assert np.abs(got - rn).max() <= 1e-13 * np.abs(rn).max()
-            inv = cauchy_boundary(ctx.inv_rn_on_f, ctx.quad_f, z, 1.0 / rn)
+            inv = direct_cauchy_boundary(ctx.inv_rn_on_f, ctx.quad_f, z,
+                                         1.0 / rn)
             got = scan.across_f(ctx.inv_rn_on_f, 1.0 / rn)
             assert np.abs(got - inv).max() <= 1e-13 * np.abs(inv).max()
             # the whole chain feeds the rounding of R_n through the F
             # transform, whose sensitivity to f(z) grows near a node
-            whole = _inv_rn_on_boundary(ctx, region, scan.t)
+            whole = direct_inv_rn(ctx, region, scan.t)
             got = _scan_inv_rn(ctx, scan)
             assert np.abs(got - whole).max() <= 1e-12 * np.abs(whole).max()
         if nq == 256:
@@ -246,8 +248,9 @@ def test_boundary_evaluators_match_the_classifying_one(rect_pair, rect_ctx):
     t = np.linspace(0.0, 1.0, 300, endpoint=False)
     # the unclassified boundary path of empirical_ratio's refinement
     for region in (e, f):
+        scan = _scan(rect_ctx.data, region, t)
         assert np.array_equal(
-            _reciprocal(_inv_rn_on_boundary(rect_ctx, region, t)),
+            _reciprocal(_scan_inv_rn(rect_ctx, scan)),
             eval_rn(rect_ctx, region.boundary_point(t)))
 
 

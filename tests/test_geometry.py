@@ -349,6 +349,15 @@ def test_non_finite_region_data_is_rejected(make):
         make()
 
 
+def test_polygons_whose_area_or_perimeter_overflows_are_rejected():
+    # finite vertices whose shoelace area is NaN and whose perimeter is inf
+    with pytest.raises(InvalidRegionError, match="overflows"):
+        polygon([1e308, 1.5e308, 1.2e308 + 1e308j])
+    # an edge of length inf: the area is inf
+    with pytest.raises(InvalidRegionError, match="overflows"):
+        polygon([-1e308, 1e308, 1e308j])
+
+
 @pytest.mark.parametrize("vertices", [
     # an asymmetric bow-tie: its lobes do not cancel, so the shoelace area
     # is not zero and only the crossing gives it away

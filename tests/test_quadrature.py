@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import direct_cauchy_boundary
 from faberzol.errors import EvaluationDomainError
 from faberzol.geometry import boundary_samples, curve, disk, rectangle
 from faberzol.quadrature import (
@@ -129,14 +130,34 @@ def test_kernel_sets_its_pairs_apart_and_matches_the_transform(region, n_quad):
     assert np.array_equal(kernel.near_diff,
                           diff[kernel.near_rows, kernel.near_cols])
     vals, f_at = np.exp(q.nodes), np.exp(z)
-    ref = cauchy_boundary(vals, q, z, f_at)
+    ref = direct_cauchy_boundary(vals, q, z, f_at)
     assert np.abs(kernel(vals, f_at) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_boundary_transform_is_the_kernel_within_one_block(circle):
+    # 1000 targets by 256 nodes fit in one block of cauchy_boundary
+    z = np.concatenate([disk(0.0, 1.0).boundary_point(np.arange(900) / 900),
+                        circle.nodes[::3], 1.5 * circle.nodes[:14]])
+    vals, f_at = np.exp(circle.nodes), np.exp(z)
+    assert np.array_equal(cauchy_boundary(vals, circle, z, f_at),
+                          cauchy_kernel(circle, z)(vals, f_at))
 
 
 def test_stabilized_transform_near_the_boundary(circle):
     z = 0.999999 * np.exp(1j * np.array([0.7, 3.1]))
     vals = cauchy_stabilized(np.exp(circle.nodes), circle, z)
     assert np.abs(vals - np.exp(z)).max() < 1e-9
+
+
+def test_stabilized_transform_takes_the_node_value_on_a_hit(circle):
+    vals = np.exp(circle.nodes)
+    nodes = circle.nodes[::9]
+    # exactly on a node, and within the hit radius of one
+    offset = 0.5 * _HIT_RTOL * circle.diameter * np.exp(0.3j)
+    for z in (nodes, nodes + offset):
+        got = cauchy_stabilized(vals, circle, np.append(z, 0.1 + 0.2j))
+        assert np.array_equal(got[:-1], vals[::9])
+        assert abs(got[-1] - np.exp(0.1 + 0.2j)) < 1e-13
 
 
 def test_stabilized_transform_matches_plain_far_away(circle):
