@@ -12,9 +12,12 @@ clustered exponentially toward the corners (lightning-style), and the
 real-linear conditions log|Phi| = 0 on the E boundary and log|Phi| = L on
 the F boundary are solved by weighted least squares with the level
 L = log h as an extra unknown.  Exponentiating the log ansatz removes
-every branch-cut issue.  For two disks (mobius_two_disks) the anchors are
-the limit points of the circle pencil and g is a constant: the exact
-Mobius map, as a degree-0 AnnulusMap with residual 0.
+every branch-cut issue.  A pair with F = -E, or with each set its own
+mirror image in the real axis, is solved on the symmetric subspace of
+that system (_Ties): half the rows and unknowns per symmetry.  For two
+disks (mobius_two_disks) the anchors are the limit points of the circle
+pencil and g is a constant: the exact Mobius map, as a degree-0
+AnnulusMap with residual 0.
 
 Case A1 has two compact sets; case A2 has E inside the bounded
 complement of an unbounded F (ExteriorOf a compact region).
@@ -54,6 +57,11 @@ _EPS = float(np.finfo(float).eps)
 _SVD_MARGIN = 1e-3
 # Intervals of the boundary Phi tables that psi_boundary brackets roots on.
 _PSI_TABLE = 4096
+# Two region data (vertices, disk centres and radii, curve coefficients)
+# that agree to this fraction of their largest magnitude are one symmetry
+# image of the other: hexagon vertices built from exp(i pi k/3) are mirror
+# images only to about 1e-16 of their size.
+_SYMMETRY_RTOL = 64.0 * _EPS
 
 
 @dataclass(frozen=True)
@@ -76,7 +84,14 @@ class _LogBasis:
     """The ansatz Phi = base * exp(g) of one ladder step, or of the
     two-disk closed form at degree 0: the base factor and the columns of
     the analytic part g, shared by solver and evaluator.  base is
-    (z - anchor_e)/(z - anchor_f) in A1 and z - anchor_e in A2."""
+    (z - anchor_e)/(z - anchor_f) in A1 and z - anchor_e in A2.
+
+    A basis of a symmetric pair carries its symmetries as pole images:
+    negated[i] is the pole at -poles[i] (F = -E, with anchor_f = -anchor_e
+    and scale_f = scale_e), conjugated[i] the pole at conj(poles[i]) (each
+    set its own mirror image in the real axis, with real anchors).  Each
+    is None when the pair lacks that symmetry; see _Ties for the
+    symmetric subspace they define."""
 
     variant: str
     anchor_e: complex
@@ -86,10 +101,25 @@ class _LogBasis:
     degree: int        # Laurent degree about each anchor
     poles: np.ndarray        # clustered pole locations (possibly empty)
     pole_scales: np.ndarray  # one positive scale per pole
+    negated: np.ndarray | None = None
+    conjugated: np.ndarray | None = None
 
     @property
     def n_columns(self) -> int:
         return 1 + 2 * self.degree + len(self.poles)
+
+    @property
+    def symmetry(self) -> str:
+        """"negation", "conjugation", both joined by "+", or ""."""
+        return "+".join(name for name, image in (
+            ("negation", self.negated), ("conjugation", self.conjugated))
+            if image is not None)
+
+    @functools.cached_property
+    def ties(self):
+        """The _Ties of the basis: one unknown per column when it carries
+        no symmetry."""
+        return _Ties.of(self)
 
     def columns(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=complex).ravel()
@@ -239,18 +269,26 @@ def _validation_params(params: np.ndarray):
     return np.unique(np.concatenate([p, mids]))
 
 
-def _corner_poles(region):
+def _corner_poles(region, image):
     """Lightning poles: clustered at each corner along the bisector pointing
     into the region, scaled to half the shorter adjacent edge.  A smooth
-    region (not a Polygon) has none.
+    region (not a Polygon) has none.  Returns (poles, scales, mirror).
 
     Tapered spacing d_j = exp(-_POLE_TAPER (sqrt(N) - sqrt(j))), with
     N = _POLES_PER_CORNER, rather than a fixed geometric ratio: the fixed
     ratio stalls near 1e-4 on rectangle pairs while the taper converges
     like exp(-c sqrt(N)) down to 1e-9 and below.
+
+    image, when not None, is the _mirror_map of a region that is its own
+    mirror image in the real axis: image[k] is the corner at conj(v[k]).
+    The poles of a corner on the axis are then made real, and those of a
+    corner after its image in the vertex order are the conjugates of the
+    image's, so the set is exactly symmetric; mirror[i] is the index of
+    the pole at conj(poles[i]).  mirror is None when image is None.
     """
     if not isinstance(region, Polygon):
-        return np.empty(0, complex), np.empty(0)
+        return (np.empty(0, complex), np.empty(0),
+                None if image is None else np.empty(0, int))
     v = region._verts()
     n = len(v)
     poles, scales = [], []
@@ -274,9 +312,20 @@ def _corner_poles(region):
         dist = 0.5 * len_min * profile
         # drop levels too deep for boundary sampling to see between nodes
         dist = dist[dist > 1e-12 * len_min]
-        poles.extend(v[k] + bis * dist)
-        scales.extend(dist)
-    return np.asarray(poles, dtype=complex), np.asarray(scales, dtype=float)
+        poles.append(v[k] + bis * dist)
+        scales.append(dist)
+    mirror = None
+    if image is not None:
+        for k, m in enumerate(image):
+            if m == k:
+                poles[k] = poles[k].real + 0j
+            elif m < k:
+                poles[k], scales[k] = np.conj(poles[m]), scales[m]
+        start = np.cumsum([0] + [p.size for p in poles])
+        mirror = np.concatenate([start[m] + np.arange(poles[k].size)
+                                 for k, m in enumerate(image)])
+    return (np.concatenate(poles).astype(complex),
+            np.concatenate(scales).astype(float), mirror)
 
 
 def _region_scale(region, anchor) -> float:
@@ -286,13 +335,20 @@ def _region_scale(region, anchor) -> float:
     return 0.95 * float(np.abs(region.boundary_point(t) - anchor).min())
 
 
-def _spine_poles(region, count: int):
+def _spine_poles(region, count: int, mirrored):
     """Simple poles along the principal axis of an elongated region.
 
     A Laurent family about one anchor diverges on boundary arcs closer to
     the anchor than the region's own singularity spread, which stalls the
     fit near 1e-6 on tall boxes; point charges along the spine restore it.
-    Near-circular regions (extent ratio below 2) return no poles.
+    Near-circular regions (extent ratio below 2) return no poles.  Returns
+    (poles, scales, mirror) like _corner_poles.
+
+    The centre is the mean of 1024 boundary samples, a set that is not
+    symmetric even when the region is.  So for a region that is its own
+    mirror image in the real axis (mirrored), the spine is centred on the
+    axis and runs along it or across it, and its ends, poles and scales
+    are made exactly symmetric.
     """
     t = np.arange(1024) / 1024.0
     pts = region.boundary_point(t)
@@ -300,14 +356,32 @@ def _spine_poles(region, count: int):
     xy = np.column_stack([(pts - c).real, (pts - c).imag])
     val, vec = np.linalg.eigh(xy.T @ xy)
     if val[1] <= 4.0 * val[0] or count < 1:
-        return np.empty(0, complex), np.empty(0)
+        return (np.empty(0, complex), np.empty(0),
+                np.empty(0, int) if mirrored else None)
     u = complex(vec[0, 1], vec[1, 1])
+    across = False
+    if mirrored:
+        c = complex(c.real, 0.0)
+        across = abs(u.imag) > abs(u.real)
+        u = 1j if across else 1.0 + 0j
     s = ((pts - c) * np.conj(u)).real
     lo, hi = s.min(), s.max()
-    cand = c + u * np.linspace(lo, hi, count + 2)[1:-1]
+    if across:
+        hi = max(hi, -lo)
+        lo = -hi
+    along = np.linspace(lo, hi, count + 2)[1:-1]
+    if across:
+        along = (along - along[::-1]) / 2.0
+    cand = c + u * along
     clear = np.abs(cand[:, None] - pts[None, :]).min(axis=1)
+    if across:
+        clear = np.minimum(clear, clear[::-1])
     keep = clear >= 0.05 * (hi - lo)
-    return cand[keep], clear[keep]
+    mirror = None
+    if mirrored:
+        index = np.arange(keep.sum())
+        mirror = index[::-1] if across else index
+    return cand[keep], clear[keep], mirror
 
 
 @dataclass(frozen=True)
@@ -321,7 +395,9 @@ class LadderStep:
     back substitution (see _solve_level).  When the QR floor already
     certified that the residual exceeds tol, the solve and the validation
     were skipped, residual is that certified lower bound, is_bound is True
-    and condition and svd are None.
+    and condition and svd are None.  symmetry names the symmetries whose
+    subspace the system was reduced to (_LogBasis.symmetry), "" when the
+    step solved the full system.
     """
 
     degree: int
@@ -331,6 +407,7 @@ class LadderStep:
     is_bound: bool
     condition: float | None = None
     svd: bool | None = None
+    symmetry: str = ""
 
 
 def solve_annulus_map(region_e, region_f, tol: float = 1e-8) -> AnnulusMap:
@@ -350,44 +427,49 @@ def solve_annulus_map(region_e, region_f, tol: float = 1e-8) -> AnnulusMap:
     f_inner = boundary_region(region_f)
     _check_pair(region_e, region_f, variant)
 
-    anchor_e = geometry.interior_anchor(region_e)
-    if variant == "A1":
-        anchor_f = geometry.interior_anchor(f_inner)
-        scale_f = _region_scale(f_inner, anchor_f)
-        spined = (region_e, f_inner)
-    else:
+    symmetry, anchors, (image_e, image_f) = _pair_symmetry(region_e,
+                                                           region_f)
+    negation = "negation" in symmetry
+    mirrored = "conjugation" in symmetry
+
+    anchor_e = anchors[0]
+    scale_e = _region_scale(region_e, anchor_e)
+    corners_e = _corner_poles(region_e, image_e)
+    if variant == "A2":
         anchor_f = 0.0 + 0.0j
         # outer polynomial scale: radius of the outer boundary about anchor_e
         t = np.linspace(0.0, 1.0, 256, endpoint=False)
         scale_f = float(np.abs(f_inner.boundary_point(t) - anchor_e).max())
-        spined = (region_e,)
-    scale_e = _region_scale(region_e, anchor_e)
-    corners = [_corner_poles(region_e), _corner_poles(f_inner)]
+        corners_f = _corner_poles(f_inner, image_f)
+    elif negation:
+        anchor_f, scale_f = -anchor_e, scale_e
+        corners_f = _negated(corners_e)
+    else:
+        anchor_f = anchors[1]
+        scale_f = _region_scale(f_inner, anchor_f)
+        corners_f = _corner_poles(f_inner, image_f)
 
     best = None
     ladder = []
     degree = 8
     while degree <= _MAX_DEGREE:
-        charges = corners + [_spine_poles(reg, degree) for reg in spined]
-        basis = _LogBasis(
-            variant=variant,
-            anchor_e=anchor_e,
-            anchor_f=anchor_f,
-            scale_e=scale_e,
-            scale_f=scale_f,
-            degree=degree,
-            poles=np.concatenate([poles for poles, _ in charges]),
-            pole_scales=np.concatenate([scales for _, scales in charges]),
-        )
+        charges = [corners_e, corners_f,
+                   _spine_poles(region_e, degree, mirrored)]
+        if variant == "A1":
+            charges.append(_negated(charges[2]) if negation
+                           else _spine_poles(f_inner, degree, mirrored))
+        basis = _ladder_basis(variant, anchor_e, anchor_f, scale_e, scale_f,
+                              degree, charges, negation)
         rows, columns, floor, condition, svd, solution = _solve_level(
             region_e, f_inner, variant, basis, anchor_e, anchor_f, degree, tol)
         if solution is None:
-            ladder.append(LadderStep(degree, rows, columns, floor, True))
+            ladder.append(LadderStep(degree, rows, columns, floor, True,
+                                     symmetry=symmetry))
         else:
             coef, level = solution
             residual = _map_residual(region_e, f_inner, basis, coef, level)
             ladder.append(LadderStep(degree, rows, columns, residual, False,
-                                     condition, svd))
+                                     condition, svd, symmetry))
             if best is None or residual < best[0]:
                 best = (residual, basis, coef, level)
             if residual <= tol:
@@ -420,10 +502,130 @@ def solve_annulus_map(region_e, region_f, tol: float = 1e-8) -> AnnulusMap:
 
 def _step_text(step: LadderStep) -> str:
     if step.is_bound:
-        return (f"{step.degree}: {step.rows}x{step.columns} residual "
+        text = (f"{step.degree}: {step.rows}x{step.columns} residual "
                 f">= {step.residual:.2e}")
-    return (f"{step.degree}: {step.rows}x{step.columns} residual "
-            f"= {step.residual:.2e} (condition {step.condition:.1e})")
+    else:
+        text = (f"{step.degree}: {step.rows}x{step.columns} residual "
+                f"= {step.residual:.2e} (condition {step.condition:.1e})")
+    return f"{text} [{step.symmetry}]" if step.symmetry else text
+
+
+def _ladder_basis(variant, anchor_e, anchor_f, scale_e, scale_f, degree,
+                  charges, negation):
+    """The _LogBasis of a ladder step whose poles are the charges, each a
+    (poles, scales, mirror) triple of _corner_poles or _spine_poles, in
+    the order E corners, F corners, E spine and, in A1, F spine.  With
+    negation each F triple is the negated E triple (_negated), so the
+    blocks pair up E with F; mirror, when given, pairs the poles of a
+    block by conjugation."""
+    start = np.cumsum([0] + [poles.size for poles, _, _ in charges])
+    negated = conjugated = None
+    if negation:
+        mate = (1, 0, 3, 2)
+        negated = np.concatenate([start[mate[i]] + np.arange(poles.size)
+                                  for i, (poles, _, _) in enumerate(charges)])
+    if charges[0][2] is not None:
+        conjugated = np.concatenate([start[i] + mirror for i, (_, _, mirror)
+                                     in enumerate(charges)])
+    return _LogBasis(
+        variant=variant,
+        anchor_e=anchor_e,
+        anchor_f=anchor_f,
+        scale_e=scale_e,
+        scale_f=scale_f,
+        degree=degree,
+        poles=np.concatenate([poles for poles, _, _ in charges]),
+        pole_scales=np.concatenate([scales for _, scales, _ in charges]),
+        negated=negated,
+        conjugated=conjugated,
+    )
+
+
+def _negated(charge):
+    """The (poles, scales, mirror) triple at the negated poles."""
+    poles, scales, mirror = charge
+    return -poles, scales, mirror
+
+
+# -- symmetry of the pair --------------------------------------------------
+
+def _pair_symmetry(region_e, region_f):
+    """The symmetries of the pair that its ladder solves on, named as
+    _LogBasis.symmetry names them, with what the basis takes from them:
+    returns (symmetry, anchors, images).  Negation: F = -E (case A1).
+    Conjugation: each set is its own mirror image in the real axis, and
+    the anchor of each compact set, moved onto the axis, is inside it.
+
+    anchors are geometry.interior_anchor of E and, in case A1 without
+    negation, of F (with negation F's anchor is E's negated), on the real
+    axis under conjugation.  images are the _mirror_map of E and of F's
+    boundary region under conjugation, (None, None) otherwise.
+
+    The regions are compared by their data (polygon vertices up to a
+    cyclic shift, disk centre and radius, curve coefficients), to
+    _SYMMETRY_RTOL of the largest magnitude in the data of the pair.  A
+    symmetry that holds only to that tolerance is still safe: the rows
+    kept are solver points, and every map is validated on both full
+    boundaries.
+    """
+    f_inner = boundary_region(region_f)
+    tol = _SYMMETRY_RTOL * max(np.abs(_region_data(region)[0]).max()
+                               for region in (region_e, f_inner))
+    exterior = isinstance(region_f, ExteriorOf)
+    negation = (not exterior
+                and _same_region(region_e.negated(), f_inner, tol))
+    compact = (region_e,) if exterior or negation else (region_e, f_inner)
+    anchors = [geometry.interior_anchor(region) for region in compact]
+    images = [_mirror_map(region, tol) for region in (region_e, f_inner)]
+    on_axis = [complex(anchor.real, 0.0) for anchor in anchors]
+    conjugation = (all(image is not None for image in images)
+                   and all(geometry.contains_many(region, np.array([a]))[0][0]
+                           for region, a in zip(compact, on_axis)))
+    if conjugation:
+        anchors = on_axis
+    else:
+        images = [None, None]
+    symmetry = "+".join(name for name, holds in (
+        ("negation", negation), ("conjugation", conjugation)) if holds)
+    return symmetry, anchors, images
+
+
+def _region_data(region):
+    """The numbers that define a region, as one complex array, and the
+    wavenumbers of a curve's coefficients (empty for other kinds)."""
+    if isinstance(region, Disk):
+        return np.array([region.center, region.radius]), ()
+    if isinstance(region, Polygon):
+        return region._verts(), ()
+    return (np.array([c for _, c in region.coefficients], dtype=complex),
+            tuple(k for k, _ in region.coefficients))
+
+
+def _same_region(a, b, tol) -> bool:
+    """Whether a and b are the same kind and their data agree to tol, the
+    vertices of a polygon up to a cyclic shift."""
+    (da, ka), (db, kb) = _region_data(a), _region_data(b)
+    if type(a) is not type(b) or ka != kb or da.size != db.size:
+        return False
+    shifts = range(da.size) if isinstance(a, Polygon) else (0,)
+    return any(np.abs(np.roll(da, k) - db).max() <= tol for k in shifts)
+
+
+def _mirror_map(region, tol):
+    """The vertex mirror map of a region that is its own mirror image in
+    the real axis, to tol, and None for another region.  For a polygon
+    whose vertex images are its vertices in reversed cyclic order, the map
+    holds the index of the vertex nearest to conj(v[k]) for each vertex
+    v[k]; it is empty for a disk centred on the axis or a curve with real
+    coefficients (z(-t) = conj z(t))."""
+    data, _ = _region_data(region)
+    if not isinstance(region, Polygon):
+        return np.empty(0, int) if np.abs(data.imag).max() <= tol else None
+    image = np.abs(np.conj(data)[:, None] - data[None, :]).argmin(axis=1)
+    if (np.abs(np.conj(data) - data[image]).max() <= tol
+            and np.all((image - np.roll(image, -1)) % data.size == 1)):
+        return image
+    return None
 
 
 def _check_pair(region_e, region_f, variant):
@@ -446,60 +648,71 @@ def _check_pair(region_e, region_f, variant):
 def _level_system(region_e, f_inner, basis):
     """The weighted real least-squares system of the ladder step of basis.
 
-    Unknowns are [Re a0, (Re, Im) per remaining column, L]; returns the
-    column-normalised matrix (Fortran order), the right-hand side and the
-    column scales.  The rows are the solver points of both boundaries,
-    weighted by sqrt(spacing), and the spacings sum to 1 on each boundary.
+    The unknowns and column order are those of basis.ties (_Ties), the
+    rows those of the solver points of both boundaries that _Ties.kept_rows
+    keeps, weighted by sqrt(spacing) times the root of the number of
+    points each row stands for; the spacings sum to 1 on each boundary.
+    For a basis without symmetry that is the full system: unknowns [Re a0,
+    (Re, Im) per remaining column, L], every solver point a row.  Returns
+    the column-normalised matrix (Fortran order), the right-hand side, the
+    column scales and the sum of the squared row weights.
 
     The matrix is allocated once, in Fortran order, and filled in row
-    blocks of _CHUNK // basis.n_columns points (_fill_rows), so the build
-    peaks at about the matrix plus one block of basis columns.  The squared
-    column norms are summed one row at a time, the order in which
-    np.linalg.norm(axis=0) sums a C-order array, so the system equals the
-    dense formula bit for bit.
+    blocks (_fill_rows) of at most _CHUNK basis entries and 1/8 of the
+    matrix's entries: the basis columns of a symmetric subspace's rows are
+    several times its matrix.  So the build peaks at about the matrix plus
+    one block of basis columns.  The squared column norms are summed one
+    row at a time, the order in which np.linalg.norm(axis=0) sums a
+    C-order array, so the system equals the dense formula bit for bit.
     """
+    ties = basis.ties
     sides = []
     for region, f_side in ((region_e, False), (f_inner, True)):
+        if f_side and ties.negation:
+            continue
         params = _solver_params(region, basis.degree)
-        sides.append((region.boundary_point(params),
-                      np.sqrt(_param_spacing(params)), f_side))
+        pts, w = ties.kept_rows(region.boundary_point(params),
+                                np.sqrt(_param_spacing(params)))
+        sides.append((pts, w, f_side))
     m = sum(pts.size for pts, _, _ in sides)
-    n = 2 * basis.n_columns
-    a = np.empty((m, n), order="F")
+    a = np.empty((m, ties.order.size), order="F")
     b = np.empty(m)
-    norm2 = np.zeros(n)
-    step = max(1, _CHUNK // basis.n_columns)
+    norm2 = np.zeros(2 * ties.size)
+    step = max(1, min(_CHUNK, a.size // 8) // basis.n_columns)
     lo = 0
     for pts, w, f_side in sides:
         b[lo : lo + pts.size] = -basis.log_abs_base(pts) * w
         for i in range(0, pts.size, step):
-            z = pts[i : i + step]
-            _fill_rows(a[lo + i : lo + i + z.size], basis.columns(z),
-                       w[i : i + step], f_side, norm2)
+            z, wz = pts[i : i + step], w[i : i + step]
+            level = 0.5 * wz if ties.negation else -wz if f_side else 0.0
+            _fill_rows(a[lo + i : lo + i + z.size],
+                       ties.combine(basis.columns(z)), wz, level, norm2,
+                       ties.order)
         lo += pts.size
-    # the level column is second in norm2 (see _fill_rows) and last in a
-    scale = np.sqrt(np.concatenate([norm2[:1], norm2[2:], norm2[1:2]]))
+    scale = np.sqrt(norm2[ties.order])
     scale[scale == 0.0] = 1.0
     a /= scale
-    return a, b, scale
+    mass = sum(float(w @ w) for _, w, _ in sides)
+    return a, b, scale, mass
 
 
-def _fill_rows(block, cols, w, f_side, norm2):
-    """Write the rows of block from the basis columns cols of its points,
-    weighted by w, and add their squares to norm2 row by row.
+def _fill_rows(block, cols, w, level, norm2, order):
+    """Write the rows of block from the complex columns cols of its points,
+    weighted by w, with the level column's entries level, and add their
+    squares to norm2 row by row.
 
     The rows are built in place in cols, whose real view is [Re c0, Im c0,
-    Re c1, Im c1, ...]: Im c0 = 0 makes room for the level column, so the
-    view holds [Re c0, L, Re c1, -Im c1, ...] and is copied into block,
-    [Re c0, Re c1, -Im c1, ..., L], once.  norm2 follows the view's order.
+    Re c1, Im c1, ...]: c0 is the constant column, whose Im c0 = 0 makes
+    room for the level column, so the view holds [Re c0, L, Re c1, -Im c1,
+    ...].  The view columns order lists are copied into block once (for
+    the full system [Re c0, Re c1, -Im c1, ..., L]).  norm2 follows the
+    view's order.
     """
     v = cols.view(float)
     v *= w[:, None]
     np.negative(v[:, 3::2], out=v[:, 3::2])
-    v[:, 1] = -w if f_side else 0.0
-    block[:, 0] = v[:, 0]
-    block[:, 1:-1] = v[:, 2:]
-    block[:, -1] = v[:, 1]
+    v[:, 1] = level
+    block[:] = v[:, order]
     np.square(v, out=v)
     # a C-order reduction over axis 0 adds row after row: this is
     # ((norm2 + s_0) + s_1) + ..., the running sum continued
@@ -507,14 +720,157 @@ def _fill_rows(block, cols, w, f_side, norm2):
     np.add.reduce(v, axis=0, out=norm2)
 
 
-def _coef_level(x, scale):
-    """(coef, level) of a solution x of the column-normalised system."""
-    x = x / scale
-    n_cols = x.size // 2
-    coef = np.empty(n_cols, dtype=complex)
-    coef[0] = x[0]
-    coef[1:] = x[1 : 2 * n_cols - 1 : 2] + 1j * x[2 : 2 * n_cols - 1 : 2]
-    return coef, float(x[-1])
+@dataclass(frozen=True, eq=False)
+class _Ties:
+    """The unknowns of a ladder step: its symmetric subspace, the whole
+    space of the basis when it carries no symmetry.
+
+    A symmetric pair has a symmetric map, and the least-squares solution
+    of a symmetric system lies in the symmetric subspace:
+
+    * negation (F = -E, case A1): log|Phi(z)| + log|Phi(-z)| = L, so
+      Re g(z) + Re g(-z) = L.  The F Laurent coefficient of degree k is
+      d_k = -(-1)^k c_k, the pole at -p takes the coefficient of p, and
+      Re a0 = L/2.  The condition at a point -z of F is then the one at z
+      of E, so only the E rows are kept, weighted by sqrt(2) w;
+    * conjugation (each set its own mirror image in the real axis):
+      Re g(conj z) = Re g(z).  The Laurent coefficients are real, the pole
+      at conj(p) takes the conjugate of the coefficient of p, and a pole
+      on the axis takes a real one.  The rows on or above the axis are
+      kept (kept_rows), and those off it weighted by sqrt(2) w.
+
+    Each orbit of basis columns under the symmetries is one unknown u.
+    Its members, in orbit order (the column, its negation image, its
+    conjugation image, the negation image of that; repeats dropped), hold
+    sign u, or sign conj(u) for a conjugation image, so a row sees
+    Re(u C) with C the sum, in orbit order, of sign col or sign conj(col)
+    over the members (combine).  u is real when the orbit reaches one
+    column both directly and by conjugation; its members then all hold
+    sign u.  Unknown 0 is the constant column, and with negation it is
+    L/2, so the system drops it.  Without symmetry every column is an
+    orbit of its own and the system is the full one.
+
+    slots[s] holds the s-th members of all orbits that have one, as index
+    arrays (unknown, column, sign, conjugated); slots[0] is every orbit's
+    own first column, in unknown order.  order lists the system's columns
+    as indices into the real view of the unknowns, [Re u0, L, Re u1,
+    Im u1, ...] (see _fill_rows): Re u0 unless negation, then Re u_r and,
+    for a complex u_r, Im u_r, then L.
+    """
+
+    slots: tuple
+    order: np.ndarray
+    negation: bool
+    conjugation: bool
+
+    @property
+    def size(self) -> int:
+        """The number of complex unknowns, unknown 0 included."""
+        return self.slots[0][0].size
+
+    @classmethod
+    def of(cls, basis):
+        """The ties of the symmetries basis carries (_LogBasis)."""
+        n = basis.n_columns
+        k = np.arange(1, basis.degree + 1)
+        first_pole = 1 + 2 * basis.degree
+        images = []  # (column image, sign, conjugated) of each symmetry
+        if basis.negated is not None:
+            flip = -(-1.0) ** k
+            neg = np.concatenate([[0], k + basis.degree, k,
+                                  first_pole + basis.negated])
+            sign = np.concatenate([[1.0], flip, flip,
+                                   np.ones(basis.negated.size)])
+            images.append((neg, sign, False))
+        if basis.conjugated is not None:
+            conj = np.concatenate([np.arange(first_pole),
+                                   first_pole + basis.conjugated])
+            images.append((conj, np.ones(n), True))
+            if basis.negated is not None:
+                images.append((neg[conj], sign[conj], True))
+        members = [[(0, 0, 1.0, False)]]
+        order = [] if basis.negated is not None else [0]
+        seen = np.zeros(n, dtype=bool)
+        unknown = 0
+        for j in range(1, n):
+            if seen[j]:
+                continue
+            unknown += 1
+            orbit = {j: (1.0, False)}
+            real = False
+            for image, sign, conj in images:
+                i = int(image[j])
+                if i in orbit:
+                    real = real or orbit[i][1] != conj
+                else:
+                    orbit[i] = (float(sign[j]), conj)
+            for s, (i, (sign, conj)) in enumerate(orbit.items()):
+                if s == len(members):
+                    members.append([])
+                members[s].append((unknown, i, sign, conj and not real))
+                seen[i] = True
+            order.extend([2 * unknown] if real
+                         else [2 * unknown, 2 * unknown + 1])
+        order.append(1)
+        slots = tuple(
+            tuple(np.array(field) for field in zip(*slot)) for slot in members)
+        return cls(slots, np.array(order), basis.negated is not None,
+                   basis.conjugated is not None)
+
+    def kept_rows(self, pts, w):
+        """The solver points of one boundary that the subspace keeps, and
+        their weights: w times the square root of the number of points of
+        the full system that each one stands for.  A point within
+        _axis_band of the real axis is its own mirror image."""
+        count = np.full(pts.size, 2.0 if self.negation else 1.0)
+        if self.conjugation:
+            band = _axis_band(pts)
+            keep = pts.imag >= -band
+            count[pts.imag > band] *= 2.0
+            pts, w, count = pts[keep], w[keep], count[keep]
+        return pts, w * np.sqrt(count)
+
+    def combine(self, cols):
+        """The complex columns C of the unknowns, from the basis columns
+        cols of some points: cols itself when every orbit is one column."""
+        if len(self.slots) == 1:
+            return cols
+        out = np.take(cols, self.slots[0][1], axis=1)
+        for unknown, column, sign, conj in self.slots[1:]:
+            terms = sign * cols[:, column]
+            np.conjugate(terms, out=terms, where=conj)
+            out[:, unknown] += terms
+        return out
+
+    def expand(self, u):
+        """The coefficients of all basis columns from those of the
+        unknowns."""
+        coef = np.empty(sum(slot[0].size for slot in self.slots),
+                        dtype=complex)
+        for unknown, column, sign, conj in self.slots:
+            value = u[unknown]
+            coef[column] = sign * np.where(conj, np.conj(value), value)
+        return coef
+
+
+def _axis_band(pts) -> float:
+    """The distance from the real axis within which a boundary point is
+    on it: rounding of the boundary parametrisation, such as the 7e-17
+    imaginary part of a disk's point at half a turn."""
+    return 16.0 * _EPS * float(np.abs(pts).max())
+
+
+def _coef_level(x, scale, basis):
+    """(coef, level) of a solution x of the column-normalised system of
+    basis: coef holds the coefficients of every basis column, expanded
+    from the unknowns of its _Ties."""
+    ties = basis.ties
+    view = np.zeros(2 * ties.size)
+    view[ties.order] = x / scale
+    u = view.view(complex)
+    level = float(u[0].imag)
+    u[0] = 0.5 * level if ties.negation else u[0].real
+    return ties.expand(u), level
 
 
 def _solve_level(region_e, f_inner, variant, basis, anchor_e, anchor_f,
@@ -543,8 +899,8 @@ def _solve_level(region_e, f_inner, variant, basis, anchor_e, anchor_f,
       keeps every singular value (the ladder audit in
       tests/test_conformal.py checks it on each such step), so both solve
       the same full-rank problem and their h agree to rounding.  The
-      rect_disk step at degree 16 is cleared by the bound (0.16 of
-      1/rcond) and not by the estimate.
+      rect_disk step at degree 16, on its conjugation subspace, is
+      cleared by the bound (0.04 of 1/rcond) and not by the estimate.
     * otherwise gelsd's own second half, the truncated-SVD solve on the
       triangle, so the solution is bitwise that of the one-call lstsq at
       one BLAS thread.  On the rank-deficient README rectangles at degree
@@ -555,16 +911,20 @@ def _solve_level(region_e, f_inner, variant, basis, anchor_e, anchor_f,
     the gate picks the faster solve, not whether the map is certified.
 
     Why floor is certified: ||(Q^T b)[n:]||_2 is the minimum over all x of
-    ||W (A x - b)||_2, the weighted residual of the log-modulus conditions.
-    The squared weights sum to 1 on each boundary, so the largest pointwise
-    residual is at least that minimum over sqrt(2).  The validation points
-    contain the solver points and |expm1(r)| >= 1 - exp(-|r|), so the
-    validated residual is at least -expm1(-lb).  The QR tail is reduced by
+    ||W (A x - b)||_2, the weighted residual of the log-modulus conditions
+    at the system's points (over the symmetric subspace for a symmetric
+    basis, where every solution of the step lies).  So the largest
+    pointwise residual there is at least that minimum over the square root
+    of the sum of the squared row weights: about 2 for the full system,
+    whose squared weights sum to 1 on each boundary.  The validation
+    points contain the solver points, the kept rows of a symmetric system
+    among them, and |expm1(r)| >= 1 - exp(-|r|), so the validated residual
+    is at least -expm1(-lb).  The QR tail is reduced by
     a rounding allowance of 10 m eps ||W b|| first; on the zoo systems the
     computed tail exceeds the weighted residual of the computed solution
     by under 0.01 m eps ||W b||.
     """
-    a, b, scale = _level_system(region_e, f_inner, basis)
+    a, b, scale, mass = _level_system(region_e, f_inner, basis)
     m, n = a.shape
     rcond = _EPS * max(m, n)
     lwork = int(lapack.dgelsd_lwork(m, n, 1, rcond)[0]) - n
@@ -575,7 +935,7 @@ def _solve_level(region_e, f_inner, variant, basis, anchor_e, anchor_f,
             f"QR of the map system failed (info {info_qr}, {info_q})")
     tail = float(np.linalg.norm(qtb[n:, 0]))
     slack = 10.0 * m * _EPS * float(np.linalg.norm(b))
-    floor = -math.expm1(-max(0.0, tail - slack) / math.sqrt(2.0))
+    floor = -math.expm1(-max(0.0, tail - slack) / math.sqrt(mass))
     if floor > tol:
         return m, n, floor, None, None, None
     # a square copy of the triangle: scipy's dtrcon misreads the leading
@@ -596,7 +956,7 @@ def _solve_level(region_e, f_inner, variant, basis, anchor_e, anchor_f,
             raise np.linalg.LinAlgError(
                 f"back substitution on the map system failed (info {info_t})")
         x = x[:, 0]
-    return m, n, floor, condition, svd, _coef_level(x, scale)
+    return m, n, floor, condition, svd, _coef_level(x, scale, basis)
 
 
 def _needs_svd(r, condition, rcond) -> bool:

@@ -150,8 +150,9 @@ def _nodal_derivative(vals, quad: BoundaryQuadrature):
 
     Equispaced arc parameters (trapezoid rules) get spectral FFT
     differentiation; otherwise a local degree-8 polynomial through the 9
-    nearest nodes is differentiated at its center.  Weights w_j ~ zeta'(t_j)
-    dt convert parameter derivatives to spatial ones.
+    nearest nodes is differentiated at its center, all nodes in one
+    batched solve of their 9 x 9 Vandermonde systems.  Weights
+    w_j ~ zeta'(t_j) dt convert parameter derivatives to spatial ones.
     """
     n = len(quad)
     t = quad.arc_params
@@ -162,17 +163,15 @@ def _nodal_derivative(vals, quad: BoundaryQuadrature):
             k[n // 2] = 0.0
         dfdt = np.fft.ifft(_TWO_PI_I * k * np.fft.fft(vals))
         return dfdt / (quad.weights * n)
-    out = np.empty(n, dtype=complex)
-    half = 4
-    offsets = np.arange(-half, half + 1)
-    for j in range(n):
-        sel = (j + offsets) % n
-        dz = quad.nodes[sel] - quad.nodes[j]
-        s = np.abs(dz).max()
-        a = np.vander(dz / s, N=offsets.size, increasing=True)
-        coef, *_ = np.linalg.lstsq(a, vals[sel], rcond=None)
-        out[j] = coef[1] / s
-    return out
+    sel = (np.arange(n)[:, None] + np.arange(-4, 5)) % n
+    dz = quad.nodes[sel] - quad.nodes[:, None]
+    s = np.abs(dz).max(axis=1)
+    # rows 1, x, x^2, ... of each node's Vandermonde matrix, as np.vander
+    vander = np.ones(dz.shape + (9,), dtype=complex)
+    vander[:, :, 1:] = (dz / s[:, None])[:, :, None]
+    np.multiply.accumulate(vander[:, :, 1:], axis=2, out=vander[:, :, 1:])
+    coef = np.linalg.solve(vander, vals[sel][:, :, None])
+    return coef[:, 1, 0] / s
 
 
 def cauchy_boundary(values, quad: BoundaryQuadrature, z, f_at):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -193,6 +194,20 @@ def _random_pair(seed):
     return random_disk_pair(np.random.default_rng(seed))
 
 
+def _seeded_pair(kind, seed):
+    """A seeded symmetric pair: a rectangle on the real axis, with sides
+    0.4-1.4 and a gap 0.3-1.2 to the imaginary axis, against its negation
+    ("mirror") or against a disk on the axis ("rect_disk")."""
+    rng = np.random.default_rng(seed)
+    width, height = rng.uniform(0.4, 1.4, 2)
+    gap = rng.uniform(0.3, 1.2)
+    e = rectangle((-gap - width, -gap), (-height / 2.0, height / 2.0))
+    if kind == "mirror":
+        return e, e.negated()
+    radius = rng.uniform(0.3, 0.8)
+    return e, disk(gap + rng.uniform(0.2, 1.0) + radius, radius)
+
+
 ALL_TOLS = (1e-8, 1e-9, 1e-10)
 # The pairs of the tier-1 tests, the fixed pairs of the benchmark zoo and
 # three random disk pairs, with the tols each ladder is audited at.  Below
@@ -226,7 +241,29 @@ AUDIT_PAIRS = {
     "mirror100": (lambda: _mirrored((-1.4, -0.6), (-0.6, 0.6)), (1e-8,)),
     "mirror300": (lambda: _mirrored((-3.4, -2.6), (-0.6, 0.6)), (1e-8,)),
     "hexagons": (_hexagons, (1e-8,)),
+    # short_rects and rect_in_exterior moved off the axes: the same
+    # geometry without its symmetry, so its ladder solves the full system
+    "short_rects_shifted": (lambda: (rectangle((0.3, 1.3), (0.0, 1.0)),
+                                     rectangle((-1.3, -0.3), (0.0, 1.0))),
+                            (1e-8,)),
+    "rect_in_exterior_shifted": (
+        lambda: (rectangle((-0.6, 1.0), (-0.4, 0.8)),
+                 ExteriorOf(disk(0.2 + 0.2j, 2.0))), (1e-8,)),
+    "seeded_mirror0": (lambda: _seeded_pair("mirror", 0), (1e-8,)),
+    "seeded_mirror1": (lambda: _seeded_pair("mirror", 1), (1e-8,)),
+    "seeded_rect_disk0": (lambda: _seeded_pair("rect_disk", 0), ALL_TOLS),
+    "seeded_rect_disk1": (lambda: _seeded_pair("rect_disk", 1), ALL_TOLS),
 }
+
+
+def _reference(system, region_e, f_inner, basis):
+    """(coef, level, residual, rank) of one np.linalg.lstsq call on a
+    system of basis, validated like the solver."""
+    a, b, scale = system[:3]
+    x, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
+    coef, level = conformal._coef_level(x, scale, basis)
+    residual = conformal._map_residual(region_e, f_inner, basis, coef, level)
+    return coef, level, residual, int(rank)
 
 
 def _ladder_audit(names):
@@ -234,20 +271,24 @@ def _ladder_audit(names):
     reference step solved in one np.linalg.lstsq call and validated like
     the solver.
 
-    Returns {pair: [step record]}.  A step record holds the tol, degree and
-    system shape, whether the step was skipped, its certified floor, and
-    the reference's residual and rank.  A solved step also records its
-    condition estimate, whether the solver took the SVD path, whether its
-    coef and level equal the reference bit for bit, |h/h_ref - 1| and, off
-    the SVD path, its own validated residual.
+    Returns {pair: [step record]}.  A step record holds the tol, degree,
+    symmetry and system shape, whether the step was skipped, its certified
+    floor, and the reference's residual and rank.  A solved step also
+    records its condition estimate, whether the solver took the SVD path,
+    whether its coef and level equal the reference bit for bit,
+    |h/h_ref - 1| and, off the SVD path, its own validated residual.  A
+    step of a symmetric pair, which solved its symmetric subspace, also
+    records a second reference: one lstsq of the full system of the same
+    basis (_dense_level_system), its residual, rank and column count and,
+    when the step was solved, |h/h_full - 1|.
     """
     level_system, solve_level = conformal._level_system, conformal._solve_level
     systems, steps = {}, []
 
     def recorded_system(region_e, f_inner, basis):
-        a, b, scale = level_system(region_e, f_inner, basis)
+        a, b, scale, mass = level_system(region_e, f_inner, basis)
         systems[basis.degree] = (a.copy(order="F"), b.copy(), scale.copy())
-        return a, b, scale
+        return a, b, scale, mass
 
     def recorded_solve(*args):
         out = solve_level(*args)
@@ -261,7 +302,7 @@ def _ladder_audit(names):
         for name in names:
             region_e, region_f = AUDIT_PAIRS[name][0]()
             systems.clear()
-            references = {}
+            references, full_references = {}, {}
             report[name] = []
             for tol in AUDIT_PAIRS[name][1]:
                 steps.clear()
@@ -273,21 +314,32 @@ def _ladder_audit(names):
                     rows, columns, floor, condition, svd, solution = out
                     e, f_inner, _, basis, _, _, degree, _ = args
                     if degree not in references:
-                        a, b, scale = systems[degree]
-                        x, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
-                        coef, level = conformal._coef_level(x, scale)
-                        residual = conformal._map_residual(
-                            e, f_inner, basis, coef, level)
-                        references[degree] = (coef, level, residual,
-                                              int(rank))
+                        references[degree] = _reference(
+                            systems[degree], e, f_inner, basis)
                     coef, level, residual, rank = references[degree]
                     record = {
                         "tol": tol, "degree": degree, "rows": rows,
-                        "columns": columns, "skipped": solution is None,
-                        "floor": floor, "reference": residual,
-                        "reference_rank": rank,
+                        "columns": columns, "symmetry": basis.symmetry,
+                        "skipped": solution is None, "floor": floor,
+                        "reference": residual, "reference_rank": rank,
                     }
                     report[name].append(record)
+                    if basis.symmetry:
+                        if degree not in full_references:
+                            full = dataclasses.replace(
+                                basis, negated=None, conjugated=None)
+                            system = _dense_level_system(e, f_inner, full)
+                            full_references[degree] = (
+                                system[0].shape[1],
+                                _reference(system, e, f_inner, full))
+                        full_columns, (_, full_level, full_residual,
+                                       full_rank) = full_references[degree]
+                        record.update(full_reference=full_residual,
+                                      full_rank=full_rank,
+                                      full_columns=full_columns)
+                        if solution is not None:
+                            record["full_h_rel"] = abs(
+                                math.expm1(solution[1] - full_level))
                     if solution is None:
                         continue
                     record.update(
@@ -305,16 +357,21 @@ def _ladder_audit(names):
 
 
 # The audit's pairs in two halves of about equal cost, each run in its own
-# subprocess: at one BLAS thread each half takes about 13 s (README 3.9 s,
-# L-shape 3.8 s, rect_in_exterior 3.2 s, rect_disk 2.8 s, hexagons 2.3 s,
-# short_rects 2.1 s, the mirror pairs 1.6-1.9 s each, triangle 1.1 s, the
-# rest under 0.2 s together).
+# subprocess: at one BLAS thread, each half takes about 16 s when run
+# alone.  Per pair: L-shape 3.7 s, README 2.8 s, seeded_mirror1 2.5 s,
+# rect_disk 2.3 s, rect_in_exterior 2.2 s, seeded_rect_disk1 and
+# short_rects_shifted 2.1 s, hexagons 2.0 s, seeded_rect_disk0 1.9 s, the
+# mirror pairs, short_rects and seeded_mirror0 1.4-1.6 s each, triangle
+# 1.0 s, rect_in_exterior_shifted 0.7 s, the rest 0.2 s together.  Most of
+# it is the references: each step of a symmetric pair is also checked
+# against one lstsq of the full system of its basis.
 _AUDIT_HALVES = (
-    ("lshape_disk", "rect_disk", "short_rects", "mirror045", "mirror100",
-     "triangle_disk"),
-    ("readme", "rect_in_exterior", "hexagons", "mirror060", "mirror300",
-     "disk_curve", "disks", "far_disks", "random0", "random1", "random2",
-     "disk_in_exterior"),
+    ("lshape_disk", "rect_disk", "seeded_mirror1", "short_rects_shifted",
+     "mirror045", "seeded_mirror0", "mirror060", "triangle_disk"),
+    ("readme", "rect_in_exterior", "seeded_rect_disk0", "hexagons",
+     "seeded_rect_disk1", "short_rects", "mirror100", "mirror300",
+     "rect_in_exterior_shifted", "disk_curve", "disks", "far_disks",
+     "random0", "random1", "random2", "disk_in_exterior"),
 )
 
 
@@ -364,6 +421,17 @@ def test_skipped_steps_fail_and_solved_steps_match_one_lstsq(ladder_audit,
             assert r["reference_rank"] == r["columns"], r
             assert (r["residual"] <= r["tol"]) == (r["reference"] <= r["tol"]), r
             assert r["h_rel"] <= 1e-12, r
+        if r["symmetry"]:
+            # the step solved its symmetric subspace: it passes or fails
+            # tol as one lstsq of the full system of its basis does, and a
+            # solved step has that h, to 1e-10 where the full system is
+            # rank-deficient (README at degree 32: 3.3e-12)
+            passes = not r["skipped"] and (
+                r["reference"] if r["svd"] else r["residual"]) <= r["tol"]
+            assert passes == (r["full_reference"] <= r["tol"]), r
+            if not r["skipped"]:
+                full_rank = r["full_rank"] == r["full_columns"]
+                assert r["full_h_rel"] <= (1e-12 if full_rank else 1e-10), r
 
 
 def test_rank_deficient_readme_step_takes_the_svd_path(ladder_audit):
@@ -402,18 +470,21 @@ def test_full_rank_rect_disk_step_is_cleared_by_the_frobenius_bound(
     monkeypatch.setattr(conformal, "_solve_level", recorded)
     solve_annulus_map(*AUDIT_PAIRS["rect_disk"][0]())
     region_e, f_inner, _, basis, *_ = solved[16]
-    a, _, _ = conformal._level_system(region_e, f_inner, basis)
+    assert basis.symmetry == "conjugation"
+    a, *_ = conformal._level_system(region_e, f_inner, basis)
     r = np.linalg.qr(a, mode="r")
     bound = np.linalg.norm(r) * np.linalg.norm(np.linalg.inv(r))
     assert bound <= 0.5 * _cutoff(step)
 
 
-@pytest.mark.parametrize("name, degree", [("short_rects", 16),
-                                          ("rect_in_exterior", 32)])
+@pytest.mark.parametrize("name, degree", [("short_rects_shifted", 16),
+                                          ("rect_in_exterior_shifted", 32)])
 def test_steps_the_bound_cannot_clear_keep_the_svd_path(ladder_audit, name,
                                                         degree):
     # estimates between _SVD_MARGIN and n times the cut-off, whose
-    # Frobenius bound exceeds half of it: the bitwise SVD solve stays
+    # Frobenius bound exceeds half of it: the bitwise SVD solve stays.  On
+    # the axes these pairs solve their symmetric subspace, where both
+    # steps are back-substituted, so the witnesses are moved off them
     steps = [r for r in ladder_audit[name]
              if r["degree"] == degree and not r["skipped"]]
     assert steps
@@ -464,23 +535,26 @@ def _ladder_system_args(name, degree, monkeypatch):
     return seen["args"]
 
 
+def _solver_sides(region_e, f_inner, basis):
+    """(points, sqrt(spacing) weights, on F) of the solver points of each
+    boundary."""
+    sides = []
+    for region, f_side in ((region_e, False), (f_inner, True)):
+        params = conformal._solver_params(region, basis.degree)
+        sides.append((region.boundary_point(params),
+                      np.sqrt(conformal._param_spacing(params)), f_side))
+    return sides
+
+
 def _dense_level_system(region_e, f_inner, basis):
     """_level_system's definition: every column of both sides at once, the
     real matrix in C order, np.linalg.norm column scales."""
-    rows_a, rhs_a, wts = [], [], []
-    is_f_side = []
-    for region, f_side in ((region_e, False), (f_inner, True)):
-        params = conformal._solver_params(region, basis.degree)
-        pts = region.boundary_point(params)
-        w = np.sqrt(conformal._param_spacing(params))
-        rows_a.append(basis.columns(pts))
-        rhs_a.append(-basis.log_abs_base(pts))
-        wts.append(w)
-        is_f_side.append(np.full(pts.size, f_side))
-    cols = np.vstack(rows_a)
-    rhs = np.concatenate(rhs_a)
-    w = np.concatenate(wts)
-    f_side = np.concatenate(is_f_side)
+    sides = _solver_sides(region_e, f_inner, basis)
+    pts = np.concatenate([z for z, _, _ in sides])
+    w = np.concatenate([w for _, w, _ in sides])
+    f_side = np.concatenate([np.full(z.size, on_f) for z, _, on_f in sides])
+    cols = basis.columns(pts)
+    rhs = -basis.log_abs_base(pts)
 
     n_cols = basis.n_columns
     a_real = np.empty((cols.shape[0], 1 + 2 * (n_cols - 1) + 1))
@@ -496,23 +570,192 @@ def _dense_level_system(region_e, f_inner, basis):
     return np.divide(a_real, scale, order="F"), b, scale
 
 
+def _kept_sides(region_e, f_inner, basis):
+    """The rows the symmetric subspace of basis keeps, as (points, weights,
+    on F, count) per side: the E solver points only under negation, those
+    at or above the real axis under conjugation (a point within
+    conformal._axis_band of it is on it).  count is the number of
+    full-system points a kept point stands for: 2 for negation, times 2
+    off the axis for conjugation."""
+    negation = basis.negated is not None
+    sides = []
+    for z, w, on_f in _solver_sides(region_e, f_inner, basis):
+        if on_f and negation:
+            continue
+        count = np.full(z.size, 2.0 if negation else 1.0)
+        if basis.conjugated is not None:
+            band = conformal._axis_band(z)
+            count[z.imag > band] *= 2.0
+            keep = z.imag >= -band
+            z, w, count = z[keep], w[keep], count[keep]
+        sides.append((z, w, on_f, count))
+    return sides
+
+
+def _tied_unknowns(basis):
+    """The unknowns of the symmetric subspace of basis, after the first:
+    for each, its (column, sign, conjugated) members in orbit order (the
+    column, its negation image, its conjugation image, the negation image
+    of that; repeats dropped) and whether it is real."""
+    n, degree = basis.n_columns, basis.degree
+    first_pole = 1 + 2 * degree
+
+    def negation(j):
+        if j > 2 * degree:
+            return first_pole + basis.negated[j - first_pole], 1.0, False
+        k = j if j <= degree else j - degree
+        return (j + degree if j <= degree else j - degree,
+                -(-1.0) ** k, False)
+
+    def conjugation(j):
+        if j < first_pole:
+            return j, 1.0, True
+        return first_pole + basis.conjugated[j - first_pole], 1.0, True
+
+    images = []
+    if basis.negated is not None:
+        images.append(negation)
+    if basis.conjugated is not None:
+        images.append(conjugation)
+        if basis.negated is not None:
+            images.append(lambda j: (*negation(conjugation(j)[0])[:2], True))
+    unknowns, seen = [], set()
+    for j in range(1, n):
+        if j in seen:
+            continue
+        orbit, real = {j: (1.0, False)}, False
+        for image in images:
+            i, sign, conj = image(j)
+            if i in orbit:
+                real = real or orbit[i][1] != conj
+            else:
+                orbit[i] = (sign, conj)
+        seen.update(orbit)
+        unknowns.append(([(i, sign, conj and not real)
+                          for i, (sign, conj) in orbit.items()], real))
+    return unknowns
+
+
+def _dense_tied_system(region_e, f_inner, basis):
+    """The system of a symmetric basis by its definition (see
+    conformal._Ties), every kept row at once, the real matrix in C order,
+    np.linalg.norm column scales; and the sum of the squared row weights.
+
+    Rows: _kept_sides, each weighted by sqrt(spacing) times the square
+    root of the number of full-system points it stands for.  Columns:
+    Re a0 unless negation (then Re a0 = L/2), the real part and, for a
+    complex unknown, minus the imaginary part of each unknown's summed
+    members, and L."""
+    negation = basis.negated is not None
+    sides = _kept_sides(region_e, f_inner, basis)
+    wts = [w * np.sqrt(count) for _, w, _, count in sides]
+    z = np.concatenate([z for z, _, _, _ in sides])
+    w = np.concatenate(wts)
+    f_side = np.concatenate([np.full(z.size, on_f) for z, _, on_f, _ in sides])
+    cols = basis.columns(z)
+    entries = [] if negation else [cols[:, 0].real]
+    for members, real in _tied_unknowns(basis):
+        total = cols[:, members[0][0]]
+        for i, sign, conj in members[1:]:
+            total = total + sign * (np.conj(cols[:, i]) if conj else cols[:, i])
+        entries.extend([total.real] if real else [total.real, -total.imag])
+    level = np.full(z.size, 0.5) if negation else np.where(f_side, -1.0, 0.0)
+    a_real = np.column_stack(entries + [level]) * w[:, None]
+    b = -basis.log_abs_base(z) * w
+    scale = np.linalg.norm(a_real, axis=0)
+    scale[scale == 0.0] = 1.0
+    return (np.divide(a_real, scale, order="F"), b, scale,
+            sum(float(x @ x) for x in wts))
+
+
+# The symmetries the ladder of each pair solves on; every other pair of
+# AUDIT_PAIRS has none
+SYMMETRIES = {
+    "readme": "negation+conjugation", "hexagons": "negation+conjugation",
+    "far_disks": "negation+conjugation", "disks": "negation+conjugation",
+    "short_rects": "negation+conjugation", "mirror045": "negation+conjugation",
+    "mirror060": "negation+conjugation", "mirror100": "negation+conjugation",
+    "mirror300": "negation+conjugation",
+    "seeded_mirror0": "negation+conjugation",
+    "seeded_mirror1": "negation+conjugation",
+    "disk_curve": "conjugation", "rect_in_exterior": "conjugation",
+    "rect_disk": "conjugation", "disk_in_exterior": "conjugation",
+    "seeded_rect_disk0": "conjugation", "seeded_rect_disk1": "conjugation",
+}
+
+
 @pytest.mark.parametrize("name, degree", [
     ("readme", 8), ("readme", 16), ("readme", 32), ("rect_disk", 8),
     ("rect_disk", 16), ("hexagons", 8), ("disk_curve", 8),
     ("disk_curve", 16), ("rect_in_exterior", 8), ("rect_in_exterior", 16),
-    ("rect_in_exterior", 32), ("lshape_disk", 128)])
+    ("rect_in_exterior", 32), ("lshape_disk", 128), ("triangle_disk", 32),
+    ("random0", 16)])
 def test_level_system_equals_the_dense_definition_bit_for_bit(
         name, degree, monkeypatch):
     # bit for bit keeps every solved map, the rank-deficient README step
-    # and the audit's bitwise SVD check as they were
+    # and the audit's bitwise SVD check as they were; a symmetric pair's
+    # system is its symmetric subspace's (_dense_tied_system)
     args = _ladder_system_args(name, degree, monkeypatch)
-    a, b, scale = conformal._level_system(*args)
-    dense_a, dense_b, dense_scale = _dense_level_system(*args)
+    assert args[2].symmetry == SYMMETRIES.get(name, "")
+    a, b, scale, mass = conformal._level_system(*args)
+    if args[2].symmetry:
+        dense_a, dense_b, dense_scale, dense_mass = _dense_tied_system(*args)
+    else:
+        dense_a, dense_b, dense_scale = _dense_level_system(*args)
+        dense_mass = 2.0
     assert a.flags.f_contiguous
     assert a.shape == dense_a.shape and a.shape[0] > a.shape[1]
     assert np.array_equal(a, dense_a)
     assert np.array_equal(b, dense_b)
     assert np.array_equal(scale, dense_scale)
+    assert mass == pytest.approx(dense_mass, rel=1e-14)
+
+
+@pytest.mark.parametrize("name", sorted(AUDIT_PAIRS))
+def test_symmetries_are_detected_from_the_region_data(name):
+    region_e, region_f = AUDIT_PAIRS[name][0]()
+    symmetry, _, _ = conformal._pair_symmetry(region_e, region_f)
+    assert symmetry == SYMMETRIES.get(name, "")
+
+
+def test_a_mirrored_pair_moved_off_the_axes_takes_the_full_system(
+        monkeypatch):
+    # short_rects moved up by 1e-3: neither F = -E nor a mirror image in
+    # the real axis, so its ladder builds the full system
+    e = rectangle((0.3, 1.3), (-0.5 + 1e-3, 0.5 + 1e-3))
+    f = rectangle((-1.3, -0.3), (-0.5 + 1e-3, 0.5 + 1e-3))
+    assert conformal._pair_symmetry(e, f)[0] == ""
+    ladder = []
+    solve_level = conformal._solve_level
+
+    def recorded(*args):
+        out = solve_level(*args)
+        ladder.append((args[3], out))
+        return out
+
+    monkeypatch.setattr(conformal, "_solve_level", recorded)
+    solve_annulus_map(e, f)
+    basis, (rows, columns, *_) = ladder[0]
+    assert not basis.symmetry
+    assert columns == 2 * basis.n_columns
+    assert rows == sum(conformal._solver_params(r, 8).size for r in (e, f))
+
+
+def test_ladder_steps_name_the_symmetry_they_solved_on():
+    # the README rectangles below their rounding level: every step is on
+    # the subspace of both symmetries, and the failure text says so
+    e, f = AUDIT_PAIRS["readme"][0]()
+    with pytest.raises(MapNotResolvedError) as info:
+        solve_annulus_map(e, f, tol=1e-14)
+    ladder = info.value.ladder
+    assert {step.symmetry for step in ladder} == {"negation+conjugation"}
+    assert str(info.value).count(" [negation+conjugation]") == len(ladder)
+    # a pair without symmetry keeps the text it had
+    e, f = AUDIT_PAIRS["triangle_disk"][0]()
+    with pytest.raises(MapNotResolvedError) as info:
+        solve_annulus_map(e, f)
+    assert {step.symmetry for step in info.value.ladder} == {""}
+    assert "[" not in str(info.value)
 
 
 @pytest.mark.parametrize("name, degree", [("readme", 32),
@@ -523,7 +766,7 @@ def test_level_system_peaks_within_twice_its_matrix(name, degree,
     args = _ladder_system_args(name, degree, monkeypatch)
     tracemalloc.start()
     try:
-        a, _, _ = conformal._level_system(*args)
+        a, *_ = conformal._level_system(*args)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
