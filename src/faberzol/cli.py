@@ -166,9 +166,11 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path, meta, command, columns, rows):
+    """A '#' header line per meta field, in order, then the table."""
     lines = [f"# faberzol {meta['version']}", f"# command: {command}"]
-    for key in ("config_sha256", "h", "rot_e", "rot_f", "seed"):
-        lines.append(f"# {key}: {_fmt(meta[key])}")
+    for key, value in meta.items():
+        if key != "version":
+            lines.append(f"# {key}: {_fmt(value)}")
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
@@ -322,10 +324,12 @@ def _cmd_svbounds(args):
         nodes = random_points(region_e, args.m, rng)
         mat = vandermonde_matrix(nodes, p)
         zj = [h ** (-j) for j in range(n_bounds)]
-    sv = singular_values(mat)
+    sv = singular_values(mat, n_bounds)
     bounds = singular_value_bounds(zj, 1.0)
     rows = [[j, float(sv[j] / sv[0]), float(bounds[j])]
             for j in range(n_bounds)]
+    # a computed sigma_ratio is rounding noise below this floor
+    meta["floor"] = max(args.m, p) * float(np.finfo(float).eps)
     _write_csv(args.out, meta, "svbounds", ["j", "sigma_ratio", "bound"], rows)
     return 0
 

@@ -12,6 +12,7 @@ targets serves any number of densities.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -60,11 +61,17 @@ class BoundaryQuadrature:
     def __len__(self):
         return self.nodes.size
 
-    @property
+    # cached: every cauchy_kernel over this rule reads both
+    @functools.cached_property
     def diameter(self) -> float:
         lo, hi = self.nodes.real.min(), self.nodes.real.max()
         lo2, hi2 = self.nodes.imag.min(), self.nodes.imag.max()
         return float(math.hypot(hi - lo, hi2 - lo2))
+
+    @functools.cached_property
+    def min_weight(self) -> float:
+        """min_j |w_j|."""
+        return float(np.abs(self.weights).min())
 
 
 def _kernels(quad: BoundaryQuadrature, z):
@@ -263,7 +270,7 @@ def cauchy_kernel(quad: BoundaryQuadrature, z) -> CauchyKernel:
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(quad.weights[None, :], matrix, out=matrix)
     # a hit has |w_j/(zeta_j - z_i)| >= |w_j|/tol, so it passes the cut too
-    cut = min(_NEAR, 0.5 * float(np.abs(quad.weights).min()) / tol)
+    cut = min(_NEAR, 0.5 * quad.min_weight / tol)
     rows, cols = np.divmod(np.flatnonzero(np.abs(matrix) > cut), len(quad))
     diff = quad.nodes[cols] - z[rows]
     hit = np.abs(diff) <= tol

@@ -156,7 +156,7 @@ def test_structured_matrix_singular_values_respect_bounds():
     gc = GeometryConstants.from_regions(e, f, amap.h)
     x = random_points(e, 100, rng)
     y = random_points(f, 100, rng)
-    sv = singular_values(cauchy_matrix(x, y))
+    sv = singular_values(cauchy_matrix(x, y), 18)
     zj = np.array([zolotarev_upper(gc, j).upper for j in range(18)])
     caps = singular_value_bounds(zj, sv[0])
     cauchy_bad = int(np.sum(sv[:18] > caps))
@@ -166,7 +166,7 @@ def test_structured_matrix_singular_values_respect_bounds():
     assert abs(hv - 2.3493504301605315) <= 1e-12 * hv
     assert abs(hv - 2.35) <= 0.005
     nodes = random_points(disk(z0, eta), 100, rng)
-    svv = singular_values(vandermonde_matrix(nodes, 80))
+    svv = singular_values(vandermonde_matrix(nodes, 80), 18)
     vand_caps = singular_value_bounds(hv ** -np.arange(18.0), svv[0])
     vand_bad = int(np.sum(svv[:18] > vand_caps))
 

@@ -167,6 +167,27 @@ def test_svbounds_cauchy_rows_hold(tmp_path):
         assert float(row[1]) <= float(row[2]) + 1e-12
 
 
+def test_svbounds_computes_no_dense_svd_of_a_low_rank_matrix(tmp_path,
+                                                           monkeypatch):
+    # the 400 x 400 Cauchy matrix has numerical rank far below 400, so the
+    # sketch of singular_values passes its residual test
+    shapes = []
+    svd = np.linalg.svd
+
+    def counted_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    cfg = write_config(tmp_path, DISK_PAIR)
+    out = tmp_path / "sv.csv"
+    rc = main(["svbounds", "--config", cfg, "--out", str(out),
+               "--kind", "cauchy", "--m", "400"])
+    assert rc == 0
+    assert len(read_table(out)[2]) == 18
+    assert shapes and (400, 400) not in shapes
+
+
 def test_svbounds_vandermonde_rows_hold(tmp_path):
     cfg = write_config(tmp_path, VAND_DISK)
     out = tmp_path / "sv.csv"
@@ -176,6 +197,7 @@ def test_svbounds_vandermonde_rows_hold(tmp_path):
     assert rc == 0
     header, _, rows = read_table(out)
     assert float(header["h"]) == pytest.approx(2.3493504301605315, rel=1e-10)
+    assert float(header["floor"]) == 40 * np.finfo(float).eps
     for row in rows:
         assert float(row[1]) <= float(row[2]) + 1e-12
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from faberzol.displacement import (
@@ -93,10 +93,61 @@ def test_singular_value_bound_scaling():
 def test_singular_values_match_lapack():
     rng = np.random.default_rng(7)
     mat = rng.standard_normal((12, 8)) + 1j * rng.standard_normal((12, 8))
-    sv = singular_values(mat)
+    sv = singular_values(mat, 8)
     assert np.allclose(sv, np.linalg.svd(mat, compute_uv=False))
     with pytest.raises(ValueError):
-        singular_values(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+        singular_values(np.array([[np.inf, 0.0], [0.0, 1.0]]), 2)
+    with pytest.raises(ValueError):
+        singular_values(mat, 0)
+
+
+def _sketch_matches_dense(mat, count):
+    # each value within half the rounding floor max(m, p) eps sigma_1 of
+    # the dense SVD; all of them, bit for bit, once count >= min(m, p)
+    dense = np.linalg.svd(mat, compute_uv=False)
+    sv = singular_values(mat, count)
+    if count >= min(mat.shape):
+        assert np.array_equal(sv, dense)
+        return
+    assert sv.shape == (count,)
+    floor = 0.5 * max(mat.shape) * np.finfo(float).eps * dense[0]
+    assert np.all(np.abs(sv - dense[:count]) <= floor)
+
+
+@given(
+    gap=st.floats(0.01, 4.0),
+    m=st.integers(20, 120),
+    p=st.integers(20, 120),
+    count=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(gap=0.01, m=30, p=30, count=1, seed=0)  # sketches fail: dense SVD
+@example(gap=4.0, m=120, p=120, count=18, seed=0)
+@settings(max_examples=60, deadline=None)
+def test_sketched_cauchy_singular_values_match_the_dense_svd(gap, m, p,
+                                                             count, seed):
+    # unit disks from near-touching to far apart
+    rng = np.random.default_rng(seed)
+    x = random_points(disk(-1.0 - gap / 2.0, 1.0), m, rng)
+    y = random_points(disk(1.0 + gap / 2.0, 1.0), p, rng)
+    _sketch_matches_dense(cauchy_matrix(x, y), count)
+
+
+@given(
+    r=st.floats(0.0, 0.5),
+    angle=st.floats(0.0, 2.0 * np.pi),
+    eta=st.floats(0.05, 0.45),
+    m=st.integers(20, 120),
+    p=st.integers(20, 120),
+    count=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_sketched_vandermonde_singular_values_match_the_dense_svd(
+        r, angle, eta, m, p, count, seed):
+    nodes = random_points(disk(r * np.exp(1j * angle), eta), m,
+                          np.random.default_rng(seed))
+    _sketch_matches_dense(vandermonde_matrix(nodes, p), count)
 
 
 @given(
