@@ -69,19 +69,24 @@ def _require(obj, field, where):
     return obj[field]
 
 
+def _as_real(value, where):
+    # JSON true and false load as bool, a subclass of int
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise ConfigError(f"config field '{where}' must be a number")
+
+
 def _as_complex(value, where):
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if (isinstance(value, (list, tuple)) and len(value) == 2
-            and all(isinstance(v, (int, float)) for v in value)):
-        return complex(value[0], value[1])
+    if not isinstance(value, (list, tuple)):
+        return complex(_as_real(value, where))
+    if len(value) == 2:
+        return complex(_as_real(value[0], where), _as_real(value[1], where))
     raise ConfigError(f"config field '{where}' must be a number or [re, im]")
 
 
 def _as_interval(value, where):
-    if (isinstance(value, (list, tuple)) and len(value) == 2
-            and all(isinstance(v, (int, float)) for v in value)):
-        return float(value[0]), float(value[1])
+    if isinstance(value, (list, tuple)) and len(value) == 2:
+        return _as_real(value[0], where), _as_real(value[1], where)
     raise ConfigError(f"config field '{where}' must be [lo, hi]")
 
 
@@ -98,7 +103,8 @@ def _region_from(obj, where):
         if kind == "disk":
             return disk(
                 _as_complex(_require(obj, "center", where + "."), where + ".center"),
-                float(_require(obj, "radius", where + ".")),
+                _as_real(_require(obj, "radius", where + "."),
+                         where + ".radius"),
             )
         if kind == "polygon":
             verts = _require(obj, "vertices", where + ".")
@@ -126,7 +132,7 @@ def _region_from(obj, where):
             )
     except FaberzolError as exc:
         raise ConfigError(f"config field '{where}': {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"config field '{where}': {exc}") from exc
     raise ConfigError(f"config field '{where}.kind' has unknown value {kind!r}")
 

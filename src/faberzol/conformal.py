@@ -86,12 +86,12 @@ class _LogBasis:
     the analytic part g, shared by solver and evaluator.  base is
     (z - anchor_e)/(z - anchor_f) in A1 and z - anchor_e in A2.
 
-    A basis of a symmetric pair carries its symmetries as pole images:
-    negated[i] is the pole at -poles[i] (F = -E, with anchor_f = -anchor_e
-    and scale_f = scale_e), conjugated[i] the pole at conj(poles[i]) (each
-    set its own mirror image in the real axis, with real anchors).  Each
-    is None when the pair lacks that symmetry; see _Ties for the
-    symmetric subspace they define."""
+    symmetry names the symmetries of a symmetric pair as _pair_symmetry
+    does: "negation" (F = -E, with anchor_f = -anchor_e and scale_f =
+    scale_e), "conjugation" (each set its own mirror image in the real
+    axis, with real anchors), both joined by "+", or "".  The poles must be
+    closed under each; the basis pairs them by value (negated, conjugated).
+    See _Ties for the symmetric subspace they define."""
 
     variant: str
     anchor_e: complex
@@ -101,19 +101,21 @@ class _LogBasis:
     degree: int        # Laurent degree about each anchor
     poles: np.ndarray        # clustered pole locations (possibly empty)
     pole_scales: np.ndarray  # one positive scale per pole
-    negated: np.ndarray | None = None
-    conjugated: np.ndarray | None = None
+    symmetry: str = ""
 
     @property
     def n_columns(self) -> int:
         return 1 + 2 * self.degree + len(self.poles)
 
-    @property
-    def symmetry(self) -> str:
-        """"negation", "conjugation", both joined by "+", or ""."""
-        return "+".join(name for name, image in (
-            ("negation", self.negated), ("conjugation", self.conjugated))
-            if image is not None)
+    @functools.cached_property
+    def negated(self):
+        """The index of the pole at -p for each pole p, or None."""
+        return _pole_images(self, "negation", np.negative)
+
+    @functools.cached_property
+    def conjugated(self):
+        """The index of the pole at conj(p) for each pole p, or None."""
+        return _pole_images(self, "conjugation", np.conj)
 
     @functools.cached_property
     def ties(self):
@@ -155,6 +157,26 @@ class _LogBasis:
             hi = min(flat.size, lo + step)
             out[lo:hi] = self.columns(flat[lo:hi]) @ coef
         return out.reshape(z.shape)
+
+
+def _pole_images(basis, symmetry, image):
+    """The index of the pole at image(p) for each pole p of basis, when
+    basis has symmetry, else None.  The poles are matched by exact value:
+    sorted (complex order: by real, then imaginary part), each image is
+    looked up by bisection and must equal the pole found, so a pole set
+    that is not closed under the symmetry, or holds a value twice, raises
+    ValueError rather than pairing a pole with a near one."""
+    if symmetry not in basis.symmetry:
+        return None
+    poles = basis.poles
+    order = np.argsort(poles)
+    target = image(poles)
+    found = order[np.minimum(np.searchsorted(poles[order], target),
+                             poles.size - 1)]
+    if not (np.array_equal(poles[found], target)
+            and np.array_equal(found[found], np.arange(poles.size))):
+        raise ValueError(f"the basis poles are not closed under {symmetry}")
+    return found
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,7 +294,7 @@ def _validation_params(params: np.ndarray):
 def _corner_poles(region, image):
     """Lightning poles: clustered at each corner along the bisector pointing
     into the region, scaled to half the shorter adjacent edge.  A smooth
-    region (not a Polygon) has none.  Returns (poles, scales, mirror).
+    region (not a Polygon) has none.  Returns (poles, scales).
 
     Tapered spacing d_j = exp(-_POLE_TAPER (sqrt(N) - sqrt(j))), with
     N = _POLES_PER_CORNER, rather than a fixed geometric ratio: the fixed
@@ -283,12 +305,10 @@ def _corner_poles(region, image):
     mirror image in the real axis: image[k] is the corner at conj(v[k]).
     The poles of a corner on the axis are then made real, and those of a
     corner after its image in the vertex order are the conjugates of the
-    image's, so the set is exactly symmetric; mirror[i] is the index of
-    the pole at conj(poles[i]).  mirror is None when image is None.
+    image's, so the set is exactly symmetric.
     """
     if not isinstance(region, Polygon):
-        return (np.empty(0, complex), np.empty(0),
-                None if image is None else np.empty(0, int))
+        return np.empty(0, complex), np.empty(0)
     v = region._verts()
     n = len(v)
     poles, scales = [], []
@@ -314,18 +334,13 @@ def _corner_poles(region, image):
         dist = dist[dist > 1e-12 * len_min]
         poles.append(v[k] + bis * dist)
         scales.append(dist)
-    mirror = None
-    if image is not None:
-        for k, m in enumerate(image):
-            if m == k:
-                poles[k] = poles[k].real + 0j
-            elif m < k:
-                poles[k], scales[k] = np.conj(poles[m]), scales[m]
-        start = np.cumsum([0] + [p.size for p in poles])
-        mirror = np.concatenate([start[m] + np.arange(poles[k].size)
-                                 for k, m in enumerate(image)])
+    for k, m in enumerate(() if image is None else image):
+        if m == k:
+            poles[k] = poles[k].real + 0j
+        elif m < k:
+            poles[k], scales[k] = np.conj(poles[m]), scales[m]
     return (np.concatenate(poles).astype(complex),
-            np.concatenate(scales).astype(float), mirror)
+            np.concatenate(scales).astype(float))
 
 
 def _region_scale(region, anchor) -> float:
@@ -342,7 +357,7 @@ def _spine_poles(region, count: int, mirrored):
     the anchor than the region's own singularity spread, which stalls the
     fit near 1e-6 on tall boxes; point charges along the spine restore it.
     Near-circular regions (extent ratio below 2) return no poles.  Returns
-    (poles, scales, mirror) like _corner_poles.
+    (poles, scales) like _corner_poles.
 
     The centre is the mean of 1024 boundary samples, a set that is not
     symmetric even when the region is.  So for a region that is its own
@@ -356,8 +371,7 @@ def _spine_poles(region, count: int, mirrored):
     xy = np.column_stack([(pts - c).real, (pts - c).imag])
     val, vec = np.linalg.eigh(xy.T @ xy)
     if val[1] <= 4.0 * val[0] or count < 1:
-        return (np.empty(0, complex), np.empty(0),
-                np.empty(0, int) if mirrored else None)
+        return np.empty(0, complex), np.empty(0)
     u = complex(vec[0, 1], vec[1, 1])
     across = False
     if mirrored:
@@ -377,11 +391,7 @@ def _spine_poles(region, count: int, mirrored):
     if across:
         clear = np.minimum(clear, clear[::-1])
     keep = clear >= 0.05 * (hi - lo)
-    mirror = None
-    if mirrored:
-        index = np.arange(keep.sum())
-        mirror = index[::-1] if across else index
-    return cand[keep], clear[keep], mirror
+    return cand[keep], clear[keep]
 
 
 @dataclass(frozen=True)
@@ -434,32 +444,32 @@ def solve_annulus_map(region_e, region_f, tol: float = 1e-8) -> AnnulusMap:
 
     anchor_e = anchors[0]
     scale_e = _region_scale(region_e, anchor_e)
-    corners_e = _corner_poles(region_e, image_e)
+    corners = [_corner_poles(region_e, image_e)]
     if variant == "A2":
         anchor_f = 0.0 + 0.0j
         # outer polynomial scale: radius of the outer boundary about anchor_e
         t = np.linspace(0.0, 1.0, 256, endpoint=False)
         scale_f = float(np.abs(f_inner.boundary_point(t) - anchor_e).max())
-        corners_f = _corner_poles(f_inner, image_f)
+        corners.append(_corner_poles(f_inner, image_f))
     elif negation:
         anchor_f, scale_f = -anchor_e, scale_e
-        corners_f = _negated(corners_e)
+        corners.append((-corners[0][0], corners[0][1]))
     else:
         anchor_f = anchors[1]
         scale_f = _region_scale(f_inner, anchor_f)
-        corners_f = _corner_poles(f_inner, image_f)
+        corners.append(_corner_poles(f_inner, image_f))
 
     best = None
     ladder = []
     degree = 8
     while degree <= _MAX_DEGREE:
-        charges = [corners_e, corners_f,
-                   _spine_poles(region_e, degree, mirrored)]
+        charges = corners + [_spine_poles(region_e, degree, mirrored)]
         if variant == "A1":
-            charges.append(_negated(charges[2]) if negation
+            charges.append((-charges[2][0], charges[2][1]) if negation
                            else _spine_poles(f_inner, degree, mirrored))
-        basis = _ladder_basis(variant, anchor_e, anchor_f, scale_e, scale_f,
-                              degree, charges, negation)
+        basis = _LogBasis(variant, anchor_e, anchor_f, scale_e, scale_f,
+                          degree, np.concatenate([p for p, _ in charges]),
+                          np.concatenate([s for _, s in charges]), symmetry)
         rows, columns, floor, condition, svd, solution = _solve_level(
             region_e, f_inner, variant, basis, anchor_e, anchor_f, degree, tol)
         if solution is None:
@@ -508,43 +518,6 @@ def _step_text(step: LadderStep) -> str:
         text = (f"{step.degree}: {step.rows}x{step.columns} residual "
                 f"= {step.residual:.2e} (condition {step.condition:.1e})")
     return f"{text} [{step.symmetry}]" if step.symmetry else text
-
-
-def _ladder_basis(variant, anchor_e, anchor_f, scale_e, scale_f, degree,
-                  charges, negation):
-    """The _LogBasis of a ladder step whose poles are the charges, each a
-    (poles, scales, mirror) triple of _corner_poles or _spine_poles, in
-    the order E corners, F corners, E spine and, in A1, F spine.  With
-    negation each F triple is the negated E triple (_negated), so the
-    blocks pair up E with F; mirror, when given, pairs the poles of a
-    block by conjugation."""
-    start = np.cumsum([0] + [poles.size for poles, _, _ in charges])
-    negated = conjugated = None
-    if negation:
-        mate = (1, 0, 3, 2)
-        negated = np.concatenate([start[mate[i]] + np.arange(poles.size)
-                                  for i, (poles, _, _) in enumerate(charges)])
-    if charges[0][2] is not None:
-        conjugated = np.concatenate([start[i] + mirror for i, (_, _, mirror)
-                                     in enumerate(charges)])
-    return _LogBasis(
-        variant=variant,
-        anchor_e=anchor_e,
-        anchor_f=anchor_f,
-        scale_e=scale_e,
-        scale_f=scale_f,
-        degree=degree,
-        poles=np.concatenate([poles for poles, _, _ in charges]),
-        pole_scales=np.concatenate([scales for _, scales, _ in charges]),
-        negated=negated,
-        conjugated=conjugated,
-    )
-
-
-def _negated(charge):
-    """The (poles, scales, mirror) triple at the negated poles."""
-    poles, scales, mirror = charge
-    return -poles, scales, mirror
 
 
 # -- symmetry of the pair --------------------------------------------------

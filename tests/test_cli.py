@@ -331,6 +331,36 @@ def test_non_finite_config_values_exit_with_config_error(tmp_path, capsys,
     assert len(err) == 1 and err[0].startswith("error: config field 'e': ")
 
 
+@pytest.mark.parametrize("region_e, error", [
+    ({"kind": "disk", "center": [True, 0.0], "radius": 0.5},
+     "config field 'e.center' must be a number"),
+    ({"kind": "disk", "center": False, "radius": 0.5},
+     "config field 'e.center' must be a number"),
+    ({"kind": "disk", "center": 1.0, "radius": "0.5"},
+     "config field 'e.radius' must be a number"),
+    ({"kind": "disk", "center": 1.0, "radius": True},
+     "config field 'e.radius' must be a number"),
+    ({"kind": "rectangle", "re": [0.5, 1.5], "im": [False, 1.0]},
+     "config field 'e.im' must be a number"),
+    ({"kind": "polygon", "vertices": [1.0, 2.0, ["1.5", 1.0]]},
+     "config field 'e.vertices[2]' must be a number"),
+    ({"kind": "curve", "coefficients": {"0": [4.0, 0.0], "1": [True, 0.0]}},
+     "config field 'e.coefficients[1]' must be a number"),
+    ({"kind": "disk", "center": 1.0, "radius": 10**400},
+     "config field 'e': int too large to convert to float"),
+], ids=["disk_bool_in_center", "disk_bool_center", "disk_string_radius",
+        "disk_bool_radius", "rectangle_bool_bound", "polygon_string_vertex",
+        "curve_bool_coefficient", "disk_huge_int_radius"])
+def test_config_numbers_must_be_json_numbers(tmp_path, capsys, region_e,
+                                             error):
+    # JSON true and false load as bool, a subclass of int, and float()
+    # reads strings: each used to reach the map solve
+    cfg = write_config(tmp_path, {"e": region_e, "f": DISK_PAIR["f"]})
+    rc = main(["map", "--config", cfg, "--out", str(tmp_path / "x.json")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
+
+
 def test_overflowing_polygon_exits_with_config_error(tmp_path, capsys):
     # finite vertices whose shoelace area overflows to NaN
     cfg = write_config(tmp_path, {

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import faberzol
 from conftest import random_disk_pair, two_disk_h
@@ -326,8 +328,7 @@ def _ladder_audit(names):
                     report[name].append(record)
                     if basis.symmetry:
                         if degree not in full_references:
-                            full = dataclasses.replace(
-                                basis, negated=None, conjugated=None)
+                            full = dataclasses.replace(basis, symmetry="")
                             system = _dense_level_system(e, f_inner, full)
                             full_references[degree] = (
                                 system[0].shape[1],
@@ -519,6 +520,11 @@ class _LadderStop(Exception):
 def _ladder_system_args(name, degree, monkeypatch):
     """(region_e, f_inner, basis) of the ladder step of degree of the
     AUDIT_PAIRS pair name; the steps below it are skipped unsolved."""
+    return _pair_system_args(AUDIT_PAIRS[name][0](), degree, monkeypatch)
+
+
+def _pair_system_args(pair, degree, monkeypatch):
+    """_ladder_system_args of the pair (region_e, region_f)."""
     seen = {}
 
     def record(region_e, f_inner, variant, basis, anchor_e, anchor_f, step,
@@ -530,7 +536,7 @@ def _ladder_system_args(name, degree, monkeypatch):
 
     monkeypatch.setattr(conformal, "_solve_level", record)
     with pytest.raises(_LadderStop):
-        solve_annulus_map(*AUDIT_PAIRS[name][0]())
+        solve_annulus_map(*pair)
     monkeypatch.undo()
     return seen["args"]
 
@@ -709,6 +715,66 @@ def test_level_system_equals_the_dense_definition_bit_for_bit(
     assert np.array_equal(b, dense_b)
     assert np.array_equal(scale, dense_scale)
     assert mass == pytest.approx(dense_mass, rel=1e-14)
+    _assert_images_close(args[2])
+
+
+def _assert_images_close(basis):
+    """Each symmetry of basis pairs every pole with its exact image, and
+    each index map is an involution."""
+    poles = basis.poles
+    for name, index, image in (("negation", basis.negated, np.negative),
+                               ("conjugation", basis.conjugated, np.conj)):
+        assert (index is not None) == (name in basis.symmetry)
+        if index is not None:
+            assert np.array_equal(poles[index], image(poles))
+            assert np.array_equal(index[index], np.arange(poles.size))
+
+
+def test_a_pole_one_ulp_off_its_conjugate_is_not_paired():
+    # pole images are matched by exact value: no tolerance, no nearest pole
+    poles = np.array([1.5 + 0.5j, 1.5 - 0.5j, 2.0 + 0.0j])
+    basis = conformal._LogBasis("A1", 1.75, -1.75, 1.0, 1.0, 2, poles,
+                                np.ones(3), symmetry="conjugation")
+    assert basis.ties.conjugation
+    assert np.array_equal(basis.conjugated, [1, 0, 2])
+    moved = dataclasses.replace(basis, poles=np.array(
+        [1.5 + 0.5j, complex(1.5, np.nextafter(-0.5, 0.0)), 2.0 + 0.0j]))
+    with pytest.raises(ValueError, match="not closed under conjugation"):
+        moved.ties
+
+
+@st.composite
+def _mirrored_polygons(draw):
+    """A polygon with N = 3..9 vertices 2 + r_k exp(i theta_k), theta_k =
+    2 pi k/N or, offset, 2 pi k/N + pi/N, and radii in [0.6, 1] mirrored
+    (r_k = r_(N-k), or r_(N-1-k) offset).  It is its own mirror image in
+    the real axis to rounding only; some are non-convex, and most have a
+    corner on the axis, at theta = 0 or pi."""
+    n = draw(st.integers(3, 9))
+    offset = draw(st.booleans())
+    radii = draw(st.lists(st.floats(0.6, 1.0), min_size=n, max_size=n))
+    k = np.arange(n)
+    mate = (n - 1 - k) if offset else (n - k) % n
+    r = np.array(radii)[np.minimum(k, mate)]
+    theta = 2.0 * math.pi * k / n + (math.pi / n if offset else 0.0)
+    return polygon(2.0 + r * np.exp(1j * theta))
+
+
+@given(_mirrored_polygons())
+@settings(max_examples=25, deadline=None)
+def test_mirrored_polygon_systems_pair_their_poles_exactly(e):
+    for f, symmetry in ((e.negated(), "negation+conjugation"),
+                        (disk(-2.0, 0.5), "conjugation")):
+        assert conformal._pair_symmetry(e, f)[0] == symmetry
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            args = _pair_system_args((e, f), 8, monkeypatch)
+        assert args[2].symmetry == symmetry
+        _assert_images_close(args[2])
+        a, b, scale, _ = conformal._level_system(*args)
+        dense_a, dense_b, dense_scale, _ = _dense_tied_system(*args)
+        assert np.array_equal(a, dense_a)
+        assert np.array_equal(b, dense_b)
+        assert np.array_equal(scale, dense_scale)
 
 
 @pytest.mark.parametrize("name", sorted(AUDIT_PAIRS))
