@@ -122,10 +122,12 @@ def _region_from(obj, where):
                 raise ConfigError(
                     f"config field '{where}.coefficients' must map k to [re, im]"
                 )
-            return curve({
-                int(k): _as_complex(c, f"{where}.coefficients[{k}]")
-                for k, c in coeffs.items()
-            })
+            powers = {int(k): _as_complex(c, f"{where}.coefficients[{k}]")
+                      for k, c in coeffs.items()}
+            if len(powers) < len(coeffs):
+                raise ConfigError(
+                    f"config field '{where}.coefficients' repeats a power")
+            return curve(powers)
         if kind == "exterior":
             return ExteriorOf(
                 _region_from(_require(obj, "of", where + "."), where + ".of")
@@ -137,6 +139,16 @@ def _region_from(obj, where):
     raise ConfigError(f"config field '{where}.kind' has unknown value {kind!r}")
 
 
+def _unique_keys(pairs):
+    # json.loads would keep the last of repeated keys
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ConfigError(f"config field '{key}' is given twice")
+        data[key] = value
+    return data
+
+
 def _load_config(path):
     try:
         with open(path, "rb") as fh:
@@ -144,7 +156,7 @@ def _load_config(path):
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     try:
-        data = json.loads(raw)
+        data = json.loads(raw, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):

@@ -52,9 +52,6 @@ _POLE_TAPER = 4.0
 _PER_SIDE = max(30, math.ceil(
     _POLE_TAPER * (math.sqrt(_POLES_PER_CORNER) - 1.0) / math.log(2.0)) + 3)
 _EPS = float(np.finfo(float).eps)
-# How far inside gelsd's keep-everything range a ladder step's condition
-# estimate must lie for back substitution to replace the SVD solve.
-_SVD_MARGIN = 1e-3
 # Intervals of the boundary Phi tables that psi_boundary brackets roots on.
 _PSI_TABLE = 4096
 # Two region data (vertices, disk centres and radii, curve coefficients)
@@ -400,14 +397,14 @@ class LadderStep:
 
     rows x columns is the real least-squares system of the step.  When the
     step was solved, residual is its validated boundary residual, is_bound
-    is False, condition is the 1-norm condition estimate of its QR
-    triangle and svd says whether the step took the SVD solve rather than
-    back substitution (see _solve_level).  When the QR floor already
-    certified that the residual exceeds tol, the solve and the validation
-    were skipped, residual is that certified lower bound, is_bound is True
-    and condition and svd are None.  symmetry names the symmetries whose
-    subspace the system was reduced to (_LogBasis.symmetry), "" when the
-    step solved the full system.
+    is False, condition is the bound on the condition number of its QR
+    triangle that decided whether the step took the SVD solve rather than
+    back substitution, and svd says which it took (see _solve_level).
+    When the QR floor already certified that the residual exceeds tol, the
+    solve and the validation were skipped, residual is that certified
+    lower bound, is_bound is True and condition and svd are None.
+    symmetry names the symmetries whose subspace the system was reduced to
+    (_LogBasis.symmetry), "" when the step solved the full system.
     """
 
     degree: int
@@ -861,27 +858,24 @@ def _solve_level(region_e, f_inner, variant, basis, anchor_e, anchor_f,
     The solve starts as np.linalg.lstsq (LAPACK gelsd, rcond = eps
     max(m, n)) does on systems with m >= 1.6 n, as every ladder system is:
     a Householder QR with Q^T b, given the workspace gelsd hands it (its
-    optimal size less n).  Then LAPACK dtrcon estimates the 1-norm
-    condition number of the triangle R, and one of two paths solves
-    R x = (Q^T b)[:n]:
+    optimal size less n).  One rule then picks the solve of
+    R x = (Q^T b)[:n].  gelsd drops singular values when the 2-norm
+    condition number of R exceeds the cut-off 1/rcond, and condition is
+    the rigorous bound ||R||_F ||R^-1||_F on it (_condition_bound):
 
-    * back substitution (dtrtrs) when R is certainly inside 1/rcond, the
-      2-norm condition number beyond which gelsd drops singular values:
-      the estimate is at least _SVD_MARGIN inside it, or else the bound
-      ||R||_F ||R^-1||_F is at most half of it (_needs_svd).  There gelsd
-      keeps every singular value (the ladder audit in
-      tests/test_conformal.py checks it on each such step), so both solve
-      the same full-rank problem and their h agree to rounding.  The
-      rect_disk step at degree 16, on its conjugation subspace, is
-      cleared by the bound (0.04 of 1/rcond) and not by the estimate.
+    * back substitution (dtrtrs) when condition is at most half the
+      cut-off; the half leaves room for the rounding of the computed
+      inverse and of gelsd's own singular values.  There gelsd keeps every
+      singular value (the ladder audit in tests/test_conformal.py checks
+      it on each such step), so both solve the same full-rank problem and
+      their h agree to rounding.
     * otherwise gelsd's own second half, the truncated-SVD solve on the
       triangle, so the solution is bitwise that of the one-call lstsq at
       one BLAS thread.  On the rank-deficient README rectangles at degree
-      32 this path is what meets tol; their estimate is past n/rcond, so
-      they skip the bound.
+      32 this path is what meets tol.
 
     Either way the step's map is validated by _map_residual afterwards;
-    the gate picks the faster solve, not whether the map is certified.
+    the rule picks the faster solve, not whether the map is certified.
 
     Why floor is certified: ||(Q^T b)[n:]||_2 is the minimum over all x of
     ||W (A x - b)||_2, the weighted residual of the log-modulus conditions
@@ -911,16 +905,11 @@ def _solve_level(region_e, f_inner, variant, basis, anchor_e, anchor_f,
     floor = -math.expm1(-max(0.0, tail - slack) / math.sqrt(mass))
     if floor > tol:
         return m, n, floor, None, None, None
-    # a square copy of the triangle: scipy's dtrcon misreads the leading
-    # dimension of the tall qr array, and lstsq needs the zeros below
+    # lstsq needs the zeros below the triangle
     r = np.array(qr[:n], order="F")
     r[np.tri(n, k=-1, dtype=bool)] = 0.0
-    rcond_r, info_c = lapack.dtrcon(r)
-    if info_c != 0:
-        raise np.linalg.LinAlgError(
-            f"condition estimate of the map system failed (info {info_c})")
-    condition = 1.0 / rcond_r if rcond_r > 0.0 else math.inf
-    svd = _needs_svd(r, condition, rcond)
+    condition = _condition_bound(r)
+    svd = not condition <= 0.5 / rcond
     if svd:
         x, *_ = np.linalg.lstsq(r, qtb[:n, 0], rcond=rcond)
     else:
@@ -932,30 +921,18 @@ def _solve_level(region_e, f_inner, variant, basis, anchor_e, anchor_f,
     return m, n, floor, condition, svd, _coef_level(x, scale, basis)
 
 
-def _needs_svd(r, condition, rcond) -> bool:
-    """Whether the n x n triangle r of a solved ladder step takes the SVD
-    path, given its 1-norm condition estimate and gelsd's rcond: gelsd
-    drops singular values when the 2-norm condition number kappa_2
-    exceeds the cut-off 1/rcond.
-
-    An estimate at least _SVD_MARGIN inside the cut-off clears r at once.
-    The estimate never exceeds kappa_1, and kappa_1 <= n kappa_2, so an
-    estimate above n times the cut-off (or an infinite or NaN one) shows
-    that gelsd truncates: r takes the SVD path.  In between, LAPACK dtrtri
-    inverts r for the rigorous bound kappa_2 <= ||r||_F ||r^-1||_F, and r
-    is cleared when that bound is at most half the cut-off; the half
-    leaves room for the rounding of the computed inverse and of gelsd's
-    own singular values.
+def _condition_bound(r) -> float:
+    """||r||_F ||r^-1||_F, an upper bound on the 2-norm condition number of
+    the upper triangle r, with r^-1 from LAPACK dtrtri; inf when r has an
+    exact zero on its diagonal.
     """
-    if condition <= _SVD_MARGIN / rcond:
-        return False
-    if not condition <= r.shape[0] / rcond:
-        return True
     inverse, info = lapack.dtrtri(r)
-    if info != 0:
+    if info < 0:
         raise np.linalg.LinAlgError(
             f"inverse of the map triangle failed (info {info})")
-    return not np.linalg.norm(r) * np.linalg.norm(inverse) <= 0.5 / rcond
+    if info > 0:
+        return math.inf
+    return float(np.linalg.norm(r) * np.linalg.norm(inverse))
 
 
 def _param_spacing(params):

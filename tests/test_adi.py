@@ -108,6 +108,21 @@ def test_too_few_resolved_shifts_raise(disk_pair):
         _pick_near(np.array([1.0 + 0.1j]), e, samples, 2, "zeros")
 
 
+def test_surplus_shifts_keep_the_nearest_in_order():
+    # 0.5 lies inside the unit disk and 1.2 is 0.2 from its boundary; 3
+    # is the farthest and goes, with a warning
+    e = disk(0.0, 1.0)
+    samples = e.boundary_point(np.arange(64) / 64.0)
+    with pytest.warns(UserWarning,
+                      match="3 zeros resolved; keeping the 2 nearest"):
+        kept = _pick_near(np.array([3.0, 0.5, 1.2]), e, samples, 2, "zeros")
+    assert kept.tolist() == [0.5, 1.2]
+    # the kept candidates stay in their given order, not nearest first
+    with pytest.warns(UserWarning):
+        kept = _pick_near(np.array([1.2, 3.0, 0.5]), e, samples, 2, "zeros")
+    assert kept.tolist() == [1.2, 0.5]
+
+
 def test_doublets_pair_closest_first():
     # pole 0.5 is nearer zero 0.9 than zero 0.0, but the closest pair
     # (0.9, 1.0) goes first; (0.0, 0.5) is then beyond tol

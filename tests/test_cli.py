@@ -361,6 +361,36 @@ def test_config_numbers_must_be_json_numbers(tmp_path, capsys, region_e,
     assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
 
 
+@pytest.mark.parametrize("text, error", [
+    ('{"e": {"kind": "disk", "center": 1.0, "radius": 0.7},'
+     ' "f": {"kind": "disk", "center": -1.0, "radius": 0.7},'
+     ' "f": {"kind": "disk", "center": -2.0, "radius": 0.7}}',
+     "config field 'f' is given twice"),
+    ('{"e": {"kind": "disk", "center": 1.0, "radius": 0.7, "radius": 0.5},'
+     ' "f": {"kind": "disk", "center": -1.0, "radius": 0.7}}',
+     "config field 'radius' is given twice"),
+    ('{"e": {"kind": "curve", "coefficients":'
+     ' {"0": [4, 0], "1": [0.8, 0], "01": [0.3, 0]}},'
+     ' "f": {"kind": "disk", "center": -6.0, "radius": 0.7}}',
+     "config field 'e.coefficients' repeats a power"),
+    ('{"e": {"kind": "curve", "coefficients":'
+     ' {"0": [4, 0], " 1": [0.8, 0], "+1": [0.3, 0]}},'
+     ' "f": {"kind": "disk", "center": -6.0, "radius": 0.7}}',
+     "config field 'e.coefficients' repeats a power"),
+], ids=["repeated_region", "repeated_radius", "curve_power_01",
+        "curve_power_plus"])
+def test_a_config_value_named_twice_is_a_config_error(tmp_path, capsys, text,
+                                                      error):
+    # json.loads keeps the last of repeated keys, and int() reads "01",
+    # " 1" and "+1" as power 1: each config used to solve its last value
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text)
+    rc = main(["map", "--config", str(cfg), "--out", str(tmp_path / "x.json")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_overflowing_polygon_exits_with_config_error(tmp_path, capsys):
     # finite vertices whose shoelace area overflows to NaN
     cfg = write_config(tmp_path, {

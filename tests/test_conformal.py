@@ -276,13 +276,13 @@ def _ladder_audit(names):
     Returns {pair: [step record]}.  A step record holds the tol, degree,
     symmetry and system shape, whether the step was skipped, its certified
     floor, and the reference's residual and rank.  A solved step also
-    records its condition estimate, whether the solver took the SVD path,
-    whether its coef and level equal the reference bit for bit,
-    |h/h_ref - 1| and, off the SVD path, its own validated residual.  A
-    step of a symmetric pair, which solved its symmetric subspace, also
-    records a second reference: one lstsq of the full system of the same
-    basis (_dense_level_system), its residual, rank and column count and,
-    when the step was solved, |h/h_full - 1|.
+    records the condition bound that picked its path, whether the solver
+    took the SVD path, whether its coef and level equal the reference bit
+    for bit, |h/h_ref - 1| and, off the SVD path, its own validated
+    residual.  A step of a symmetric pair, which solved its symmetric
+    subspace, also records a second reference: one lstsq of the full
+    system of the same basis (_dense_level_system), its residual, rank and
+    column count and, when the step was solved, |h/h_full - 1|.
     """
     level_system, solve_level = conformal._level_system, conformal._solve_level
     systems, steps = {}, []
@@ -412,6 +412,9 @@ def test_skipped_steps_fail_and_solved_steps_match_one_lstsq(ladder_audit,
     for r in records:
         # the floor is a certified lower bound on the validated residual
         assert r["floor"] <= r["reference"], r
+        if not r["skipped"]:
+            # one rule picks the path: the bound against half the cut-off
+            assert r["svd"] == (r["condition"] > 0.5 * _cutoff(r)), r
         if r["skipped"]:
             assert r["floor"] > r["tol"] and r["reference"] > r["tol"], r
         elif r["svd"]:
@@ -450,13 +453,11 @@ def _cutoff(step):
 
 def test_full_rank_rect_disk_step_is_cleared_by_the_frobenius_bound(
         ladder_audit, monkeypatch):
-    # the condition estimate of rect_disk at degree 16 is not _SVD_MARGIN
-    # inside the cut-off, but ||R||_F ||R^-1||_F, a bound on kappa_2, is
-    # within half of it: the step is back-substituted, and gelsd would
-    # have kept every singular value
+    # ||R||_F ||R^-1||_F, a bound on kappa_2, of rect_disk at degree 16 is
+    # within half the cut-off: the step is back-substituted, and gelsd
+    # would have kept every singular value
     [step] = [r for r in ladder_audit["rect_disk"]
               if r["degree"] == 16 and not r["skipped"]]
-    assert step["condition"] > conformal._SVD_MARGIN * _cutoff(step), step
     assert not step["svd"], step
     assert step["reference_rank"] == step["columns"], step
     assert step["h_rel"] <= 1e-12, step
@@ -482,35 +483,37 @@ def test_full_rank_rect_disk_step_is_cleared_by_the_frobenius_bound(
                                           ("rect_in_exterior_shifted", 32)])
 def test_steps_the_bound_cannot_clear_keep_the_svd_path(ladder_audit, name,
                                                         degree):
-    # estimates between _SVD_MARGIN and n times the cut-off, whose
-    # Frobenius bound exceeds half of it: the bitwise SVD solve stays.  On
-    # the axes these pairs solve their symmetric subspace, where both
-    # steps are back-substituted, so the witnesses are moved off them
+    # steps whose Frobenius bound exceeds half the cut-off, by a factor
+    # of 1.09 and 3.5: the bitwise SVD solve stays.  On the axes these
+    # pairs solve their symmetric subspace, where both steps are
+    # back-substituted, so the witnesses are moved off them
     steps = [r for r in ladder_audit[name]
              if r["degree"] == degree and not r["skipped"]]
     assert steps
     for step in steps:
-        assert (conformal._SVD_MARGIN * _cutoff(step) < step["condition"]
-                <= step["columns"] * _cutoff(step)), step
+        assert step["condition"] > 0.5 * _cutoff(step), step
         assert step["svd"] and step["bitwise"], step
 
 
-def test_gate_inverts_the_triangle_only_between_its_two_estimate_tests():
+def test_condition_bound_picks_the_solve_by_one_rule():
+    # the rule of _solve_level: back substitution only where the bound is
+    # within half the cut-off 1/rcond
     rcond = 1e-12
-    # an estimate past n times the cut-off is rank-deficient for gelsd
-    # without the bound: the singular triangle would make dtrtri fail
+
+    def svd(r):
+        return not conformal._condition_bound(r) <= 0.5 / rcond
+
+    # sqrt(3) sqrt(3), 3 to rounding
+    assert conformal._condition_bound(np.eye(3)) == pytest.approx(3.0)
+    assert not svd(np.eye(3))
+    # a 1e-13 pivot: the bound is above 1e13, past half the cut-off
+    assert svd(np.diag([1.0, 1.0, 1e-13]))
+    # an exact zero on the diagonal: dtrtri reports it, and the step takes
+    # the SVD path instead of raising
     singular = np.triu(np.ones((3, 3)))
     singular[2, 2] = 0.0
-    for condition in (3.1e12, math.inf, math.nan):
-        assert conformal._needs_svd(singular, condition, rcond)
-    # in between, the Frobenius bound decides: 3 for the identity, and
-    # above 1e12 for a triangle with a 1e-13 pivot
-    assert not conformal._needs_svd(np.eye(3), 2e9, rcond)
-    assert conformal._needs_svd(np.diag([1.0, 1.0, 1e-13]), 2e9, rcond)
-    # inside the margin nothing is inverted
-    assert not conformal._needs_svd(singular, 1e9, rcond)
-    with pytest.raises(np.linalg.LinAlgError, match="inverse of the map"):
-        conformal._needs_svd(singular, 2e9, rcond)
+    assert conformal._condition_bound(singular) == math.inf
+    assert svd(singular)
 
 
 class _LadderStop(Exception):

@@ -1,5 +1,6 @@
 """Source-level rules for the package: no catch-all handlers, no assert,
-no private helper without a caller, no value equality on array fields."""
+no private helper or constant without a reader, no value equality on array
+fields."""
 
 import ast
 from pathlib import Path
@@ -40,20 +41,28 @@ def _referenced_names(stmt):
     return names
 
 
+def _defined_names(stmt):
+    """The names a top-level statement defines: a function or class, or the
+    plain names an assignment binds (`_NAME = ...`)."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = (stmt.targets if isinstance(stmt, ast.Assign)
+               else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
 def _dead_private_helpers(paths):
-    """Module-level private functions and classes that no other top-level
-    statement of the package refers to (a helper's own body does not count,
-    so a recursive helper is not its own caller)."""
+    """Module-level private functions, classes and constants that no other
+    top-level statement of the package refers to (a helper's own body does
+    not count, so a recursive helper is not its own caller)."""
     defs, uses = [], []
     for path in paths:
         tree = ast.parse(path.read_text(), filename=str(path))
         for stmt in tree.body:
             refs = _referenced_names(stmt)
-            if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef))
-                    and stmt.name.startswith("_")
-                    and not stmt.name.startswith("__")):
-                defs.append((path.name, stmt.name, stmt))
+            defs.extend((path.name, name, stmt)
+                        for name in _defined_names(stmt)
+                        if name.startswith("_") and not name.startswith("__"))
             uses.append((stmt, refs))
     return sorted((module, name) for module, name, node in defs
                   if not any(name in refs for stmt, refs in uses
@@ -130,7 +139,12 @@ def test_a_helper_without_a_caller_is_reported(tmp_path):
         "def _used():\n    return 1\n\n\n"
         "def _dead():\n    return _dead()\n\n\n"
         "class _Shape:\n    pass\n\n\n"
-        "def public():\n    return _used()\n"
+        "_SCALE = 2.0\n"
+        "_MARGIN: float = 1e-3\n"
+        "_KNOB = _KNOB_DEFAULT = 1\n"
+        "__all__ = ['public']\n\n\n"
+        "def public():\n    return _used() * _SCALE\n"
     )
-    assert _dead_private_helpers([source]) == [("mod.py", "_Shape"),
-                                               ("mod.py", "_dead")]
+    assert _dead_private_helpers([source]) == [
+        ("mod.py", "_KNOB"), ("mod.py", "_KNOB_DEFAULT"), ("mod.py", "_MARGIN"),
+        ("mod.py", "_Shape"), ("mod.py", "_dead")]

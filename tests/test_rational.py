@@ -74,6 +74,17 @@ def test_roots_are_sorted_and_filtered():
     assert np.allclose(sorted(z for z in zeros), [-0.4j, 0.2], atol=1e-8)
 
 
+def test_a_zero_on_a_support_point_is_kept():
+    # r(z) = z through (-1, -1), (0, 0), (1, 1): N = 2/(z^2 - 1) and
+    # D = 2/(z (z^2 - 1)).  The zero 0 is the support point whose
+    # coefficient w_j f_j vanishes, where the kernel residual is 0/0
+    poles, zeros = poles_zeros(
+        BarycentricRational([-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0],
+                            [1.0, -2.0, 1.0]))
+    assert poles.size == 0
+    assert zeros.size == 1 and abs(zeros[0]) <= 1e-14
+
+
 def test_entire_functions_fit_to_tolerance():
     fit = aaa_fit(UNIT, np.exp(UNIT), tol=1e-12)
     assert fit.residual <= 1e-12 * np.abs(np.exp(UNIT)).max()
