@@ -139,12 +139,25 @@ def _region_from(obj, where):
     raise ConfigError(f"config field '{where}.kind' has unknown value {kind!r}")
 
 
+def _repeat_in(value, path):
+    """(the path of a key given twice in value, found at path,) or None."""
+    if isinstance(value, tuple):
+        return (f"{path}.{value[0]}",)
+    for i, item in enumerate(value if isinstance(value, list) else ()):
+        found = _repeat_in(item, f"{path}[{i}]")
+        if found:
+            return found
+    return None
+
+
 def _unique_keys(pairs):
-    # json.loads would keep the last of repeated keys
+    # json.loads would keep the last of repeated keys.  An object repeating
+    # one becomes (its path,), a tuple like no JSON value, up to the root
     data = {}
     for key, value in pairs:
-        if key in data:
-            raise ConfigError(f"config field '{key}' is given twice")
+        found = _repeat_in(value, key)
+        if found or key in data:
+            return found or (key,)
         data[key] = value
     return data
 
@@ -159,6 +172,11 @@ def _load_config(path):
         data = json.loads(raw, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if isinstance(data, tuple):
+        field = data[0].rpartition(".")[0]
+        if field.rpartition(".")[2] == "coefficients":  # a curve's powers
+            raise ConfigError(f"config field '{field}' repeats a power")
+        raise ConfigError(f"config field '{data[0]}' is given twice")
     if not isinstance(data, dict):
         raise ConfigError("config field '<root>' must be an object")
     return data, hashlib.sha256(raw).hexdigest()

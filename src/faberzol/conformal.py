@@ -41,7 +41,7 @@ from .errors import (
     NotDisjointError,
 )
 from .geometry import Disk, Polygon, Region
-from .quadrature import _CHUNK
+from .quadrature import _blocks, _flat, _shaped
 
 _TWO_PI = 2.0 * math.pi
 _MAX_DEGREE = 128
@@ -121,7 +121,6 @@ class _LogBasis:
         return _Ties.of(self)
 
     def columns(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=complex).ravel()
         cols = np.empty((z.size, self.n_columns), dtype=complex)
         cols[:, 0] = 1.0
         if self.variant == "A1":
@@ -146,14 +145,11 @@ class _LogBasis:
         return out
 
     def g(self, coef, z):
-        z = np.asarray(z, dtype=complex)
-        flat = z.ravel()
-        out = np.zeros(flat.shape, dtype=complex)
-        step = max(1, _CHUNK // self.n_columns)
-        for lo in range(0, flat.size, step):
-            hi = min(flat.size, lo + step)
-            out[lo:hi] = self.columns(flat[lo:hi]) @ coef
-        return out.reshape(z.shape)
+        zf = _flat(z)
+        out = np.empty(zf.shape, dtype=complex)
+        for block in _blocks(zf.size, self.n_columns):
+            out[block] = self.columns(zf[block]) @ coef
+        return _shaped(out, z)
 
 
 def _pole_images(basis, symmetry, image):
@@ -648,16 +644,15 @@ def _level_system(region_e, f_inner, basis):
     a = np.empty((m, ties.order.size), order="F")
     b = np.empty(m)
     norm2 = np.zeros(2 * ties.size)
-    step = max(1, min(_CHUNK, a.size // 8) // basis.n_columns)
     lo = 0
     for pts, w, f_side in sides:
         b[lo : lo + pts.size] = -basis.log_abs_base(pts) * w
-        for i in range(0, pts.size, step):
-            z, wz = pts[i : i + step], w[i : i + step]
+        for rows in _blocks(pts.size, basis.n_columns, a.size // 8):
+            wz = w[rows]
             level = 0.5 * wz if ties.negation else -wz if f_side else 0.0
-            _fill_rows(a[lo + i : lo + i + z.size],
-                       ties.combine(basis.columns(z)), wz, level, norm2,
-                       ties.order)
+            _fill_rows(a[lo + rows.start : lo + rows.stop],
+                       ties.combine(basis.columns(pts[rows])), wz, level,
+                       norm2, ties.order)
         lo += pts.size
     scale = np.sqrt(norm2[ties.order])
     scale[scale == 0.0] = 1.0
@@ -968,8 +963,7 @@ def psi_boundary(annulus_map, w):
     through 0, not the jump at +-pi), and is refined there in 1-D.  Every
     map, the closed-form two-disk map included, takes this one path.
     """
-    w_arr = np.asarray(w, dtype=complex)
-    ws = np.atleast_1d(w_arr).ravel()
+    ws = _flat(w)
     h = annulus_map.h
     mod = np.abs(ws)
     if np.all(np.abs(mod - 1.0) <= 1e-6):
@@ -985,21 +979,20 @@ def psi_boundary(annulus_map, w):
               else boundary_region(annulus_map.region_f))
     vals = annulus_map._psi_tables[0 if on_e else 1]
     ang = np.unwrap(np.angle(vals))
+    if abs(abs(ang[-1] - ang[0]) - _TWO_PI) > 1e-3:
+        raise EvaluationDomainError("boundary correspondence not resolved: "
+                                    "arg Phi on the table does not wind once")
     gap = np.angle(vals * np.conj(ws)[:, None])
     near = np.abs(gap) < math.pi / 2
     cross = (gap[:, :-1] * gap[:, 1:] <= 0.0) & near[:, :-1] & near[:, 1:]
-    if (abs(abs(ang[-1] - ang[0]) - _TWO_PI) > 1e-3
-            or not np.all(cross.any(axis=1))):
-        raise EvaluationDomainError(
-            "boundary correspondence not resolved; increase samples"
-        )
+    if not np.all(cross.any(axis=1)):
+        raise EvaluationDomainError("boundary correspondence not resolved: "
+                                    "no table interval brackets arg w")
     first = np.argmax(cross, axis=1)
     z = np.array([_psi_on(annulus_map, region, i / _PSI_TABLE,
                           (i + 1) / _PSI_TABLE, complex(wi))
                   for i, wi in zip(first, ws)])
-    if w_arr.ndim == 0:
-        return complex(z[0])
-    return z.reshape(w_arr.shape)
+    return _shaped(z, w)
 
 
 def _psi_on(annulus_map, region, t_lo, t_hi, w) -> complex:

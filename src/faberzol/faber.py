@@ -48,7 +48,8 @@ class BoundaryData:
     Holds the two boundary quadratures and Phi at their nodes, so that
     every degree n built on it (degree_context) costs a power of the cached
     Phi and one transform.  The dense scans are built on first use, by
-    empirical_ratio or adi.faber_shifts, and then serve every degree.
+    empirical_ratio, count_zeros or adi.faber_shifts, and then serve every
+    degree.
     """
 
     map: AnnulusMap
@@ -219,11 +220,10 @@ def eval_Rn(ctx: FaberContext, z):
 
     Points in F are outside the domain of R_n.
     """
-    z_arr = np.asarray(z, dtype=complex)
-    zf, in_e, in_f = _classify(ctx, z_arr)
+    zf, in_e, in_f = _classify(ctx, z)
     if np.any(in_f):
         raise EvaluationDomainError("R_n undefined in F")
-    return _shaped(_rn_by_side(ctx, zf, in_e), z_arr)
+    return _shaped(_rn_by_side(ctx, zf, in_e), z)
 
 
 def eval_inv_rn(ctx: FaberContext, z):
@@ -234,8 +234,7 @@ def eval_inv_rn(ctx: FaberContext, z):
     (|R_n| < 1e-14) the result is the pole marker inf+0j; callers
     evaluating r_n treat it as a zero of r_n.
     """
-    z_arr = np.asarray(z, dtype=complex)
-    zf, in_e, in_f = _classify(ctx, z_arr)
+    zf, in_e, in_f = _classify(ctx, z)
     out = np.empty(zf.shape, dtype=complex)
     if np.any(in_f):
         nodes = ctx.quad_f.nodes
@@ -245,7 +244,7 @@ def eval_inv_rn(ctx: FaberContext, z):
     if np.any(rest):
         rn = _rn_by_side(ctx, zf[rest], in_e[rest])
         out[rest] = _inv_rn(ctx, zf[rest], rn)
-    return _shaped(out, z_arr)
+    return _shaped(out, z)
 
 
 def _reciprocal(inv):
@@ -258,8 +257,7 @@ def _reciprocal(inv):
 
 def eval_rn(ctx: FaberContext, z):
     """r_n(z) as the reciprocal of eval_inv_rn; pole markers become zeros."""
-    inv = np.asarray(eval_inv_rn(ctx, z))
-    return _shaped(_reciprocal(np.atleast_1d(inv)), inv)
+    return _shaped(_reciprocal(_flat(eval_inv_rn(ctx, z))), z)
 
 
 def _refine_max(fun, t0: float, half_width: float) -> float:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidRegionError
-from .quadrature import _CHUNK, BoundaryQuadrature
+from .quadrature import BoundaryQuadrature, _blocks, _flat
 
 _TWO_PI = 2.0 * math.pi
 _EPS = float(np.finfo(float).eps)
@@ -120,7 +120,7 @@ class Polygon(Region):
             verts = verts[::-1]
         object.__setattr__(self, "vertices", tuple(verts.tolist()))
 
-    # Cached edge data ----------------------------------------------------
+    # Edge data, rebuilt from the vertices on every call ------------------
     def _verts(self):
         return np.asarray(self.vertices, dtype=complex)
 
@@ -325,20 +325,19 @@ def is_convex(region: Region) -> bool:
 # -- membership -----------------------------------------------------------
 
 def boundary_distance(region: Region, z) -> np.ndarray:
-    """Distances from the points z to the boundary (dense-sample estimate
-    off disks and polygons)."""
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    """Distances from the points z to the boundary, in the shape of z (one
+    for a scalar z); a dense-sample estimate off disks and polygons."""
+    zf, shape = _flat(z), np.shape(z) or 1
     if isinstance(region, Disk):
-        return np.abs(np.abs(z - region.center) - region.radius)
-    if isinstance(region, Polygon):
-        a = _polyline(region)
-        ab = np.roll(a, -1) - a
-        return np.min(_segment_distance(z[:, None], a[None, :], ab[None, :]),
-                      axis=1)
-    pts = _polyline(region)
-    return _by_chunks(
-        lambda chunk: np.min(np.abs(chunk[:, None] - pts[None, :]), axis=1),
-        z, pts.size)
+        return np.abs(np.abs(zf - region.center) - region.radius).reshape(shape)
+    a = _polyline(region)
+    ab = np.roll(a, -1) - a
+    distance = (_segment_distance if isinstance(region, Polygon)
+                else _sample_distance)
+    out = np.empty(zf.size)
+    for block in _blocks(zf.size, a.size):
+        out[block] = np.min(distance(zf[block, None], a, ab), axis=1)
+    return out.reshape(shape)
 
 
 def _segment_distance(z, a, ab):
@@ -353,7 +352,7 @@ def _sample_distance(z, a, ab):
 
 
 def contains_many(region: Region, z):
-    """Vectorized membership: returns (inside, on_boundary) bool arrays.
+    """Vectorized membership: (inside, on_boundary) bool arrays shaped as z.
 
     A point within _BOUNDARY_RTOL * diameter of the boundary is on it and
     not inside.  Off disks both masks come from the closed polyline of
@@ -363,15 +362,17 @@ def contains_many(region: Region, z):
     a point are visited, so the cost grows with the points times the edges
     a horizontal line crosses, not with the points times the edges.
     """
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    zf, shape = _flat(z), np.shape(z) or 1
     thr = _BOUNDARY_RTOL * region.diameter()
     if isinstance(region, Disk):
-        on = boundary_distance(region, z) <= thr
-        return (np.abs(z - region.center) < region.radius) & ~on, on
-    distance = (_segment_distance if isinstance(region, Polygon)
-                else _sample_distance)
-    winding, on = _polyline_masks(_polyline(region), z, thr, distance)
-    return (winding != 0) & ~on, on
+        on = boundary_distance(region, zf) <= thr
+        inside = np.abs(zf - region.center) < region.radius
+    else:
+        distance = (_segment_distance if isinstance(region, Polygon)
+                    else _sample_distance)
+        winding, on = _polyline_masks(_polyline(region), zf, thr, distance)
+        inside = winding != 0
+    return (inside & ~on).reshape(shape), on.reshape(shape)
 
 
 def _polyline(region: Region):
@@ -399,7 +400,7 @@ def _polyline_masks(pts, z, thr, distance):
     the pad also covers the rounding of the differences, of the nearest
     point and of the span ends, so the mask equals the dense test of
     boundary_distance bit for bit.  The (edge, point) pairs are formed in
-    blocks of at most _CHUNK, however many edges a line crosses.
+    _blocks, however many edges a line crosses.
     """
     order = np.argsort(z.imag, kind="stable")
     zs = z[order]
@@ -415,7 +416,8 @@ def _polyline_masks(pts, z, thr, distance):
                      - np.bincount(hi, minlength=z.size + 1))[:-1]
     winding = np.empty(z.size, dtype=int)
     on = np.zeros(z.size, dtype=bool)
-    for start, stop in _blocks(cost):
+    for block in _blocks(z.size, cost):
+        start, stop = block.start, block.stop
         edge, point = _span_pairs(np.clip(lo, start, stop),
                                   np.clip(hi, start, stop))
         zp, ae, abe = zs[point], a[edge], ab[edge]
@@ -433,33 +435,12 @@ def _polyline_masks(pts, z, thr, distance):
     return out_winding, out_on
 
 
-def _blocks(cost):
-    """Consecutive (start, stop) ranges of items whose costs sum to at most
-    _CHUNK; an item that costs more than that is a range of its own."""
-    total = np.cumsum(cost)
-    start = 0
-    while start < total.size:
-        before = total[start - 1] if start else 0
-        stop = max(start + 1, int(np.searchsorted(total, before + _CHUNK,
-                                                  side="right")))
-        yield start, stop
-        start = stop
-
-
 def _span_pairs(lo, hi):
     """The index pairs (i, j) with lo[i] <= j < hi[i], grouped by i."""
     count = hi - lo
     i = np.repeat(np.arange(count.size), count)
     j = np.arange(i.size) + np.repeat(lo - (np.cumsum(count) - count), count)
     return i, j
-
-
-def _by_chunks(fn, z, width: int):
-    """fn over slices of z, each small enough that its slice-by-width
-    temporaries stay within _CHUNK entries."""
-    step = max(1, _CHUNK // width)
-    return np.concatenate([fn(z[lo:lo + step])
-                           for lo in range(0, max(1, z.size), step)])
 
 
 # -- anchors --------------------------------------------------------------

@@ -22,7 +22,7 @@ from .errors import EvaluationDomainError, QuadratureError
 
 _TWO_PI_I = 2j * math.pi
 
-# Chunk size (complex entries) for node-by-target outer products.
+# Budget (entries) of one block of a node-by-target product (_blocks).
 _CHUNK = 1 << 19
 
 # A target within this fraction of the contour diameter of a node is a hit.
@@ -74,17 +74,29 @@ class BoundaryQuadrature:
         return float(np.abs(self.weights).min())
 
 
+def _blocks(n, cost, cap=math.inf):
+    """Consecutive slices of n items costing at most min(_CHUNK, cap) in
+    all, or of one item that costs more; cost is one number for every item
+    or an ndarray of n.  _CHUNK is read at each call."""
+    budget = min(_CHUNK, cap)
+    total = np.cumsum(cost) if isinstance(cost, np.ndarray) else None
+    start = 0
+    while start < n:
+        reach = (start + budget // cost if total is None else np.searchsorted(
+            total, total[start] - cost[start] + budget, "right"))
+        stop = min(n, max(start + 1, int(reach)))
+        yield slice(start, stop)
+        start = stop
+
+
 def _kernels(quad: BoundaryQuadrature, z):
-    """(block, cauchy_kernel(quad, z[block])) over consecutive blocks of the
-    flat targets z, each kernel of at most _CHUNK entries."""
-    step = max(1, _CHUNK // len(quad))
-    for lo in range(0, z.size, step):
-        block = slice(lo, lo + step)
+    """(block, cauchy_kernel(quad, z[block])) for the _blocks of flat z."""
+    for block in _blocks(z.size, len(quad)):
         yield block, cauchy_kernel(quad, z[block])
 
 
 def _flat(z):
-    return np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
+    return np.asarray(z, dtype=complex).ravel()
 
 
 def _shaped(out, z):
@@ -195,12 +207,12 @@ def cauchy_boundary(values, quad: BoundaryQuadrature, z, f_at):
     quadrature weights differ from barycentric weights.  A node collision
     contributes w_j f'(node), with f' from _nodal_derivative.
     """
-    z = _flat(z)
-    f_at = np.broadcast_to(np.asarray(f_at, dtype=complex).ravel(), z.shape)
-    out = np.empty(z.shape, dtype=complex)
-    for block, kernel in _kernels(quad, z):
+    zf = _flat(z)
+    f_at = np.broadcast_to(np.asarray(f_at, dtype=complex).ravel(), zf.shape)
+    out = np.empty(zf.shape, dtype=complex)
+    for block, kernel in _kernels(quad, zf):
         out[block] = kernel(values, f_at[block])
-    return out
+    return _shaped(out, z)
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,6 +13,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import FaberzolError
+from .quadrature import _flat, _shaped
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,9 +49,7 @@ class BarycentricRational:
 
 def bary_eval(rational: BarycentricRational, z):
     """Evaluate; support points return their stored values exactly."""
-    z_arr = np.asarray(z, dtype=complex)
-    scalar = z_arr.ndim == 0
-    zf = np.atleast_1d(z_arr).ravel()
+    zf = _flat(z)
     diff = zf[:, None] - rational.support[None, :]
     exact_i, exact_j = np.nonzero(diff == 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -59,9 +58,7 @@ def bary_eval(rational: BarycentricRational, z):
         den = kernel.sum(axis=1)
         out = num / den
     out[exact_i] = rational.values[exact_j]
-    if scalar:
-        return complex(out[0])
-    return out.reshape(z_arr.shape)
+    return _shaped(out, z)
 
 
 _STALL_STEPS = 5

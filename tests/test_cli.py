@@ -368,7 +368,19 @@ def test_config_numbers_must_be_json_numbers(tmp_path, capsys, region_e,
      "config field 'f' is given twice"),
     ('{"e": {"kind": "disk", "center": 1.0, "radius": 0.7, "radius": 0.5},'
      ' "f": {"kind": "disk", "center": -1.0, "radius": 0.7}}',
-     "config field 'radius' is given twice"),
+     "config field 'e.radius' is given twice"),
+    ('{"e": {"kind": "disk", "center": 0.0, "radius": 0.5},'
+     ' "f": {"kind": "exterior", "of":'
+     ' {"kind": "disk", "center": 0.0, "radius": 2.0, "radius": 3.0}}}',
+     "config field 'f.of.radius' is given twice"),
+    ('{"e": {"kind": "disk", "center": 1.0, "radius": 0.7},'
+     ' "f": {"kind": "disk", "center": -1.0, "radius": 0.7},'
+     ' "notes": [[{"by": "a", "by": "b"}]]}',
+     "config field 'notes[0][0].by' is given twice"),
+    ('{"e": {"kind": "curve", "coefficients":'
+     ' {"0": [4, 0], "1": [0.8, 0], "1": [0.3, 0]}},'
+     ' "f": {"kind": "disk", "center": -6.0, "radius": 0.7}}',
+     "config field 'e.coefficients' repeats a power"),
     ('{"e": {"kind": "curve", "coefficients":'
      ' {"0": [4, 0], "1": [0.8, 0], "01": [0.3, 0]}},'
      ' "f": {"kind": "disk", "center": -6.0, "radius": 0.7}}',
@@ -377,7 +389,8 @@ def test_config_numbers_must_be_json_numbers(tmp_path, capsys, region_e,
      ' {"0": [4, 0], " 1": [0.8, 0], "+1": [0.3, 0]}},'
      ' "f": {"kind": "disk", "center": -6.0, "radius": 0.7}}',
      "config field 'e.coefficients' repeats a power"),
-], ids=["repeated_region", "repeated_radius", "curve_power_01",
+], ids=["repeated_region", "repeated_radius", "repeated_exterior_radius",
+        "repeated_in_a_list", "curve_power_1", "curve_power_01",
         "curve_power_plus"])
 def test_a_config_value_named_twice_is_a_config_error(tmp_path, capsys, text,
                                                       error):

@@ -122,6 +122,23 @@ def test_vectorised_psi_boundary_equals_single_calls(disk_amap, disk_map):
         psi_boundary(disk_amap, np.array([1.0, disk_amap.h]))
 
 
+def test_psi_boundary_names_the_table_check_that_failed(disk_pair):
+    amap = mobius_two_disks(*disk_pair)
+    flat = np.ones(conformal._PSI_TABLE + 1, dtype=complex)
+    amap.__dict__["_psi_tables"] = (flat, flat)
+    with pytest.raises(EvaluationDomainError,
+                       match="arg Phi on the table does not wind once"):
+        psi_boundary(amap, 1.0)
+    # a table that winds once in steps of 100 degrees: w at 5 degrees is
+    # more than 90 degrees from one end of (0, 100) and on one side of
+    # both ends of (300, 360); w at 50 degrees is bracketed by (0, 100)
+    coarse = np.exp(1j * np.deg2rad([0.0, 100.0, 200.0, 300.0, 360.0]))
+    amap.__dict__["_psi_tables"] = (coarse, coarse)
+    with pytest.raises(EvaluationDomainError,
+                       match="no table interval brackets arg w"):
+        psi_boundary(amap, np.exp(1j * np.deg2rad([5.0, 50.0])))
+
+
 def test_far_field_modulus_is_sqrt_h_for_mirrored_pairs(disk_map):
     # by symmetry the point at infinity sits halfway through the annulus
     far = 1e8 * np.exp(1j * np.array([0.1, 2.0, 4.0]))

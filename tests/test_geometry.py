@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from faberzol import geometry
+from faberzol import geometry, quadrature
 from faberzol.errors import InvalidRegionError
 from faberzol.geometry import (
     boundary_distance,
@@ -134,7 +134,7 @@ def test_chunked_contains_many_matches_one_block(monkeypatch):
         c.boundary_point(rng.uniform(0.0, 1.0, 150)) * (1.0 + 1e-10),
     ])
     inside, on = contains_many(c, z)
-    monkeypatch.setattr(geometry, "_CHUNK", 4096 * z.size)
+    monkeypatch.setattr(quadrature, "_CHUNK", 4096 * z.size)
     one_inside, one_on = contains_many(c, z)
     assert np.array_equal(inside, one_inside)
     assert np.array_equal(on, one_on)
@@ -220,7 +220,7 @@ def test_contains_many_in_small_blocks_matches_one_block(monkeypatch):
     comb = curve({1: 1.0, 61: 0.04, -59: 0.04})
     z = _membership_targets(comb, np.random.default_rng(3))
     inside, on = contains_many(comb, z)
-    monkeypatch.setattr(geometry, "_CHUNK", 8)
+    monkeypatch.setattr(quadrature, "_CHUNK", 8)
     small_inside, small_on = contains_many(comb, z)
     assert np.array_equal(inside, small_inside)
     assert np.array_equal(on, small_on)

@@ -1,6 +1,6 @@
 """Source-level rules for the package: no catch-all handlers, no assert,
 no private helper or constant without a reader, no value equality on array
-fields."""
+fields, and no block budget read outside quadrature."""
 
 import ast
 from pathlib import Path
@@ -95,6 +95,15 @@ def _array_dataclasses_with_value_eq(paths):
     return sorted(found)
 
 
+def _block_budget_readers(paths):
+    """The modules other than quadrature.py that refer to _CHUNK by name
+    (a docstring does not count): node-by-target products take their
+    blocks from quadrature._blocks, the one reader of the budget."""
+    return sorted(path.name for path in paths if path.name != "quadrature.py"
+                  and "_CHUNK" in _referenced_names(ast.parse(
+                      path.read_text(), filename=str(path))))
+
+
 def test_sources_are_found():
     assert any(path.name == "__init__.py" for path in SOURCES)
 
@@ -106,6 +115,10 @@ def test_no_catch_all_handlers_or_asserts(path):
 
 def test_every_private_helper_has_a_caller():
     assert _dead_private_helpers(SOURCES) == []
+
+
+def test_only_quadrature_reads_the_block_budget():
+    assert _block_budget_readers(SOURCES) == []
 
 
 def test_array_dataclasses_compare_by_identity():
@@ -148,3 +161,16 @@ def test_a_helper_without_a_caller_is_reported(tmp_path):
     assert _dead_private_helpers([source]) == [
         ("mod.py", "_KNOB"), ("mod.py", "_KNOB_DEFAULT"), ("mod.py", "_MARGIN"),
         ("mod.py", "_Shape"), ("mod.py", "_dead")]
+
+
+def test_a_module_reading_the_block_budget_is_reported(tmp_path):
+    for name, text in {
+        "quadrature.py": "_CHUNK = 1 << 19\n",
+        "imported.py": "from .quadrature import _CHUNK\n",
+        "attribute.py": "from . import quadrature\n\n"
+                        "STEP = quadrature._CHUNK // 8\n",
+        "documented.py": '"""Blocks of at most _CHUNK entries."""\n',
+    }.items():
+        (tmp_path / name).write_text(text)
+    assert _block_budget_readers(sorted(tmp_path.glob("*.py"))) == [
+        "attribute.py", "imported.py"]

@@ -6,11 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import direct_cauchy_boundary
+from faberzol import quadrature
+from faberzol.conformal import phi, psi_boundary
 from faberzol.errors import EvaluationDomainError
-from faberzol.geometry import boundary_samples, curve, disk, rectangle
+from faberzol.faber import build_context, eval_rn
+from faberzol.geometry import (
+    boundary_distance,
+    boundary_samples,
+    contains_many,
+    curve,
+    disk,
+    rectangle,
+)
 from faberzol.quadrature import (
     _HIT_RTOL,
     _NEAR,
+    _blocks,
     _nodal_derivative,
     cauchy_boundary,
     cauchy_kernel,
@@ -18,6 +29,7 @@ from faberzol.quadrature import (
     cauchy_plus,
     cauchy_stabilized,
 )
+from faberzol.rational import BarycentricRational, bary_eval
 
 
 @pytest.fixture(scope="module")
@@ -221,3 +233,77 @@ def test_interior_transform_is_exact_on_polynomials(coeffs, t):
     expect = np.polyval(coeffs, z0)
     scale = max(1.0, np.abs(vals).max())
     assert np.abs(cauchy_plus(vals, q, z0) - expect).max() < 1e-11 * scale
+
+
+def test_blocks_hold_what_the_budget_allows(monkeypatch):
+    monkeypatch.setattr(quadrature, "_CHUNK", 10)
+    # equal costs w make blocks of floor(budget / w) items
+    for w, size in ((1, 10), (3, 3), (4, 2), (10, 1)):
+        assert list(_blocks(7, np.full(7, w))) == list(_blocks(7, w))
+        blocks = list(_blocks(7, w))
+        assert blocks == [slice(lo, min(lo + size, 7))
+                          for lo in range(0, 7, size)]
+    # a cap below _CHUNK sets the budget; one above it does not
+    for cost in (2, np.full(4, 2)):
+        assert list(_blocks(4, cost, 5)) == [slice(0, 2), slice(2, 4)]
+        assert list(_blocks(4, cost, 100)) == [slice(0, 4)]
+    # an item over the budget is a block of its own
+    assert list(_blocks(5, np.array([4, 11, 3, 3, 5]))) == [
+        slice(0, 1), slice(1, 2), slice(2, 4), slice(4, 5)]
+    assert list(_blocks(0, 3)) == list(_blocks(0, np.zeros(0))) == []
+
+
+def _unit_targets(shape):
+    """Distinct points of the unit circle in the given shape."""
+    n = int(np.prod(shape))
+    return np.exp(2j * np.pi * (0.1 + np.arange(n) / (n + 1))).reshape(shape)
+
+
+@pytest.fixture(scope="module")
+def evaluators(circle, disk_map):
+    """name -> (evaluator of unit-circle targets w, whether a scalar w
+    gives an array of one element rather than a scalar)."""
+    f_exp = np.exp(circle.nodes)
+    ctx = build_context(disk_map, 2, 64)
+    rational = BarycentricRational([1.0, -1.0, 1.0j], [1.0, 2.0, 3.0],
+                                   [1.0, -1.0, 1.0])
+    regions = {"disk": disk(0.0, 1.0),
+               "polygon": rectangle((-1.0, 1.0), (-1.0, 1.0)),
+               "curve": curve({1: 1.0, 3: 0.05})}
+    table = {
+        "cauchy_boundary": (lambda w: cauchy_boundary(
+            f_exp, circle, 2.0 * w, np.exp(2.0 * w)), False),
+        "cauchy_stabilized": (
+            lambda w: cauchy_stabilized(f_exp, circle, 0.5 * w), False),
+        "phi": (lambda w: phi(disk_map, 3.0 + 0.1 * w), False),
+        "psi_boundary": (lambda w: psi_boundary(disk_map, w), False),
+        "bary_eval": (lambda w: bary_eval(rational, 0.5 * w), False),
+        "eval_rn": (lambda w: eval_rn(ctx, 1.5 * w), False),
+    }
+    for kind, region in regions.items():
+        table[f"contains_many_{kind}"] = (
+            lambda w, r=region: contains_many(r, 0.98 * w), True)
+        table[f"boundary_distance_{kind}"] = (
+            lambda w, r=region: boundary_distance(r, 0.5 * w), True)
+    return table
+
+
+EVALUATORS = ["cauchy_boundary", "cauchy_stabilized", "phi", "psi_boundary",
+              "bary_eval", "eval_rn"] + [
+    f"{name}_{kind}" for name in ("contains_many", "boundary_distance")
+    for kind in ("disk", "polygon", "curve")]
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (2, 3)], ids=str)
+@pytest.mark.parametrize("name", EVALUATORS)
+def test_evaluators_return_the_shape_of_their_targets(evaluators, name,
+                                                      shape):
+    # the flat call's values in the targets' shape; a scalar target gives
+    # a scalar, or one element from membership and distances
+    evaluate, one_element = evaluators[name]
+    w = _unit_targets(shape)
+    out, flat = evaluate(w), evaluate(w.ravel())
+    pairs = zip(out, flat) if isinstance(out, tuple) else [(out, flat)]
+    for got, ref in pairs:
+        assert np.shape(got) == (shape or ((1,) if one_element else ()))
+        assert np.array_equal(np.ravel(got), ref)
