@@ -53,6 +53,7 @@ from .faber import (
     count_zeros,
     degree_context,
     empirical_ratio,
+    empirical_ratios,
     eval_Rn,
     eval_inv_rn,
     eval_rn,

@@ -35,12 +35,12 @@ from .displacement import (
     vandermonde_h,
     vandermonde_matrix,
 )
-from .errors import FaberzolError
+from .errors import FaberzolError, UncertifiedError
 from .faber import (
     boundary_data,
     build_context,
     degree_context,
-    empirical_ratio,
+    empirical_ratios,
     eval_rn,
 )
 from .geometry import (
@@ -257,18 +257,31 @@ def _cmd_bound(args):
     _, _, amap, gc, meta = _solved_pair(
         args, "bound --empirical" if args.empirical else None)
     columns = ["n", "lower", "upper", "valid", "clamped"]
+    degrees = range(args.n_min, args.n_max + 1)
+    rows = []
+    for n in degrees:
+        bv = zolotarev_upper(gc, n)
+        rows.append([n, bv.lower, bv.upper, bv.upper_valid, bv.clamped])
     if args.empirical:
         columns.append("empirical")
         data = boundary_data(amap, n_quad=args.nq)
-    rows = []
-    for n in range(args.n_min, args.n_max + 1):
-        bv = zolotarev_upper(gc, n)
-        row = [n, bv.lower, bv.upper, bv.upper_valid, bv.clamped]
-        if args.empirical:
-            row.append(empirical_ratio(degree_context(data, n)))
-        rows.append(row)
+        for row, witness in zip(rows, _witnesses(data, degrees)):
+            row.append(witness)
     _write_csv(args.out, meta, "bound", columns, rows)
     return 0
+
+
+def _witnesses(data, degrees):
+    """empirical_ratios of the degree contexts on data, in one lockstep
+    search; the lowest degree whose context or witness fails raises."""
+    contexts = []
+    for n in degrees:
+        try:
+            contexts.append(degree_context(data, n))
+        except UncertifiedError:
+            empirical_ratios(contexts)  # a lower degree's failure comes first
+            raise
+    return empirical_ratios(contexts)
 
 
 def _cmd_faber(args):

@@ -203,7 +203,26 @@ class AnnulusMap:
 def phi(annulus_map, z):
     """Evaluate the annulus map at points of the closed domain."""
     b = annulus_map.basis
-    g = b.g(annulus_map.coef, z)
+    return _times_base(b, z, b.g(annulus_map.coef, z))
+
+
+def _phi_pointwise(annulus_map, z):
+    """phi at each point of the 1-D array z, bit for bit the value that phi
+    gives at that point alone.  The columns of all points are built at
+    once, but each point's row is multiplied by the coefficients on its
+    own: BLAS rounds a product over several rows differently from a
+    one-row product, and a search that compares nearby values must see the
+    values of one-point calls whatever batch it evaluates them in."""
+    b = annulus_map.basis
+    cols = b.columns(z)
+    g = np.empty(z.shape, dtype=complex)
+    for i in range(z.size):
+        g[i:i + 1] = cols[i:i + 1] @ annulus_map.coef
+    return _times_base(b, z, g)
+
+
+def _times_base(b, z, g):
+    """Phi = base * exp(g) at z, given g there."""
     z = np.asarray(z, dtype=complex)
     if b.variant == "A1":
         return (z - b.anchor_e) / (z - b.anchor_f) * np.exp(g)
@@ -248,7 +267,7 @@ def mobius_two_disks(region_e: Region, region_f: Region) -> AnnulusMap:
 
 def _corner_clustered_params(region: Polygon, uniform: int):
     """Boundary params clustered geometrically toward each polygon corner."""
-    cum = region._cumulative()
+    cum = region._cumulative
     params = []
     n_edges = len(cum) - 1
     offsets = np.array([1.0, 0.78, 0.55])
@@ -302,7 +321,7 @@ def _corner_poles(region, image):
     """
     if not isinstance(region, Polygon):
         return np.empty(0, complex), np.empty(0)
-    v = region._verts()
+    v = region._verts
     n = len(v)
     poles, scales = [], []
     j = np.arange(1, _POLES_PER_CORNER + 1)
@@ -562,7 +581,7 @@ def _region_data(region):
     if isinstance(region, Disk):
         return np.array([region.center, region.radius]), ()
     if isinstance(region, Polygon):
-        return region._verts(), ()
+        return region._verts, ()
     return (np.array([c for _, c in region.coefficients], dtype=complex),
             tuple(k for k, _ in region.coefficients))
 
@@ -991,7 +1010,7 @@ def psi_boundary(annulus_map, w):
     first = np.argmax(cross, axis=1)
     z = np.array([_psi_on(annulus_map, region, i / _PSI_TABLE,
                           (i + 1) / _PSI_TABLE, complex(wi))
-                  for i, wi in zip(first, ws)])
+                  for i, wi in zip(first, ws)], dtype=complex)
     return _shaped(z, w)
 
 

@@ -3,6 +3,13 @@
 R_n is the filtered version of Phi^n across the E boundary; filtering
 1/R_n across the F boundary yields 1/r_n, where r_n is a type (n, n)
 rational whose sup/inf ratio witnesses the Zolotarev number upper bound.
+
+On and beyond the F boundary |Phi^n| is about h^n, which leaves the float
+range at moderate n (h ~ 142 overflows at n = 144).  The F side is
+therefore carried at an exact power-of-two scale: Phi^n there is taken as
+(Phi 2^-a)^n with a = round(log2 h), so R_n is held as R_n 2^-an and 1/R_n
+as 2^an/R_n, and the transforms that mix the two scales multiply their
+products by the power of two (CauchyKernel's exponent).
 """
 
 import functools
@@ -10,15 +17,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
 from . import geometry
-from .conformal import AnnulusMap, ExteriorOf, phi
+from .conformal import AnnulusMap, ExteriorOf, _phi_pointwise, phi
 from .errors import EvaluationDomainError, InvalidRegionError, UncertifiedError
 from .quadrature import (
     BoundaryQuadrature,
     CauchyKernel,
     _flat,
+    _ldexp,
     _shaped,
     cauchy_boundary,
     cauchy_kernel,
@@ -31,24 +39,34 @@ _POLE_EPS = 1e-14  # |R_n| below this marks a pole of 1/r_n (a zero of r_n)
 
 @dataclass(frozen=True, eq=False)
 class _Scan:
-    """Boundary points z at parameters t, Phi there, and the kernels of the
-    transforms across each boundary at those points (see _scan)."""
+    """Boundary points z at parameters t, Phi there, the kernels of the
+    transforms across each boundary at those points (see _scan), and the
+    power-of-two shift a of Phi on this boundary: 0 on E,
+    BoundaryData.f_shift on F."""
 
     t: np.ndarray
     z: np.ndarray
     phi: np.ndarray
     across_e: CauchyKernel
     across_f: CauchyKernel
+    shift: int
+
+    def row(self, i: int) -> "_Scan":
+        """The scan at its i-th point alone."""
+        return _Scan(self.t[i:i + 1], self.z[i:i + 1], self.phi[i:i + 1],
+                     self.across_e.row(i), self.across_f.row(i), self.shift)
 
 
 @dataclass(frozen=True, eq=False)
 class BoundaryData:
     """Degree-independent boundary data of one map at one quadrature size.
 
-    Holds the two boundary quadratures and Phi at their nodes, so that
-    every degree n built on it (degree_context) costs a power of the cached
-    Phi and one transform.  The dense scans are built on first use, by
-    empirical_ratio, count_zeros or adi.faber_shifts, and then serve every
+    Holds the two boundary quadratures, Phi at their nodes and
+    across_e_at_f, the kernel of the transform across the E boundary at the
+    F nodes (4 MiB at 512 nodes), so that every degree n built on it
+    (degree_context) costs a power of the cached Phi and one application of
+    that kernel.  The dense scans are built on first use, by
+    empirical_ratios, count_zeros or adi.faber_shifts, and then serve every
     degree.
     """
 
@@ -57,12 +75,18 @@ class BoundaryData:
     quad_f: BoundaryQuadrature
     phi_e: np.ndarray
     phi_f: np.ndarray
+    across_e_at_f: CauchyKernel
+
+    @property
+    def f_shift(self) -> int:
+        """a = round(log2 h): Phi 2^-a has modulus near 1 on the F boundary."""
+        return round(math.log2(self.map.h))
 
     @functools.cached_property
     def scans(self):
         """(E scan, F scan) at t = i/(4 len(quad_e)), i < 4 len(quad_e).
 
-        The points where empirical_ratio scans |r_n| and where
+        The points where empirical_ratios scans |r_n| and where
         adi.faber_shifts samples r_k for its fits; each degree then costs
         four matrix-vector products.  Each of the four kernels takes
         64 n_quad^2 bytes (16 MiB at 512 nodes).
@@ -73,15 +97,18 @@ class BoundaryData:
                 _scan(self, self.map.region_f, t))
 
 
-def _scan(data: BoundaryData, region, t) -> _Scan:
-    """The _Scan of data at boundary params t of region (E or F)."""
+def _scan(data: BoundaryData, region, t, evaluate=phi) -> _Scan:
+    """The _Scan of data at boundary params t of region (E or F), with Phi
+    there from evaluate(map, z)."""
     z = region.boundary_point(t)
-    return _Scan(t, z, phi(data.map, z), cauchy_kernel(data.quad_e, z),
-                 cauchy_kernel(data.quad_f, z))
+    shift = data.f_shift if region == data.map.region_f else 0
+    return _Scan(t, z, evaluate(data.map, z), cauchy_kernel(data.quad_e, z),
+                 cauchy_kernel(data.quad_f, z), shift)
 
 
 def boundary_data(amap, n_quad: int = 512) -> BoundaryData:
-    """Boundary quadratures of n_quad nodes (>= 64) and Phi at the nodes."""
+    """Boundary quadratures of n_quad nodes (>= 64), Phi at the nodes and
+    the E-to-F kernel."""
     if n_quad < 64:
         raise ValueError("need at least 64 quadrature nodes per boundary")
     if isinstance(amap.region_f, ExteriorOf):
@@ -91,7 +118,8 @@ def boundary_data(amap, n_quad: int = 512) -> BoundaryData:
     quad_e = geometry.boundary_samples(amap.region_e, n_quad)
     quad_f = geometry.boundary_samples(amap.region_f, n_quad)
     return BoundaryData(amap, quad_e, quad_f,
-                        phi(amap, quad_e.nodes), phi(amap, quad_f.nodes))
+                        phi(amap, quad_e.nodes), phi(amap, quad_f.nodes),
+                        cauchy_kernel(quad_e, quad_f.nodes))
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,14 +127,16 @@ class FaberContext:
     """Quadrature-backed evaluator state for one map and one degree n.
 
     phi_n_on_e holds Phi^n at the E-boundary nodes (the density whose
-    transforms give R_n); inv_rn_on_f holds 1/R_n at the F-boundary nodes
-    (the density whose transforms give 1/r_n).
+    transforms give R_n); inv_rn_on_f holds 2^exponent/R_n at the F-boundary
+    nodes, with exponent = a n for the shift a of data.f_shift (the density
+    whose transforms give 1/r_n, kept near modulus 1).
     """
 
     data: BoundaryData
     n: int
     phi_n_on_e: np.ndarray
     inv_rn_on_f: np.ndarray
+    exponent: int
 
     @property
     def map(self):
@@ -124,12 +154,21 @@ class FaberContext:
         return max(self.quad_e.diameter, self.quad_f.diameter)
 
 
+def _rn_on_f(data: BoundaryData, phi_n_on_e, n: int):
+    """R_n 2^-an at the F nodes, a = data.f_shift: the E-to-F kernel applied
+    to Phi^n on E, with (Phi 2^-a)^n as the subtracted value."""
+    a = data.f_shift
+    phi_n_on_f = _ldexp(data.phi_f, -a) ** n
+    return data.across_e_at_f(phi_n_on_e, phi_n_on_f, -a * n)
+
+
 def degree_context(data: BoundaryData, n: int) -> FaberContext:
     """The degree-n context on shared boundary data.
 
     Raises UncertifiedError if the map residual cannot certify
-    |Phi^n| <= 1 on the E boundary, or if Phi^n or the 1/R_n density on
-    the F boundary is not finite (h^n overflows).
+    |Phi^n| <= 1 on the E boundary, or if the scaled Phi^n or 1/R_n
+    density on the F boundary is not finite (only where |log2 h - a| n
+    passes the float exponent range, a = data.f_shift: n > 2000 at least).
     """
     if n < 0 or n != int(n):
         raise ValueError("degree n must be a non-negative integer")
@@ -141,14 +180,12 @@ def degree_context(data: BoundaryData, n: int) -> FaberContext:
             "map residual does not certify |Phi^n| <= 1 on the E boundary "
             f"(measured max 1 + {excess:.3e})"
         )
-    with np.errstate(over="ignore"):  # an overflow raises below
-        phi_n_on_f = data.phi_f ** n
-    if np.all(np.isfinite(phi_n_on_f)):
-        rn_on_f = cauchy_boundary(phi_n_on_e, data.quad_e, data.quad_f.nodes,
-                                  phi_n_on_f)
-        # a finite, nonzero R_n is a finite 1/R_n density
-        if np.all(np.isfinite(rn_on_f) & (rn_on_f != 0.0)):
-            return FaberContext(data, n, phi_n_on_e, 1.0 / rn_on_f)
+    with np.errstate(over="ignore", invalid="ignore"):  # raises below
+        rn_on_f = _rn_on_f(data, phi_n_on_e, n)
+    # a finite, nonzero R_n is a finite 1/R_n density
+    if np.all(np.isfinite(rn_on_f) & (rn_on_f != 0.0)):
+        return FaberContext(data, n, phi_n_on_e, 1.0 / rn_on_f,
+                            data.f_shift * n)
     raise UncertifiedError(
         f"degree {n}: Phi^n or 1/R_n overflows on the F boundary "
         f"(h = {data.map.h:.6g}), so the witness is not finite")
@@ -168,26 +205,27 @@ def _rn(ctx, z, phi_z):
     return cauchy_boundary(ctx.phi_n_on_e, ctx.quad_e, z, phi_z ** ctx.n)
 
 
-def _pole_marked(rn, across_f):
-    """1/r_n from R_n at targets on the F boundary or outside F: across_f,
-    the transform across the F boundary at those targets, applied to 1/R_n.
-    Where |R_n| < _POLE_EPS the result is the pole marker inf+0j (a zero
-    of r_n).
+def _pole_marked(ctx, rn, across_f, scale=0):
+    """2^scale/r_n from R_n 2^-scale at targets on the F boundary or outside
+    F: across_f, the transform across the F boundary at those targets
+    (called as a CauchyKernel), applied to the F density of ctx.  Where
+    |R_n| < _POLE_EPS the result is the pole marker inf+0j (a zero of r_n).
     """
-    small = np.abs(rn) < _POLE_EPS
+    small = np.abs(rn) < math.ldexp(_POLE_EPS, -scale)
     with np.errstate(divide="ignore", invalid="ignore"):
         inv_rn = np.where(small, 0.0, 1.0 / rn)
-    out = across_f(inv_rn)
+    out = across_f(ctx.inv_rn_on_f, inv_rn, scale - ctx.exponent)
     out[small] = np.inf + 0.0j
     return out
 
 
-def _inv_rn(ctx, z, rn):
-    """1/r_n at points z on the F boundary or outside F, given R_n there:
-    1/R_n filtered across the F boundary (see _pole_marked).
+def _inv_rn(ctx, z, rn, scale=0):
+    """2^scale/r_n at points z on the F boundary or outside F, given
+    R_n 2^-scale there: 1/R_n filtered across the F boundary (see
+    _pole_marked).
     """
-    return _pole_marked(
-        rn, lambda inv: cauchy_boundary(ctx.inv_rn_on_f, ctx.quad_f, z, inv))
+    return _pole_marked(ctx, rn, lambda values, f_at, exponent: (
+        cauchy_boundary(values, ctx.quad_f, z, f_at, exponent)), scale)
 
 
 def _classify(ctx, z):
@@ -211,14 +249,27 @@ def _rn_by_side(ctx, zf, in_e):
         out[in_e] = cauchy_stabilized(density, ctx.quad_e, zf[in_e])
     rest = ~in_e
     if np.any(rest):
-        out[rest] = _rn(ctx, zf[rest], phi(ctx.map, zf[rest]))
+        with np.errstate(over="ignore", invalid="ignore"):  # raises below
+            out[rest] = _rn(ctx, zf[rest], phi(ctx.map, zf[rest]))
+    _require_finite(ctx, "R_n", out)
     return out
+
+
+def _require_finite(ctx, name, values):
+    """Raise UncertifiedError where values (of R_n or r_n at targets near
+    or on the F boundary, |Phi|^n about h^n) left the float range."""
+    bad = int(np.count_nonzero(~np.isfinite(values)))
+    if bad:
+        raise UncertifiedError(
+            f"degree {ctx.n}: {name} overflows at {bad} target(s) "
+            f"(h = {ctx.map.h:.6g})")
 
 
 def eval_Rn(ctx: FaberContext, z):
     """R_n(z) on E and on the doubly connected exterior domain.
 
-    Points in F are outside the domain of R_n.
+    Points in F are outside the domain of R_n.  Raises UncertifiedError
+    where R_n leaves the float range: near F, |R_n| is about h^n.
     """
     zf, in_e, in_f = _classify(ctx, z)
     if np.any(in_f):
@@ -232,14 +283,20 @@ def eval_inv_rn(ctx: FaberContext, z):
     Inside the F boundary this is the stabilized interior transform of
     the 1/r_n boundary values at the F nodes.  Near a zero of R_n
     (|R_n| < 1e-14) the result is the pole marker inf+0j; callers
-    evaluating r_n treat it as a zero of r_n.
+    evaluating r_n treat it as a zero of r_n.  Inside F the values are
+    interpolated at the 2^e scale of the F density and then scaled back,
+    so they underflow gracefully; on and outside F the R_n of eval_Rn is
+    needed, which raises where it overflows.
     """
     zf, in_e, in_f = _classify(ctx, z)
     out = np.empty(zf.shape, dtype=complex)
     if np.any(in_f):
-        nodes = ctx.quad_f.nodes
-        density = _inv_rn(ctx, nodes, _rn(ctx, nodes, ctx.data.phi_f))
-        out[in_f] = cauchy_stabilized(density, ctx.quad_f, zf[in_f])
+        # the ratio form is homogeneous: interpolate 2^e/r_n, then scale
+        e = ctx.exponent
+        rn = _rn_on_f(ctx.data, ctx.phi_n_on_e, ctx.n)
+        density = _inv_rn(ctx, ctx.quad_f.nodes, rn, e)
+        out[in_f] = _ldexp(cauchy_stabilized(density, ctx.quad_f, zf[in_f]),
+                           -e)
     rest = ~in_f
     if np.any(rest):
         rn = _rn_by_side(ctx, zf[rest], in_e[rest])
@@ -256,25 +313,178 @@ def _reciprocal(inv):
 
 
 def eval_rn(ctx: FaberContext, z):
-    """r_n(z) as the reciprocal of eval_inv_rn; pole markers become zeros."""
-    return _shaped(_reciprocal(_flat(eval_inv_rn(ctx, z))), z)
+    """r_n(z) as the reciprocal of eval_inv_rn; pole markers become zeros.
+
+    Raises UncertifiedError where r_n (like R_n, about h^n near F) leaves
+    the float range.
+    """
+    with np.errstate(over="ignore"):  # raises below
+        out = _reciprocal(_flat(eval_inv_rn(ctx, z)))
+    _require_finite(ctx, "r_n", out)
+    return _shaped(out, z)
 
 
-def _refine_max(fun, t0: float, half_width: float) -> float:
-    res = minimize_scalar(
-        lambda t: -float(fun(np.array([t]))[0]),
-        bounds=(t0 - half_width, t0 + half_width),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    return -float(res.fun)
+def _scan_rn(ctx, scan):
+    """R_n 2^-s at the points of a scan, s = scan.shift n: the transform
+    across E, with (Phi 2^-scan.shift)^n as the subtracted value."""
+    phi_n = _ldexp(scan.phi, -scan.shift) ** ctx.n
+    return scan.across_e(ctx.phi_n_on_e, phi_n, -scan.shift * ctx.n)
+
+
+def _scaled_inv_rn(ctx, scan):
+    """2^s/r_n at the points of a scan, s = scan.shift n: R_n 2^-s by
+    _scan_rn, then 1/R_n across F (see _pole_marked)."""
+    return _pole_marked(ctx, _scan_rn(ctx, scan), scan.across_f,
+                        scan.shift * ctx.n)
 
 
 def _scan_inv_rn(ctx, scan):
-    """1/r_n at the boundary points of a scan, through its kernels: R_n by
-    the transform across E, then 1/R_n across F (see _pole_marked)."""
-    rn = scan.across_e(ctx.phi_n_on_e, scan.phi ** ctx.n)
-    return _pole_marked(rn, lambda inv: scan.across_f(ctx.inv_rn_on_f, inv))
+    """1/r_n at the points of a scan; on F it underflows to 0 where
+    h^-n leaves the float range."""
+    return _ldexp(_scaled_inv_rn(ctx, scan), -scan.shift * ctx.n)
+
+
+def _bounded_brent(lo: float, hi: float):
+    """scipy's minimize_scalar(method="bounded", bounds=(lo, hi),
+    options={"xatol": 1e-12}) as a generator, with scipy's arithmetic: it
+    yields each abscissa, is sent f there, and returns the least f found
+    (Brent's golden-section and parabolic steps, at most 500 values)."""
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    xatol = 1e-12
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = yield xf
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabolic fit
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * (-1.0 if xm - xf < 0.0 else 1.0)
+            else:
+                golden = True
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+        x = xf + (-1.0 if rat < 0.0 else 1.0) * max(abs(rat), tol1)
+        fu = yield x
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:
+            break
+    return fx
+
+
+def _side_maxima(contexts, scan, region, magnitude):
+    """max of magnitude(2^s/r_n) over one boundary for each context: the
+    dense scan's maximum, then every context's bounded Brent search around
+    its best scan point, all searches in lockstep (see empirical_ratios)."""
+    data = contexts[0].data
+    half_width = 1.0 / scan.t.size
+    best, searches, at = [], [], []
+    for ctx in contexts:
+        vals = magnitude(_scaled_inv_rn(ctx, scan))
+        i = int(np.argmax(vals))
+        best.append(float(vals[i]))
+        t0 = float(scan.t[i])
+        searches.append(_bounded_brent(t0 - half_width, t0 + half_width))
+        at.append(next(searches[-1]))
+    pending = list(range(len(contexts)))
+    while pending:
+        points = _scan(data, region, np.array([at[k] for k in pending]),
+                       _phi_pointwise)
+        running = []
+        for row, k in enumerate(pending):
+            value = magnitude(_scaled_inv_rn(contexts[k], points.row(row)))
+            try:
+                at[k] = searches[k].send(-float(value[0]))
+                running.append(k)
+            except StopIteration as done:
+                best[k] = max(best[k], -done.value)
+        pending = running
+    return best
+
+
+def empirical_ratios(contexts) -> list:
+    """empirical_ratio of each context; the contexts share one BoundaryData.
+
+    For each boundary and context the dense scan (4x the node count,
+    through the scan kernels of the data) gives the best parameter, and
+    scipy's bounded Brent search (xatol 1e-12) refines it within one scan
+    step.  The searches of all contexts run in lockstep: each round
+    evaluates their pending abscissae on one batched scan (one
+    boundary_point, one phi, two kernels) and applies each context's
+    densities to its own row.  Phi comes from _phi_pointwise and each row
+    is a one-target kernel, so every search takes exactly the values, and
+    therefore the steps, of its own one-point search.  A grid of candidates
+    or another bracketing search would land on other near-corner and
+    near-node spikes of the transforms and move the witnesses; Brent's
+    iterates keep those of the per-degree search.
+
+    The F-side maxima are of 2^e/r_n (e = ctx.exponent), so the witness
+    max|r_n on E| 2^e max|1/r_n on F| 2^-e is formed with one ldexp,
+    rounded to nearest; below the float range it is 0.0.  Raises
+    UncertifiedError for the first context whose witness is not finite.
+    """
+    contexts = list(contexts)
+    if not contexts:
+        return []
+    data = contexts[0].data
+    if any(ctx.data is not data for ctx in contexts):
+        raise ValueError("contexts must share one BoundaryData")
+    # max |r_n| on the E boundary, max |2^e/r_n| on the F boundary
+    max_e, max_f = (
+        _side_maxima(contexts, scan, region, magnitude)
+        for scan, region, magnitude in zip(
+            data.scans, (data.map.region_e, data.map.region_f),
+            (lambda inv: np.abs(_reciprocal(inv)), np.abs)))
+    ratios = []
+    for ctx, top_e, top_f in zip(contexts, max_e, max_f):
+        ratio = math.ldexp(top_e * top_f, -ctx.exponent)
+        if not math.isfinite(ratio):
+            raise UncertifiedError(
+                f"degree {ctx.n}: the witness is not finite ({ratio})")
+        ratios.append(ratio)
+    return ratios
 
 
 def empirical_ratio(ctx: FaberContext) -> float:
@@ -282,29 +492,9 @@ def empirical_ratio(ctx: FaberContext) -> float:
 
     Extrema on the boundaries bound the extrema over the sets by the
     maximum principle, so the value upper-bounds the Zolotarev number up
-    to sampling error.  Dense sampling (4x the node count, through the
-    scan kernels of ctx.data) is followed by a bounded 1-D refinement
-    around the best parameter, on one-point scans.
+    to sampling error.  The one-context case of empirical_ratios.
     """
-    scan_e, scan_f = ctx.data.scans
-    ratio = 1.0
-    # max |r_n| on the E boundary times max |1/r_n| on the F boundary
-    for scan, magnitude, region in (
-        (scan_e, lambda inv: np.abs(_reciprocal(inv)), ctx.map.region_e),
-        (scan_f, np.abs, ctx.map.region_f),
-    ):
-        vals = magnitude(_scan_inv_rn(ctx, scan))
-        i = int(np.argmax(vals))
-
-        def fun(s):
-            return magnitude(_scan_inv_rn(ctx, _scan(ctx.data, region, s)))
-
-        ratio *= max(float(vals[i]),
-                     _refine_max(fun, float(scan.t[i]), 1.0 / scan.t.size))
-    if not math.isfinite(ratio):
-        raise UncertifiedError(
-            f"degree {ctx.n}: the witness is not finite ({ratio})")
-    return ratio
+    return empirical_ratios([ctx])[0]
 
 
 def _phi_derivative(amap, z, step: float):
@@ -390,9 +580,7 @@ def count_zeros(ctx: FaberContext) -> int:
     if ctx.n == 0:
         raise UncertifiedError("zero count not certified at this n")
     h = ctx.map.h
-    scan_e = ctx.data.scans[0]
-    rn_e = scan_e.across_e(ctx.phi_n_on_e, scan_e.phi ** ctx.n)
-    sup_rn = float(np.abs(rn_e).max())
+    sup_rn = float(np.abs(_scan_rn(ctx, ctx.data.scans[0])).max())
     zc = ctx.quad_e.nodes.mean()
     far = zc + 1e7 * ctx.diameter() * np.exp(0.5j * math.pi * np.arange(4))
     phi_inf = float(np.abs(phi(ctx.map, far)).min())

@@ -120,41 +120,45 @@ class Polygon(Region):
             verts = verts[::-1]
         object.__setattr__(self, "vertices", tuple(verts.tolist()))
 
-    # Edge data, rebuilt from the vertices on every call ------------------
+    # Edge data, built once per polygon and read-only; not fields, like
+    # SmoothCurve._samples
+    @functools.cached_property
     def _verts(self):
-        return np.asarray(self.vertices, dtype=complex)
+        v = np.asarray(self.vertices, dtype=complex)
+        v.flags.writeable = False
+        return v
 
-    def _edge_lengths(self):
-        v = self._verts()
-        return np.abs(np.roll(v, -1) - v)
-
+    @functools.cached_property
     def _cumulative(self):
-        lengths = self._edge_lengths()
-        per = lengths.sum()
-        return np.concatenate([[0.0], np.cumsum(lengths)]) / per
+        """Arc-length fraction at each vertex, closing with 1.0."""
+        v = self._verts
+        lengths = np.abs(np.roll(v, -1) - v)
+        cum = np.concatenate([[0.0], np.cumsum(lengths)]) / lengths.sum()
+        cum.flags.writeable = False
+        return cum
 
     def _point(self, t):
-        v = self._verts()
-        cum = self._cumulative()
+        v = self._verts
+        cum = self._cumulative
         idx = np.clip(np.searchsorted(cum, t, side="right") - 1, 0, len(v) - 1)
         frac = (t - cum[idx]) / (cum[idx + 1] - cum[idx])
         nxt = (idx + 1) % len(v)
         return v[idx] + frac * (v[nxt] - v[idx])
 
     def _tangent(self, t):
-        v = self._verts()
-        cum = self._cumulative()
+        v = self._verts
+        cum = self._cumulative
         idx = np.clip(np.searchsorted(cum, t, side="right") - 1, 0, len(v) - 1)
         nxt = (idx + 1) % len(v)
         return (v[nxt] - v[idx]) / (cum[idx + 1] - cum[idx])
 
     def diameter(self):
-        v = self._verts()
+        v = self._verts
         return float(np.max(np.abs(v[:, None] - v[None, :])))
 
     def negated(self):
         # a half-turn keeps the orientation, so the vertex order stays
-        return dataclasses.replace(self, vertices=tuple((-self._verts()).tolist()))
+        return dataclasses.replace(self, vertices=tuple((-self._verts).tolist()))
 
 
 def _edges_cross(verts) -> bool:
@@ -280,7 +284,7 @@ def _turning(region: Region):
     vertex (between edges k-1 and k), or d(arg tangent)/dt at
     _TURN_SAMPLES samples of a curve."""
     if isinstance(region, Polygon):
-        v = region._verts()
+        v = region._verts
         edges = np.roll(v, -1) - v
         return np.roll(np.angle(np.roll(edges, -1) / edges), 1), -1e-12 * math.pi
     if not isinstance(region, SmoothCurve):
@@ -379,7 +383,7 @@ def _polyline(region: Region):
     """The closed polyline membership is judged on: the vertices of a
     polygon, the 4096 boundary samples of a curve (cached per region)."""
     if isinstance(region, Polygon):
-        return region._verts()
+        return region._verts
     return region._samples
 
 
@@ -513,7 +517,7 @@ def _polygon_quadrature(region: Polygon, n_points: int) -> BoundaryQuadrature:
     n_edges = len(v)
     lengths = np.abs(np.roll(v, -1) - v)
     per = lengths.sum()
-    cum = region._cumulative()
+    cum = region._cumulative
     gl_x, gl_w = np.polynomial.legendre.leggauss(_GL_ORDER)
     gl_x = (gl_x + 1.0) / 2.0  # map to [0, 1]
     gl_w = gl_w / 2.0

@@ -107,6 +107,15 @@ def _shaped(out, z):
     return out.reshape(z.shape)
 
 
+def _ldexp(z, k):
+    """z times 2**k for a complex array z: each part is scaled exactly, or
+    rounded to nearest where it leaves the normal range (z itself for
+    k = 0)."""
+    if k == 0:
+        return z
+    return np.ldexp(np.ascontiguousarray(z).view(float), k).view(complex)
+
+
 def winding_of_polyline(points) -> int:
     """Winding number of a closed sampled curve about 0, by argument
     accumulation (exact for the polyline as long as it avoids 0)."""
@@ -193,9 +202,10 @@ def _nodal_derivative(vals, quad: BoundaryQuadrature):
     return coef[:, 1, 0] / s
 
 
-def cauchy_boundary(values, quad: BoundaryQuadrature, z, f_at):
+def cauchy_boundary(values, quad: BoundaryQuadrature, z, f_at, exponent=0):
     """Cauchy filter of f at targets z on or outside the contour:
-    f(z) + (1/2 pi i) Int (f(zeta) - f(z))/(zeta - z) d zeta.
+    f(z) + (1/2 pi i) Int (f(zeta) - f(z))/(zeta - z) d zeta,
+    where f(zeta) = values 2^exponent at the nodes (see CauchyKernel).
 
     Valid when f extends analytically across the contour to z, which makes
     the subtracted integrand regular; f_at supplies f(z).  Outside the
@@ -211,7 +221,7 @@ def cauchy_boundary(values, quad: BoundaryQuadrature, z, f_at):
     f_at = np.broadcast_to(np.asarray(f_at, dtype=complex).ravel(), zf.shape)
     out = np.empty(zf.shape, dtype=complex)
     for block, kernel in _kernels(quad, zf):
-        out[block] = kernel(values, f_at[block])
+        out[block] = kernel(values, f_at[block], exponent)
     return _shaped(out, z)
 
 
@@ -226,7 +236,10 @@ class CauchyKernel:
     would cancel; and node hits (hit_rows, hit_cols), where the target is
     a node.  Calling the kernel gives the subtracted form of
     cauchy_boundary, plain the plain sum; each costs one matrix-vector
-    product.
+    product.  A density kept at another scale than f_at passes an exponent:
+    the products with the values are multiplied by 2^exponent after they
+    are formed, so no product of the values underflows or overflows on the
+    way, and the scaling is exact wherever the result stays normal.
     """
 
     quad: BoundaryQuadrature
@@ -238,22 +251,35 @@ class CauchyKernel:
     hit_rows: np.ndarray
     hit_cols: np.ndarray
 
-    def __call__(self, values, f_at):
-        """cauchy_boundary(values, quad, z, f_at) at the kernel's targets: a
-        node hit contributes w_j f'(zeta_j), f' from _nodal_derivative."""
+    def __call__(self, values, f_at, exponent=0):
+        """cauchy_boundary(values, quad, z, f_at, exponent) at the kernel's
+        targets: a node hit contributes w_j f'(zeta_j), f' from
+        _nodal_derivative."""
         vals = np.asarray(values, dtype=complex)
         f_at = np.asarray(f_at, dtype=complex)
-        total = self.matrix @ vals - f_at * self.row_sums
+        total = _ldexp(self.matrix @ vals, exponent) - f_at * self.row_sums
         near = self.near_cols
-        terms = vals[near] - f_at[self.near_rows]
+        terms = _ldexp(vals[near], exponent) - f_at[self.near_rows]
         terms *= self.quad.weights[near]
         terms /= self.near_diff
         np.add.at(total, self.near_rows, terms)
         if self.hit_rows.size:
             deriv = _nodal_derivative(vals, self.quad)
             hit = self.hit_cols
-            np.add.at(total, self.hit_rows, self.quad.weights[hit] * deriv[hit])
+            np.add.at(total, self.hit_rows,
+                      _ldexp(self.quad.weights[hit] * deriv[hit], exponent))
         return f_at + total / _TWO_PI_I
+
+    def row(self, i: int) -> CauchyKernel:
+        """The kernel at its i-th target alone, bit for bit the kernel
+        cauchy_kernel builds at that one target."""
+        near = self.near_rows == i
+        hit = self.hit_rows == i
+        return CauchyKernel(
+            self.quad, self.matrix[i:i + 1], self.row_sums[i:i + 1],
+            np.zeros(np.count_nonzero(near), dtype=int), self.near_cols[near],
+            self.near_diff[near], np.zeros(np.count_nonzero(hit), dtype=int),
+            self.hit_cols[hit])
 
     def plain(self, values):
         """sum_j values_j w_j/(zeta_j - z_i) at the kernel's targets; a row

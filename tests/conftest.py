@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from faberzol.conformal import mobius_two_disks, phi, solve_annulus_map
-from faberzol.faber import _pole_marked
+from faberzol.faber import _POLE_EPS, _reciprocal, _scan
 from faberzol.geometry import disk, rectangle
-from faberzol.quadrature import _HIT_RTOL, _nodal_derivative
+from faberzol.quadrature import (_HIT_RTOL, _ldexp, _nodal_derivative,
+                                 cauchy_boundary)
 
 
 def two_disk_h(c1, r1, c2, r2):
@@ -47,12 +49,67 @@ def direct_cauchy_boundary(values, quad, z, f_at):
 
 def direct_inv_rn(ctx, region, t):
     """Reference for 1/r_n at boundary params t of region (E or F): R_n
-    and then 1/r_n by direct_cauchy_boundary, pole-marked as in faber."""
+    and then 1/r_n by direct_cauchy_boundary in unscaled arithmetic (the
+    F density 2^e/R_n of ctx divided by 2^e first), pole-marked as in
+    faber."""
     z = region.boundary_point(t)
     rn = direct_cauchy_boundary(ctx.phi_n_on_e, ctx.quad_e, z,
                                 phi(ctx.map, z) ** ctx.n)
-    return _pole_marked(rn, lambda inv: direct_cauchy_boundary(
-        ctx.inv_rn_on_f, ctx.quad_f, z, inv))
+    small = np.abs(rn) < _POLE_EPS
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = np.where(small, 0.0, 1.0 / rn)
+    out = direct_cauchy_boundary(_ldexp(ctx.inv_rn_on_f, -ctx.exponent),
+                                 ctx.quad_f, z, inv)
+    out[small] = np.inf + 0.0j
+    return out
+
+
+def unscaled_context(data, n):
+    """Reference for degree_context in the unscaled arithmetic it replaced:
+    (Phi^n on E, 1/R_n on F), R_n on F by cauchy_boundary at the F nodes
+    with Phi^n itself as the subtracted value."""
+    phi_n_on_e = data.phi_e ** n
+    rn = cauchy_boundary(phi_n_on_e, data.quad_e, data.quad_f.nodes,
+                         data.phi_f ** n)
+    return phi_n_on_e, 1.0 / rn
+
+
+def _unscaled_inv_rn(n, phi_n_on_e, inv_rn_on_f, scan):
+    rn = scan.across_e(phi_n_on_e, scan.phi ** n)
+    small = np.abs(rn) < _POLE_EPS
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = np.where(small, 0.0, 1.0 / rn)
+    out = scan.across_f(inv_rn_on_f, inv)
+    out[small] = np.inf + 0.0j
+    return out
+
+
+def unscaled_witness(data, n):
+    """Reference for empirical_ratio in the unscaled arithmetic and the
+    per-degree search it replaced: on each boundary the dense scan's best
+    point, refined by scipy's minimize_scalar(method="bounded", xatol
+    1e-12) on one-point scans.  Returns the witness and the number of
+    values each search took (E, F)."""
+    phi_n_on_e, inv_rn_on_f = unscaled_context(data, n)
+    ratio, evaluations = 1.0, []
+    for scan, region, magnitude in (
+            (data.scans[0], data.map.region_e,
+             lambda inv: np.abs(_reciprocal(inv))),
+            (data.scans[1], data.map.region_f, np.abs)):
+        vals = magnitude(_unscaled_inv_rn(n, phi_n_on_e, inv_rn_on_f, scan))
+        i = int(np.argmax(vals))
+        t0, half_width = float(scan.t[i]), 1.0 / scan.t.size
+
+        def fun(t):
+            point = _scan(data, region, np.array([t]))
+            return -float(magnitude(_unscaled_inv_rn(
+                n, phi_n_on_e, inv_rn_on_f, point))[0])
+
+        res = minimize_scalar(fun, bounds=(t0 - half_width, t0 + half_width),
+                              method="bounded", options={"xatol": 1e-12})
+        ratio *= max(float(vals[i]), -float(res.fun))
+        evaluations.append(res.nfev)
+    return ratio, evaluations
 
 
 @pytest.fixture(scope="session")

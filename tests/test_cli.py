@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import two_disk_h
-from faberzol import conformal, faber
+from faberzol import cli, conformal, faber
 from faberzol.cli import main
 
 DISK_PAIR = {
@@ -129,8 +129,8 @@ def test_adi_command_errors_stay_under_certificates(tmp_path):
 @pytest.mark.parametrize("kind", ["faber", "fejer"])
 def test_adi_builds_its_boundary_tables_once_for_every_k(tmp_path,
                                                          monkeypatch, kind):
-    # faber: the four scan kernels of one boundary data; fejer: one
-    # psi_boundary table of Phi per boundary of the map
+    # faber: the E-to-F kernel and the four scan kernels of one boundary
+    # data; fejer: one psi_boundary table of Phi per boundary of the map
     kernels, tables = [], []
     cauchy_kernel, phi = faber.cauchy_kernel, conformal.phi
 
@@ -151,7 +151,7 @@ def test_adi_builds_its_boundary_tables_once_for_every_k(tmp_path,
                "--k", "3", "--m", "20", "--nq", "128"])
     assert rc == 0
     assert len(read_table(out)[2]) == 4
-    assert len(kernels) == (4 if kind == "faber" else 0)
+    assert len(kernels) == (5 if kind == "faber" else 0)
     assert len(tables) == (2 if kind == "fejer" else 0)
 
 
@@ -450,14 +450,62 @@ def test_benchmark_known_defects_fail_with_their_named_errors(
 
     for pair, argv, text in (
         ("triangle_disk", ["map"], workloads.MAP_NOT_RESOLVED),
-        ("far_disks", ["bound", "--n-min", "143", "--n-max", "144",
-                       "--empirical"], workloads.NAN_WITNESS),
     ):
         cfg = write_config(tmp_path, workloads.FIXED_PAIRS[pair], pair)
         rc = main([argv[0], "--config", cfg, "--out", str(tmp_path / "out"),
                    *argv[1:]])
         err = capsys.readouterr().err.strip()
         assert rc == 2 and "\n" not in err and text in err, (pair, err)
+
+
+def test_far_disk_witnesses_beyond_the_float_range_are_certified(tmp_path):
+    # h ~ 142: Phi^n overflows on the F boundary from n = 144 and h^-n is
+    # subnormal from n = 143; every row still carries a finite witness
+    # inside the sandwich
+    cfg = write_config(tmp_path, {"e": {"kind": "disk", "center": 3.0,
+                                        "radius": 0.5},
+                                  "f": {"kind": "disk", "center": -3.0,
+                                        "radius": 0.5}})
+    out = tmp_path / "bounds.csv"
+    rc = main(["bound", "--config", cfg, "--out", str(out), "--n-min", "143",
+               "--n-max", "146", "--empirical"])
+    assert rc == 0
+    rows = read_table(out)[2]
+    assert [int(row[0]) for row in rows] == [143, 144, 145, 146]
+    for row in rows:
+        lower, upper, witness = float(row[1]), float(row[2]), float(row[5])
+        assert row[3] == "true" and np.isfinite(witness)
+        assert lower * (1.0 - 1e-6) <= witness <= upper * (1.0 + 1e-6)
+
+
+@pytest.mark.parametrize("failing, line", [
+    ("context", "error: degree 3: context fails"),
+    ("witness", "error: degree 2: the witness is not finite (nan)"),
+], ids=["context", "witness"])
+def test_bound_exits_with_the_error_of_the_lowest_failing_degree(
+        tmp_path, capsys, monkeypatch, failing, line):
+    # a context fails from degree 3 on; with failing="witness" the witness
+    # of degree 2 fails too and is the one reported
+    degree_context = faber.degree_context
+
+    def failing_context(data, n):
+        if n >= 3:
+            raise faber.UncertifiedError(f"degree {n}: context fails")
+        ctx = degree_context(data, n)
+        if failing == "witness" and n == 2:
+            nan = np.full_like(ctx.inv_rn_on_f, np.nan)
+            ctx = faber.FaberContext(data, n, ctx.phi_n_on_e, nan,
+                                     ctx.exponent)
+        return ctx
+
+    monkeypatch.setattr(cli, "degree_context", failing_context)
+    cfg = write_config(tmp_path, DISK_PAIR)
+    out = tmp_path / "bounds.csv"
+    with np.errstate(invalid="ignore"):
+        rc = main(["bound", "--config", cfg, "--out", str(out), "--n-min",
+                   "1", "--n-max", "5", "--empirical", "--nq", "128"])
+    assert rc == 2 and not out.exists()
+    assert capsys.readouterr().err.splitlines() == [line]
 
 
 def test_vandermonde_requires_a_disk(tmp_path, capsys):

@@ -122,6 +122,23 @@ def test_vectorised_psi_boundary_equals_single_calls(disk_amap, disk_map):
         psi_boundary(disk_amap, np.array([1.0, disk_amap.h]))
 
 
+def test_psi_boundary_of_no_points_is_an_empty_complex_array(disk_map):
+    for w in (np.array([]), np.empty((0, 3))):
+        z = psi_boundary(disk_map, w)
+        assert z.dtype == complex and z.shape == w.shape
+
+
+def test_pointwise_phi_equals_one_point_calls(rect_map, disk_map):
+    # a batch of one-row products, each the value of a one-point call
+    t = np.random.default_rng(3).uniform(0.0, 1.0, 9)
+    for amap in (rect_map, disk_map):
+        for region in (amap.region_e, amap.region_f):
+            z = region.boundary_point(t)
+            single = np.concatenate([phi(amap, z[i:i + 1])
+                                     for i in range(z.size)])
+            assert np.array_equal(conformal._phi_pointwise(amap, z), single)
+
+
 def test_psi_boundary_names_the_table_check_that_failed(disk_pair):
     amap = mobius_two_disks(*disk_pair)
     flat = np.ones(conformal._PSI_TABLE + 1, dtype=complex)

@@ -6,11 +6,21 @@ Every quantity then has an explicit oracle.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
-from conftest import direct_cauchy_boundary, direct_inv_rn
+from conftest import (
+    direct_cauchy_boundary,
+    direct_inv_rn,
+    unscaled_context,
+    unscaled_witness,
+)
+from faberzol import faber, quadrature
 from faberzol.bounds import sup_rn_bound, zolotarev_upper, GeometryConstants
 from faberzol.conformal import (
     ExteriorOf,
@@ -32,11 +42,13 @@ from faberzol.faber import (
     count_zeros,
     degree_context,
     empirical_ratio,
+    empirical_ratios,
     eval_Rn,
     eval_inv_rn,
     eval_rn,
 )
-from faberzol.geometry import contains_many, disk
+from faberzol.geometry import contains_many, disk, rectangle
+from faberzol.quadrature import _ldexp
 from faberzol.rational import aaa_fit
 
 
@@ -141,14 +153,173 @@ def test_uncertified_map_power_raises(disk_map):
         build_context(wide, 3, n_quad=128)
 
 
-def test_overflowing_degree_raises():
-    # h = 141.99 on the far disks, so Phi^n overflows on the F boundary
-    # from n = 144 on, and the witness of that degree cannot be finite
+def test_degrees_beyond_the_float_range_are_certified():
+    # h = 141.99 on the far disks: Phi^n overflows on the F boundary from
+    # n = 144 on and h^-n is subnormal from n = 143, yet the scaled F side
+    # gives every degree a finite witness inside the sandwich
     far = mobius_two_disks(disk(3.0, 0.5), disk(-3.0, 0.5))
     data = boundary_data(far, 128)
-    assert np.all(np.isfinite(degree_context(data, 143).inv_rn_on_f))
-    with pytest.raises(UncertifiedError, match="witness is not finite"):
-        degree_context(data, 144)
+    gc = GeometryConstants.from_regions(far.region_e, far.region_f, far.h)
+    degrees = range(143, 147)
+    contexts = [degree_context(data, n) for n in degrees]
+    for ctx in contexts:
+        assert np.all(np.isfinite(ctx.inv_rn_on_f))
+    for n, witness in zip(degrees, empirical_ratios(contexts)):
+        bv = zolotarev_upper(gc, n)
+        assert np.isfinite(witness) and bv.upper_valid
+        assert bv.lower * (1.0 - 1e-6) <= witness <= bv.upper * (1.0 + 1e-6)
+
+
+@given(h=st.floats(20.0, 200.0), r_e=st.floats(0.2, 1.0),
+       r_f=st.floats(0.2, 1.0), angle=st.floats(0.0, 2.0 * math.pi))
+@settings(max_examples=12, deadline=None)
+def test_witnesses_stay_sandwiched_past_the_float_range(h, r_e, r_f, angle):
+    # disk pairs at annulus parameter h, at degrees where h^-n runs from
+    # 1e-290 to below 1e-320 (subnormal, and 0.0 past 5e-324)
+    delta = 0.5 * (h + 1.0 / h)
+    gap = math.sqrt(2.0 * r_e * r_f * delta + r_e ** 2 + r_f ** 2)
+    amap = mobius_two_disks(disk(0.0, r_e),
+                            disk(gap * complex(math.cos(angle),
+                                               math.sin(angle)), r_f))
+    gc = GeometryConstants.from_regions(amap.region_e, amap.region_f, amap.h)
+    lo = math.ceil(290.0 / math.log10(amap.h))
+    hi = math.ceil(322.0 / math.log10(amap.h))
+    degrees = (lo, (lo + hi) // 2, hi)
+    data = boundary_data(amap, 256)
+    witnesses = empirical_ratios([degree_context(data, n) for n in degrees])
+    for n, witness in zip(degrees, witnesses):
+        bv = zolotarev_upper(gc, n)
+        assert math.isfinite(witness)
+        assert witness >= bv.lower * (1.0 - 1e-6)
+        if bv.upper_valid:
+            assert witness <= bv.upper * (1.0 + 1e-6)
+
+
+def test_scaled_contexts_and_witnesses_equal_the_unscaled_path(disk_map,
+                                                               rect_map):
+    # where the unscaled arithmetic stays normal and n < 100 (numpy's
+    # integer power then multiplies by squaring), the scale is exact
+    far = mobius_two_disks(disk(3.0, 0.5), disk(-3.0, 0.5))
+    for amap, nq, degrees in ((disk_map, 256, (1, 2, 5, 8)),
+                              (rect_map, 512, (1, 2, 5, 8)),
+                              (far, 128, (50, 99))):
+        data = boundary_data(amap, nq)
+        for n in degrees:
+            ctx = degree_context(data, n)
+            assert ctx.exponent == round(math.log2(amap.h)) * n
+            phi_n_on_e, inv_rn_on_f = unscaled_context(data, n)
+            assert np.array_equal(ctx.phi_n_on_e, phi_n_on_e)
+            assert np.array_equal(_ldexp(ctx.inv_rn_on_f, -ctx.exponent),
+                                  inv_rn_on_f)
+            assert empirical_ratio(ctx) == unscaled_witness(data, n)[0]
+
+
+def _counting_searches(monkeypatch):
+    """Patch faber's Brent search to tally the values each search takes,
+    in the order the searches start."""
+    tallies, search = [], faber._bounded_brent
+
+    def counted(lo, hi):
+        tallies.append(0)
+        lane, steps = len(tallies) - 1, search(lo, hi)
+        x = next(steps)
+        try:
+            while True:
+                tallies[lane] += 1
+                x = steps.send((yield x))
+        except StopIteration as done:
+            return done.value
+
+    monkeypatch.setattr(faber, "_bounded_brent", counted)
+    return tallies
+
+
+@pytest.mark.parametrize("pair", ["readme", "mirror045", "rect_disk"])
+def test_lockstep_search_takes_the_steps_of_per_degree_searches(
+        pair, rect_map, monkeypatch):
+    if pair == "readme":
+        amap = rect_map
+    else:
+        e = (rectangle((-0.85, -0.05), (-0.6, 0.6)) if pair == "mirror045"
+             else rectangle((-2.0, -1.0), (-0.5, 0.5)))
+        f = e.negated() if pair == "mirror045" else disk(2.0, 0.6)
+        amap = solve_annulus_map(e, f, tol=1e-8)
+    data = boundary_data(amap, 512)
+    degrees = range(1, 9)
+    reference = [unscaled_witness(data, n) for n in degrees]
+    tallies = _counting_searches(monkeypatch)
+    witnesses = empirical_ratios([degree_context(data, n) for n in degrees])
+    # the searches start E side first, each side in degree order
+    assert tallies == ([ev[0] for _, ev in reference]
+                       + [ev[1] for _, ev in reference])
+    for witness, (expect, _) in zip(witnesses, reference):
+        assert abs(witness - expect) <= 1e-12 * expect
+
+
+@pytest.mark.parametrize("fun", [
+    lambda t: (t - 0.3) ** 2,
+    lambda t: -abs(math.sin(40.0 * t)),
+    lambda t: math.floor(7.0 * t) - t,
+    lambda t: 0.0,
+], ids=["parabola", "ripples", "steps", "flat"])
+def test_bounded_brent_retraces_scipy(fun):
+    for lo, hi in ((0.0, 1.0), (0.2991, 0.3015), (-1e-3, 1e-3)):
+        seen = []
+
+        def recorded(t):
+            seen.append(t)
+            return fun(t)
+
+        res = minimize_scalar(recorded, bounds=(lo, hi), method="bounded",
+                              options={"xatol": 1e-12})
+        steps = faber._bounded_brent(lo, hi)
+        xs = [next(steps)]
+        try:
+            while True:
+                xs.append(steps.send(fun(xs[-1])))
+        except StopIteration as done:
+            least = done.value
+        assert xs == seen and least == res.fun
+
+
+def test_degree_context_builds_no_kernel(disk_map, monkeypatch):
+    data = boundary_data(disk_map, 128)
+    built = []
+
+    def counted(quad, z):
+        built.append(np.size(z))
+        return quadrature.cauchy_kernel(quad, z)
+
+    monkeypatch.setattr(faber, "cauchy_kernel", counted)
+    monkeypatch.setattr(quadrature, "cauchy_kernel", counted)
+    for n in (0, 1, 7, 150):
+        degree_context(data, n)
+    assert built == []
+
+
+def test_pointwise_values_beyond_the_float_range_raise():
+    # on the F boundary |R_n| and |r_n| are about h^n = 142^n, beyond the
+    # float range at n = 145; inside F, 1/r_n = Phi^-n is subnormal there
+    # and comes from the scaled density without loss (512 nodes resolve
+    # the order-145 zero of 1/r_n inside F)
+    far = mobius_two_disks(disk(3.0, 0.5), disk(-3.0, 0.5))
+    data = boundary_data(far, 512)
+    on_f = far.region_f.boundary_point(np.linspace(0.0, 1.0, 7))
+    inside_f = np.array([-2.505, -3.0 - 0.495j])
+    ctx = degree_context(data, 140)
+    assert np.all(np.isfinite(eval_Rn(ctx, on_f)))
+    assert np.all(np.isfinite(eval_rn(ctx, on_f)))
+    ctx = degree_context(data, 145)
+    for evaluate in (eval_Rn, eval_rn, eval_inv_rn):
+        with pytest.raises(UncertifiedError,
+                           match="degree 145: R_n overflows at 7 target"):
+            evaluate(ctx, on_f)
+    inv = eval_inv_rn(ctx, inside_f)
+    expect = (1.0 / phi(far, inside_f)) ** 145
+    assert np.all((np.abs(expect) < 1e-308) & (np.abs(expect) > 1e-314))
+    assert np.all(np.abs(inv - expect) <= 1e-9 * np.abs(expect))
+    with pytest.raises(UncertifiedError, match="r_n overflows at 2 target"):
+        eval_rn(ctx, inside_f)
 
 
 def test_non_finite_witness_raises(disk_map):

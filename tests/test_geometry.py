@@ -265,6 +265,35 @@ def test_curve_polyline_is_sampled_once_per_region(monkeypatch):
     assert "_samples" not in vars(region.negated())
 
 
+def test_polygon_edge_data_is_built_once_and_read_only():
+    # boundary_point and boundary_tangent equal the formula on arrays
+    # rebuilt from the vertices, bit for bit; the cache is read-only and
+    # equality, hashing and negated() ignore it
+    rng = np.random.default_rng(11)
+    hexagon = polygon([1.5 + 0.6 * np.exp(1j * np.pi * k / 3.0)
+                       for k in range(6)])
+    for region in (hexagon, rectangle((0.3, 1.3), (-1.3, 1.3)),
+                   polygon(L_VERTS)):
+        t = np.concatenate([rng.uniform(0.0, 1.0, 200), [0.0, 0.5]])
+        v = np.asarray(region.vertices, dtype=complex)
+        lengths = np.abs(np.roll(v, -1) - v)
+        cum = np.concatenate([[0.0], np.cumsum(lengths)]) / lengths.sum()
+        idx = np.clip(np.searchsorted(cum, t, side="right") - 1, 0,
+                      len(v) - 1)
+        nxt = (idx + 1) % len(v)
+        frac = (t - cum[idx]) / (cum[idx + 1] - cum[idx])
+        assert np.array_equal(region.boundary_point(t),
+                              v[idx] + frac * (v[nxt] - v[idx]))
+        assert np.array_equal(region.boundary_tangent(t),
+                              (v[nxt] - v[idx]) / (cum[idx + 1] - cum[idx]))
+        assert region._verts is region._verts
+        assert not region._verts.flags.writeable
+        assert not region._cumulative.flags.writeable
+        twin = polygon(list(region.vertices))
+        assert twin == region and hash(twin) == hash(region)
+        assert "_verts" not in vars(region.negated())
+
+
 def test_boundary_distance_matches_the_disk_formula():
     d = disk(1.0j, 2.0)
     assert boundary_distance(d, 1.0j) == pytest.approx(2.0)

@@ -22,6 +22,7 @@ from faberzol.quadrature import (
     _HIT_RTOL,
     _NEAR,
     _blocks,
+    _ldexp,
     _nodal_derivative,
     cauchy_boundary,
     cauchy_kernel,
@@ -174,6 +175,38 @@ def test_kernel_sets_its_pairs_apart_and_matches_the_transform(region, n_quad):
     vals, f_at = np.exp(q.nodes), np.exp(z)
     ref = direct_cauchy_boundary(vals, q, z, f_at)
     assert np.abs(kernel(vals, f_at) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("region, n_quad", [
+    (disk(0.0, 1.0), 128),
+    (rectangle((-1.0, 1.0), (-0.5, 0.5)), 256),
+])
+def test_kernel_rows_and_exponents(region, n_quad):
+    q = boundary_samples(region, n_quad)
+    t = np.arange(2 * n_quad) / (2 * n_quad)
+    # targets between nodes, on nodes (hits), near nodes and off the contour
+    z = np.concatenate([region.boundary_point(t)[:40], q.nodes[:6],
+                        q.nodes[:6] + 1e-9, 1.2 * q.nodes[::17]])
+    kernel = cauchy_kernel(q, z)
+    vals, f_at = np.exp(q.nodes), np.exp(z)
+    whole = kernel(vals, f_at)
+    for i in range(z.size):
+        # a row is the kernel built at that one target, bit for bit
+        alone, row = cauchy_kernel(q, z[i:i + 1]), kernel.row(i)
+        for name in ("matrix", "row_sums", "near_rows", "near_cols",
+                     "near_diff", "hit_rows", "hit_cols"):
+            assert np.array_equal(getattr(row, name), getattr(alone, name))
+        assert np.array_equal(row(vals, f_at[i:i + 1]),
+                              alone(vals, f_at[i:i + 1]))
+    assert np.allclose([kernel.row(i)(vals, f_at[i:i + 1])[0]
+                        for i in range(z.size)], whole, rtol=1e-13)
+    # the exponent scales the density's products exactly where they stay
+    # normal, and a density and f_at both scaled give the scaled result
+    for k in (-40, 7, 0):
+        assert np.array_equal(kernel(vals, f_at, k),
+                              kernel(vals * 2.0 ** k, f_at))
+    assert np.array_equal(kernel(vals, _ldexp(f_at, -900), -900),
+                          _ldexp(whole, -900))
 
 
 def test_boundary_transform_is_the_kernel_within_one_block(circle):
