@@ -31,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack
-from scipy.optimize import brentq
 
 from . import geometry
 from .errors import (
@@ -42,6 +41,7 @@ from .errors import (
 )
 from .geometry import Disk, Polygon, Region
 from .quadrature import _blocks, _flat, _shaped
+from .search import _brentq, lockstep
 
 _TWO_PI = 2.0 * math.pi
 _MAX_DEGREE = 128
@@ -120,15 +120,21 @@ class _LogBasis:
         no symmetry."""
         return _Ties.of(self)
 
-    def columns(self, z) -> np.ndarray:
-        cols = np.empty((z.size, self.n_columns), dtype=complex)
-        cols[:, 0] = 1.0
+    def _bases(self, z):
+        """The Laurent bases at z: scale_e/(z - anchor_e), and the outer
+        one, scale_f/(z - anchor_f) in A1 and (z - anchor_e)/scale_f in
+        A2."""
         if self.variant == "A1":
             outer = self.scale_f / (z - self.anchor_f)
         else:
             outer = (z - self.anchor_e) / self.scale_f
+        return self.scale_e / (z - self.anchor_e), outer
+
+    def columns(self, z) -> np.ndarray:
+        cols = np.empty((z.size, self.n_columns), dtype=complex)
+        cols[:, 0] = 1.0
         j = 1
-        for base in (self.scale_e / (z - self.anchor_e), outer):
+        for base in self._bases(z):
             term = np.ones_like(z)
             for _ in range(self.degree):
                 term = term * base
@@ -145,10 +151,35 @@ class _LogBasis:
         return out
 
     def g(self, coef, z):
+        """g at z, without the columns: Horner on both Laurent families at
+        once, and the pole terms of one _blocks block of points at a time,
+        divided in place into one block x poles buffer and summed by rows.
+        Every step is elementwise or a sum along one point's row, so a
+        point's value does not depend on the batch it is evaluated in.
+        Keep the Horner steps out of place: numpy rounds an in-place
+        complex product of a single element differently from a longer
+        one."""
         zf = _flat(z)
         out = np.empty(zf.shape, dtype=complex)
-        for block in _blocks(zf.size, self.n_columns):
-            out[block] = self.columns(zf[block]) @ coef
+        d = self.degree
+        # Horner coefficients, highest degree first: step k adds
+        # laurent[k], whose rows are the E and the outer family
+        laurent = np.stack([coef[d:0:-1], coef[2 * d:d:-1]], 1)[..., None]
+        pole_coef = self.pole_scales * coef[1 + 2 * d:]
+        for block in _blocks(zf.size, max(1, self.poles.size)):
+            zb = zf[block]
+            total = np.full(zb.shape, coef[0])
+            if d:
+                bases = np.stack(self._bases(zb))
+                h = laurent[0] * bases
+                for c in laurent[1:]:
+                    h = (h + c) * bases
+                total = total + h[0] + h[1]
+            if self.poles.size:
+                terms = zb[:, None] - self.poles
+                np.divide(pole_coef, terms, out=terms)
+                total = total + terms.sum(axis=1)
+            out[block] = total
         return _shaped(out, z)
 
 
@@ -204,21 +235,6 @@ def phi(annulus_map, z):
     """Evaluate the annulus map at points of the closed domain."""
     b = annulus_map.basis
     return _times_base(b, z, b.g(annulus_map.coef, z))
-
-
-def _phi_pointwise(annulus_map, z):
-    """phi at each point of the 1-D array z, bit for bit the value that phi
-    gives at that point alone.  The columns of all points are built at
-    once, but each point's row is multiplied by the coefficients on its
-    own: BLAS rounds a product over several rows differently from a
-    one-row product, and a search that compares nearby values must see the
-    values of one-point calls whatever batch it evaluates them in."""
-    b = annulus_map.basis
-    cols = b.columns(z)
-    g = np.empty(z.shape, dtype=complex)
-    for i in range(z.size):
-        g[i:i + 1] = cols[i:i + 1] @ annulus_map.coef
-    return _times_base(b, z, g)
 
 
 def _times_base(b, z, g):
@@ -978,9 +994,14 @@ def psi_boundary(annulus_map, w):
     has its shape (a complex for a scalar).  Phi is tabulated once per map
     on each boundary (AnnulusMap._psi_tables) and the table is reused by
     every call; the root of each w lies in the first table interval where
-    arg(Phi/w) changes sign with both ends within pi/2 (the crossing
-    through 0, not the jump at +-pi), and is refined there in 1-D.  Every
-    map, the closed-form two-disk map included, takes this one path.
+    arg(Phi/w) (_angle_gap) changes sign with both ends within pi/2 (the
+    crossing through 0, not the jump at +-pi).  All roots of a call are
+    then refined at once, by brentq searches (xtol 1e-15) run in lockstep
+    on the boundary params, each started from the table's values at its
+    bracket ends, so the search sees the sign change the table found.  phi
+    and boundary_point give each point the value it has alone, so every
+    root is that of its own one-point search.  Every map, the closed-form
+    two-disk map included, takes this one path.
     """
     ws = _flat(w)
     h = annulus_map.h
@@ -1001,40 +1022,33 @@ def psi_boundary(annulus_map, w):
     if abs(abs(ang[-1] - ang[0]) - _TWO_PI) > 1e-3:
         raise EvaluationDomainError("boundary correspondence not resolved: "
                                     "arg Phi on the table does not wind once")
-    gap = np.angle(vals * np.conj(ws)[:, None])
-    near = np.abs(gap) < math.pi / 2
-    cross = (gap[:, :-1] * gap[:, 1:] <= 0.0) & near[:, :-1] & near[:, 1:]
+    gap = _angle_gap(vals, ws[:, None])
+    lo, hi = gap[:, :-1], gap[:, 1:]
+    cross = ((np.minimum(lo, hi) <= 0.0) & (np.maximum(lo, hi) >= 0.0)
+             & (np.abs(lo) < math.pi / 2) & (np.abs(hi) < math.pi / 2))
     if not np.all(cross.any(axis=1)):
         raise EvaluationDomainError("boundary correspondence not resolved: "
                                     "no table interval brackets arg w")
     first = np.argmax(cross, axis=1)
-    z = np.array([_psi_on(annulus_map, region, i / _PSI_TABLE,
-                          (i + 1) / _PSI_TABLE, complex(wi))
-                  for i, wi in zip(first, ws)], dtype=complex)
+    t = lockstep(
+        (_brentq(i / _PSI_TABLE, (i + 1) / _PSI_TABLE, lo[k, i], hi[k, i])
+         for k, i in enumerate(first)),
+        lambda x, lanes: _angle_gap(
+            phi(annulus_map, region.boundary_point(x)), ws[lanes]))
+    z = region.boundary_point(np.array(t, dtype=float))
+    err = np.abs(phi(annulus_map, z) - ws)
+    scale = np.maximum(1.0, np.abs(ws))
+    if np.any(err > 1e-8 * scale + 10.0 * annulus_map.residual * scale):
+        raise EvaluationDomainError(
+            f"psi_boundary did not converge: |phi(z) - w| = {err.max():g}"
+        )
     return _shaped(z, w)
 
 
-def _psi_on(annulus_map, region, t_lo, t_hi, w) -> complex:
-    """psi_boundary for one w whose root the table brackets in the boundary
-    params [t_lo, t_hi] of region."""
-
-    def angle_gap(tau):
-        val = phi(annulus_map, region.boundary_point(np.array([tau % 1.0])))[0]
-        return float(np.angle(val * np.conj(w)))
-
-    g_lo, g_hi = angle_gap(t_lo), angle_gap(t_hi)
-    if g_lo * g_hi <= 0.0 and max(abs(g_lo), abs(g_hi)) < math.pi / 2:
-        # brentq returns an end whose gap is exactly 0 as it stands
-        t_star = brentq(angle_gap, t_lo, t_hi, xtol=1e-15)
-    else:
-        # the single-point ends can differ from the table by rounding when
-        # the root sits on a table node; take the closer end, certified below
-        t_star = t_lo if abs(g_lo) <= abs(g_hi) else t_hi
-    z = complex(region.boundary_point(np.array([t_star % 1.0]))[0])
-    err = abs(complex(phi(annulus_map, np.array([z]))[0]) - w)
-    scale = max(1.0, abs(w))
-    if err > 1e-8 * scale + 10.0 * annulus_map.residual * scale:
-        raise EvaluationDomainError(
-            f"psi_boundary did not converge: |phi(z) - w| = {err:g}"
-        )
-    return z
+def _angle_gap(vals, w):
+    """arg(vals conj(w)) from real products, the one formula of the
+    psi_boundary table and of its searches.  numpy rounds a product of
+    complex scalars differently from one of complex arrays; a product of
+    reals rounds the same in every loop."""
+    return np.arctan2(vals.imag * w.real - vals.real * w.imag,
+                      vals.real * w.real + vals.imag * w.imag)

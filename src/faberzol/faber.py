@@ -17,10 +17,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import geometry
-from .conformal import AnnulusMap, ExteriorOf, _phi_pointwise, phi
+from .conformal import AnnulusMap, ExteriorOf, phi
 from .errors import EvaluationDomainError, InvalidRegionError, UncertifiedError
 from .quadrature import (
     BoundaryQuadrature,
@@ -33,6 +32,7 @@ from .quadrature import (
     cauchy_stabilized,
     winding_of_polyline,
 )
+from .search import _bounded_brent, _brentq, lockstep
 
 _POLE_EPS = 1e-14  # |R_n| below this marks a pole of 1/r_n (a zero of r_n)
 
@@ -97,12 +97,11 @@ class BoundaryData:
                 _scan(self, self.map.region_f, t))
 
 
-def _scan(data: BoundaryData, region, t, evaluate=phi) -> _Scan:
-    """The _Scan of data at boundary params t of region (E or F), with Phi
-    there from evaluate(map, z)."""
+def _scan(data: BoundaryData, region, t) -> _Scan:
+    """The _Scan of data at boundary params t of region (E or F)."""
     z = region.boundary_point(t)
     shift = data.f_shift if region == data.map.region_f else 0
-    return _Scan(t, z, evaluate(data.map, z), cauchy_kernel(data.quad_e, z),
+    return _Scan(t, z, phi(data.map, z), cauchy_kernel(data.quad_e, z),
                  cauchy_kernel(data.quad_f, z), shift)
 
 
@@ -344,104 +343,28 @@ def _scan_inv_rn(ctx, scan):
     return _ldexp(_scaled_inv_rn(ctx, scan), -scan.shift * ctx.n)
 
 
-def _bounded_brent(lo: float, hi: float):
-    """scipy's minimize_scalar(method="bounded", bounds=(lo, hi),
-    options={"xatol": 1e-12}) as a generator, with scipy's arithmetic: it
-    yields each abscissa, is sent f there, and returns the least f found
-    (Brent's golden-section and parabolic steps, at most 500 values)."""
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    xatol = 1e-12
-    a, b = lo, hi
-    fulc = a + golden_mean * (b - a)
-    nfc = xf = fulc
-    rat = e = 0.0
-    fx = yield xf
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:  # try a parabolic fit
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 * (-1.0 if xm - xf < 0.0 else 1.0)
-            else:
-                golden = True
-        if golden:
-            e = (a if xf >= xm else b) - xf
-            rat = golden_mean * e
-        x = xf + (-1.0 if rat < 0.0 else 1.0) * max(abs(rat), tol1)
-        fu = yield x
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= 500:
-            break
-    return fx
-
-
 def _side_maxima(contexts, scan, region, magnitude):
     """max of magnitude(2^s/r_n) over one boundary for each context: the
     dense scan's maximum, then every context's bounded Brent search around
     its best scan point, all searches in lockstep (see empirical_ratios)."""
     data = contexts[0].data
     half_width = 1.0 / scan.t.size
-    best, searches, at = [], [], []
+    best, searches = [], []
     for ctx in contexts:
         vals = magnitude(_scaled_inv_rn(ctx, scan))
         i = int(np.argmax(vals))
         best.append(float(vals[i]))
         t0 = float(scan.t[i])
         searches.append(_bounded_brent(t0 - half_width, t0 + half_width))
-        at.append(next(searches[-1]))
-    pending = list(range(len(contexts)))
-    while pending:
-        points = _scan(data, region, np.array([at[k] for k in pending]),
-                       _phi_pointwise)
-        running = []
-        for row, k in enumerate(pending):
-            value = magnitude(_scaled_inv_rn(contexts[k], points.row(row)))
-            try:
-                at[k] = searches[k].send(-float(value[0]))
-                running.append(k)
-            except StopIteration as done:
-                best[k] = max(best[k], -done.value)
-        pending = running
-    return best
+
+    def negated(t, lanes):
+        points = _scan(data, region, t)
+        return [-float(magnitude(_scaled_inv_rn(contexts[k],
+                                                points.row(row)))[0])
+                for row, k in enumerate(lanes)]
+
+    return [max(top, -least)
+            for top, least in zip(best, lockstep(searches, negated))]
 
 
 def empirical_ratios(contexts) -> list:
@@ -450,15 +373,15 @@ def empirical_ratios(contexts) -> list:
     For each boundary and context the dense scan (4x the node count,
     through the scan kernels of the data) gives the best parameter, and
     scipy's bounded Brent search (xatol 1e-12) refines it within one scan
-    step.  The searches of all contexts run in lockstep: each round
-    evaluates their pending abscissae on one batched scan (one
+    step.  The searches of all contexts run in lockstep (search.lockstep):
+    each round evaluates their pending abscissae on one batched scan (one
     boundary_point, one phi, two kernels) and applies each context's
-    densities to its own row.  Phi comes from _phi_pointwise and each row
-    is a one-target kernel, so every search takes exactly the values, and
-    therefore the steps, of its own one-point search.  A grid of candidates
-    or another bracketing search would land on other near-corner and
-    near-node spikes of the transforms and move the witnesses; Brent's
-    iterates keep those of the per-degree search.
+    densities to its own row.  phi gives each point its one-point value
+    and each row is a one-target kernel, so every search takes exactly the
+    values, and therefore the steps, of its own one-point search.  A grid
+    of candidates or another bracketing search would land on other
+    near-corner and near-node spikes of the transforms and move the
+    witnesses; Brent's iterates keep those of the per-degree search.
 
     The F-side maxima are of 2^e/r_n (e = ctx.exponent), so the witness
     max|r_n on E| 2^e max|1/r_n on F| 2^-e is formed with one ldexp,
@@ -513,17 +436,16 @@ def _segment_level_start(ctx, rho: float) -> complex:
     if not np.any(free):
         raise UncertifiedError("no gap found between E and F on the center line")
     idx = np.nonzero(free)[0]
-    vals = np.abs(phi(ctx.map, pts[idx]))
-    below = idx[vals < rho]
-    above = idx[vals > rho]
+    gap = np.abs(phi(ctx.map, pts[idx])) - rho
+    below = np.nonzero(gap < 0.0)[0]
+    above = np.nonzero(gap > 0.0)[0]
     if len(below) == 0 or len(above) == 0:
         raise UncertifiedError("level curve not bracketed between E and F")
-    ends = sorted((float(s[below[-1]]), float(s[above[0]])))
-
-    def gap(u):
-        return float(abs(phi(ctx.map, a + u * (b - a)))) - rho
-
-    return complex(a + brentq(gap, *ends, xtol=1e-15) * (b - a))
+    i, j = sorted((below[-1], above[0]))
+    [u] = lockstep([_brentq(s[idx[i]], s[idx[j]], gap[i], gap[j])],
+                   lambda x, lanes: (
+                       np.abs(phi(ctx.map, a + x * (b - a))) - rho))
+    return complex(a + u * (b - a))
 
 
 def _trace_level_curve(ctx, rho: float, n_points: int):

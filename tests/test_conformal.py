@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -79,8 +80,8 @@ def test_mixed_rectangle_disk_pair():
     t = np.linspace(0.0, 1.0, 300, endpoint=False)
     mod_e = np.abs(phi(amap, amap.region_e.boundary_point(t)))
     assert np.abs(mod_e - 1.0).max() < 1e-6
-    # w = 1 lands on a node of psi_boundary's angle table, where rounding
-    # can leave both bracket ends with one sign
+    # w = 1 lands on a node of psi_boundary's angle table: the search
+    # starts from the table's own value at the bracket end there
     for w in (1.0, amap.h):
         z = psi_boundary(amap, w)
         region = amap.region_e if w == 1.0 else amap.region_f
@@ -112,9 +113,11 @@ def test_inverse_map_roundtrip_on_the_outer_circle(disk_amap):
     assert abs(abs(z + 1.0) - 0.7) < 1e-6
 
 
-def test_vectorised_psi_boundary_equals_single_calls(disk_amap, disk_map):
+def test_vectorised_psi_boundary_equals_single_calls(disk_amap, disk_map,
+                                                     rect_map):
+    # each root of the lockstep is that of its own one-lane search
     roots = np.exp(2j * np.pi * np.arange(6) / 6)
-    for amap in (disk_amap, disk_map):
+    for amap in (disk_amap, disk_map, rect_map, _batch_map("rect_disk")):
         for w in (roots, amap.h * roots):
             single = np.array([psi_boundary(amap, wi) for wi in w])
             assert np.array_equal(psi_boundary(amap, w), single)
@@ -128,15 +131,47 @@ def test_psi_boundary_of_no_points_is_an_empty_complex_array(disk_map):
         assert z.dtype == complex and z.shape == w.shape
 
 
-def test_pointwise_phi_equals_one_point_calls(rect_map, disk_map):
-    # a batch of one-row products, each the value of a one-point call
-    t = np.random.default_rng(3).uniform(0.0, 1.0, 9)
-    for amap in (rect_map, disk_map):
-        for region in (amap.region_e, amap.region_f):
+@functools.cache
+def _batch_map(name):
+    return solve_annulus_map(*AUDIT_PAIRS[name][0](), tol=1e-8)
+
+
+@pytest.mark.parametrize("name", ["readme", "hexagons", "rect_disk",
+                                  "disk_curve", "rect_in_exterior",
+                                  "far_disks"])
+def test_batched_values_equal_one_point_calls(name):
+    # the lockstep searches rely on it: in any batch, boundary_point, phi
+    # and psi_boundary's angle gap give each point its one-point value
+    amap = _batch_map(name)
+    rng = np.random.default_rng(7)
+    for region in (amap.region_e, conformal.boundary_region(amap.region_f)):
+        for size in (1, 2, *rng.integers(1, 61, 6)):
+            t = rng.uniform(0.0, 1.0, size)
+            w = np.exp(2j * math.pi * rng.uniform(0.0, 1.0, size))
             z = region.boundary_point(t)
-            single = np.concatenate([phi(amap, z[i:i + 1])
-                                     for i in range(z.size)])
-            assert np.array_equal(conformal._phi_pointwise(amap, z), single)
+            vals = phi(amap, z)
+            gap = conformal._angle_gap(vals, w)
+            for i in range(size):
+                zi = region.boundary_point(t[i:i + 1])
+                vi = phi(amap, zi)
+                assert zi[0] == z[i] and vi[0] == vals[i]
+                assert conformal._angle_gap(vi, w[i:i + 1])[0] == gap[i]
+
+
+@pytest.mark.parametrize("name", ["readme", "hexagons", "rect_in_exterior"])
+def test_fused_g_is_the_columns_times_the_coefficients(name):
+    # g, which builds no columns, is the columns times the coefficients
+    # to a few eps of the sum of the terms' moduli
+    amap = _batch_map(name)
+    basis = amap.basis
+    t = np.linspace(0.0, 1.0, 500, endpoint=False)
+    z = np.concatenate([amap.region_e.boundary_point(t),
+                        conformal.boundary_region(amap.region_f)
+                        .boundary_point(t)])
+    cols = basis.columns(z)
+    terms = np.abs(cols) @ np.abs(amap.coef)
+    error = np.abs(basis.g(amap.coef, z) - cols @ amap.coef)
+    assert np.all(error <= 64.0 * np.finfo(float).eps * terms)
 
 
 def test_psi_boundary_names_the_table_check_that_failed(disk_pair):

@@ -20,7 +20,7 @@ from conftest import (
     unscaled_context,
     unscaled_witness,
 )
-from faberzol import faber, quadrature
+from faberzol import faber, quadrature, search
 from faberzol.bounds import sup_rn_bound, zolotarev_upper, GeometryConstants
 from faberzol.conformal import (
     ExteriorOf,
@@ -272,7 +272,7 @@ def test_bounded_brent_retraces_scipy(fun):
 
         res = minimize_scalar(recorded, bounds=(lo, hi), method="bounded",
                               options={"xatol": 1e-12})
-        steps = faber._bounded_brent(lo, hi)
+        steps = search._bounded_brent(lo, hi)
         xs = [next(steps)]
         try:
             while True:

@@ -1,8 +1,12 @@
 """Source-level rules for the package: no catch-all handlers, no assert,
 no private helper or constant without a reader, no value equality on array
-fields, and no block budget read outside quadrature."""
+fields, no block budget read outside quadrature, and no scipy.optimize
+loaded by the command line."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -119,6 +123,17 @@ def test_every_private_helper_has_a_caller():
 
 def test_only_quadrature_reads_the_block_budget():
     assert _block_budget_readers(SOURCES) == []
+
+
+def test_the_cli_loads_no_scipy_optimize():
+    # every command is a fresh process, and importing scipy.optimize costs
+    # about a third of its start-up
+    code = ("import sys, faberzol.cli; print(sorted(name for name in "
+            "sys.modules if name.startswith('scipy.optimize')))")
+    env = dict(os.environ, PYTHONPATH=str(SOURCES[0].parents[1]))
+    run = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[]"
 
 
 def test_array_dataclasses_compare_by_identity():
