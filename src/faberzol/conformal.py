@@ -182,6 +182,36 @@ class _LogBasis:
             out[block] = total
         return _shaped(out, z)
 
+    def g_prime(self, coef, z):
+        """g' at z.  On each Laurent family p(b): Horner on b p'(b), as g
+        runs it on p(b), times (log b)' = -1/(z - anchor) for a base
+        scale/(z - anchor) and 1/(z - anchor_e) for the A2 outer base.
+        The pole terms -s_p c_p/(z - p)^2 come one _blocks block at a time.
+        """
+        zf = _flat(z)
+        out = np.empty(zf.shape, dtype=complex)
+        d = self.degree
+        # k c_k, highest degree first, as in g
+        laurent = (np.stack([coef[d:0:-1], coef[2 * d:d:-1]], 1)
+                   * np.arange(d, 0, -1)[:, None])[..., None]
+        pole_coef = -self.pole_scales * coef[1 + 2 * d:]
+        for block in _blocks(zf.size, max(1, self.poles.size)):
+            zb = zf[block]
+            total = np.zeros(zb.shape, dtype=complex)
+            if d:
+                bases = np.stack(self._bases(zb))
+                h = laurent[0] * bases
+                for c in laurent[1:]:
+                    h = (h + c) * bases
+                outer = (1.0 / (self.anchor_f - zb) if self.variant == "A1"
+                         else 1.0 / (zb - self.anchor_e))
+                total = h[1] * outer - h[0] / (zb - self.anchor_e)
+            if self.poles.size:
+                terms = zb[:, None] - self.poles
+                total = total + (pole_coef / (terms * terms)).sum(axis=1)
+            out[block] = total
+        return _shaped(out, z)
+
 
 def _pole_images(basis, symmetry, image):
     """The index of the pole at image(p) for each pole p of basis, when
@@ -235,6 +265,17 @@ def phi(annulus_map, z):
     """Evaluate the annulus map at points of the closed domain."""
     b = annulus_map.basis
     return _times_base(b, z, b.g(annulus_map.coef, z))
+
+
+def dlog_phi(annulus_map, z):
+    """Phi'/Phi at points of the domain: 1/(z - z_E) - 1/(z - z_F) + g'
+    in case A1, 1/(z - z_E) + g' in case A2."""
+    b = annulus_map.basis
+    z = np.asarray(z, dtype=complex)
+    out = 1.0 / (z - b.anchor_e) + b.g_prime(annulus_map.coef, z)
+    if b.variant == "A1":
+        out = out - 1.0 / (z - b.anchor_f)
+    return out
 
 
 def _times_base(b, z, g):

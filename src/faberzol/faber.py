@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .conformal import AnnulusMap, ExteriorOf, phi
+from .conformal import AnnulusMap, ExteriorOf, dlog_phi, phi, psi_boundary
 from .errors import EvaluationDomainError, InvalidRegionError, UncertifiedError
 from .quadrature import (
     BoundaryQuadrature,
@@ -32,9 +32,10 @@ from .quadrature import (
     cauchy_stabilized,
     winding_of_polyline,
 )
-from .search import _bounded_brent, _brentq, lockstep
+from .search import _bounded_brent, lockstep
 
 _POLE_EPS = 1e-14  # |R_n| below this marks a pole of 1/r_n (a zero of r_n)
+_NEWTON_STEPS = 30  # per stage of _level_curve
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,9 +150,6 @@ class FaberContext:
     def quad_f(self) -> BoundaryQuadrature:
         return self.data.quad_f
 
-    def diameter(self) -> float:
-        return max(self.quad_e.diameter, self.quad_f.diameter)
-
 
 def _rn_on_f(data: BoundaryData, phi_n_on_e, n: int):
     """R_n 2^-an at the F nodes, a = data.f_shift: the E-to-F kernel applied
@@ -229,8 +227,12 @@ def _inv_rn(ctx, z, rn, scale=0):
 
 def _classify(ctx, z):
     """Strict-interior masks of the targets in E and in F (contour points
-    count as outside)."""
+    count as outside).  Raises EvaluationDomainError for non-finite
+    targets."""
     zf = _flat(z)
+    bad = int(np.count_nonzero(~np.isfinite(zf)))
+    if bad:
+        raise EvaluationDomainError(f"{bad} non-finite target(s)")
     in_e, _ = geometry.contains_many(ctx.map.region_e, zf)
     in_f, _ = geometry.contains_many(ctx.map.region_f, zf)
     return zf, in_e, in_f
@@ -267,8 +269,9 @@ def _require_finite(ctx, name, values):
 def eval_Rn(ctx: FaberContext, z):
     """R_n(z) on E and on the doubly connected exterior domain.
 
-    Points in F are outside the domain of R_n.  Raises UncertifiedError
-    where R_n leaves the float range: near F, |R_n| is about h^n.
+    Points in F and non-finite targets are outside the domain of R_n
+    (EvaluationDomainError).  Raises UncertifiedError where R_n leaves the
+    float range: near F, |R_n| is about h^n.
     """
     zf, in_e, in_f = _classify(ctx, z)
     if np.any(in_f):
@@ -277,7 +280,7 @@ def eval_Rn(ctx: FaberContext, z):
 
 
 def eval_inv_rn(ctx: FaberContext, z):
-    """1/r_n(z) everywhere; r_n itself is the reciprocal.
+    """1/r_n(z) at every finite z; r_n itself is the reciprocal.
 
     Inside the F boundary this is the stabilized interior transform of
     the 1/r_n boundary values at the F nodes.  Near a zero of R_n
@@ -420,72 +423,25 @@ def empirical_ratio(ctx: FaberContext) -> float:
     return empirical_ratios([ctx])[0]
 
 
-def _phi_derivative(amap, z, step: float):
-    return (phi(amap, z + step) - phi(amap, z - step)) / (2.0 * step)
-
-
-def _segment_level_start(ctx, rho: float) -> complex:
-    """A point with |Phi| = rho on the straight run between the two sets."""
-    a = geometry.interior_anchor(ctx.map.region_e)
-    b = geometry.interior_anchor(ctx.map.region_f)
-    s = np.linspace(0.0, 1.0, 257)
-    pts = a + s * (b - a)
-    in_e, on_e = geometry.contains_many(ctx.map.region_e, pts)
-    in_f, on_f = geometry.contains_many(ctx.map.region_f, pts)
-    free = ~(in_e | on_e | in_f | on_f)
-    if not np.any(free):
-        raise UncertifiedError("no gap found between E and F on the center line")
-    idx = np.nonzero(free)[0]
-    gap = np.abs(phi(ctx.map, pts[idx])) - rho
-    below = np.nonzero(gap < 0.0)[0]
-    above = np.nonzero(gap > 0.0)[0]
-    if len(below) == 0 or len(above) == 0:
-        raise UncertifiedError("level curve not bracketed between E and F")
-    i, j = sorted((below[-1], above[0]))
-    [u] = lockstep([_brentq(s[idx[i]], s[idx[j]], gap[i], gap[j])],
-                   lambda x, lanes: (
-                       np.abs(phi(ctx.map, a + x * (b - a))) - rho))
-    return complex(a + u * (b - a))
-
-
-def _trace_level_curve(ctx, rho: float, n_points: int):
-    """Discretize {|Phi| = rho} by Newton continuation in arg Phi."""
-    amap = ctx.map
-    step = 1e-7 * ctx.diameter()
-    z0 = _segment_level_start(ctx, rho)
-    theta0 = float(np.angle(phi(amap, z0)))
-
-    def newton(z, w, iters=12):
-        for _ in range(iters):
-            f = phi(amap, z) - w
-            if abs(f) <= 1e-12 * rho:
-                break
-            z = z - f / _phi_derivative(amap, z, step)
-        return z
-
-    n_coarse = 128
-    coarse = np.empty(n_coarse + 1, dtype=complex)
-    coarse[0] = z0
-    for k in range(1, n_coarse + 1):
-        w = rho * np.exp(1j * (theta0 + 2.0 * math.pi * k / n_coarse))
-        coarse[k] = newton(coarse[k - 1], w)
-    if abs(coarse[-1] - z0) > 1e-6 * ctx.diameter():
-        raise UncertifiedError("level curve tracing failed to close")
-
-    # refine all points in parallel from interpolated starts
-    frac = np.arange(n_points) / n_points
-    pos = frac * n_coarse
-    base = np.minimum(pos.astype(int), n_coarse - 1)
-    lam = pos - base
-    z = coarse[base] * (1.0 - lam) + coarse[base + 1] * lam
-    w = rho * np.exp(1j * (theta0 + 2.0 * math.pi * frac))
-    for _ in range(12):
-        f = phi(amap, z) - w
-        if np.abs(f).max() <= 1e-12 * rho:
-            break
-        z = z - f / _phi_derivative(amap, z, step)
-    if np.abs(phi(amap, z) - w).max() > 1e-9 * rho:
-        raise UncertifiedError("level curve refinement did not converge")
+def _level_curve(amap, rho: float, n_points: int):
+    """Points z_k with Phi(z_k) = rho exp(2 pi i k/n_points): the E-boundary
+    points of these angles (psi_boundary), moved all at once by Newton on
+    Phi'/Phi to |Phi| = sqrt(rho), then to rho.  Raises UncertifiedError if
+    a stage misses 1e-12 rho after _NEWTON_STEPS steps."""
+    unit = np.exp(2j * math.pi * np.arange(n_points) / n_points)
+    z = psi_boundary(amap, unit)
+    # a step off the domain may overflow; a non-finite miss fails the test
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for w in (math.sqrt(rho) * unit, rho * unit):
+            for _ in range(_NEWTON_STEPS):
+                value = phi(amap, z)
+                if np.all(np.abs(value - w) <= 1e-12 * rho):
+                    break
+                z = z - (value - w) / (value * dlog_phi(amap, z))
+            else:
+                raise UncertifiedError(
+                    f"level curve |Phi| = {rho:.6g}: Newton did not "
+                    f"converge in {_NEWTON_STEPS} steps")
     return z
 
 
@@ -495,29 +451,31 @@ def count_zeros(ctx: FaberContext) -> int:
     rho is chosen with rho^n > 1 + max |R_n on E| so that, on the curve,
     |R_n - Phi^n| <= 1 + sup_E |R_n| < |Phi^n| and the winding of R_n
     equals that of Phi^n (argument principle).  rho must also stay below
-    |Phi(infinity)|: at that value the level set passes through infinity
-    and beyond it the curve surrounds F, not E.  Returns the winding
-    number, which must equal n.
+    |Phi(infinity)| = exp(Re g(infinity)): at that value the level set
+    passes through infinity and beyond it the curve surrounds F, not E.
+    Returns the winding number, which must equal n.
+
+    Raises UncertifiedError when the window rho_min < rho_cap is empty
+    (always at n = 0), when Newton misses the curve or when the winding
+    is not n; the errors of psi_boundary and eval_Rn pass through.
     """
-    if ctx.n == 0:
-        raise UncertifiedError("zero count not certified at this n")
     h = ctx.map.h
     sup_rn = float(np.abs(_scan_rn(ctx, ctx.data.scans[0])).max())
-    zc = ctx.quad_e.nodes.mean()
-    far = zc + 1e7 * ctx.diameter() * np.exp(0.5j * math.pi * np.arange(4))
-    phi_inf = float(np.abs(phi(ctx.map, far)).min())
-    rho_min = (1.02 * (1.0 + sup_rn)) ** (1.0 / ctx.n)
+    # g(infinity) is the constant coefficient: F is bounded (case A1)
+    phi_inf = math.exp(ctx.map.coef[0].real)
+    rho_min = (1.02 * (1.0 + sup_rn)) ** (1.0 / ctx.n) if ctx.n else math.inf
     rho_cap = 0.98 * min(h, phi_inf)
-    if rho_min >= rho_cap:
-        raise UncertifiedError("zero count not certified at this n")
+    if not rho_min < rho_cap:
+        cap_by = "h" if h < phi_inf else "|Phi(inf)|"
+        raise UncertifiedError(
+            f"zero count not certified at this n: rho_min = {rho_min:.6g} "
+            f"is not below rho_cap = 0.98 {cap_by} = {rho_cap:.6g}")
     rho = math.sqrt(rho_min * rho_cap)
 
     n_points = max(512, 32 * ctx.n)
     for _ in range(3):
-        curve = _trace_level_curve(ctx, rho, n_points)
-        values = np.atleast_1d(eval_Rn(ctx, curve))
-        closed = np.concatenate([values, values[:1]])
-        steps = np.angle(closed[1:] / closed[:-1])
+        values = eval_Rn(ctx, _level_curve(ctx.map, rho, n_points))
+        steps = np.angle(values / np.roll(values, 1))
         if np.abs(steps).max() < 0.5 * math.pi:
             break
         n_points *= 2

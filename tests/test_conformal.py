@@ -30,6 +30,7 @@ from faberzol.errors import (
 )
 from faberzol.geometry import (
     boundary_distance,
+    contains_many,
     curve,
     disk,
     polygon,
@@ -172,6 +173,44 @@ def test_fused_g_is_the_columns_times_the_coefficients(name):
     terms = np.abs(cols) @ np.abs(amap.coef)
     error = np.abs(basis.g(amap.coef, z) - cols @ amap.coef)
     assert np.all(error <= 64.0 * np.finfo(float).eps * terms)
+
+
+def _off_boundaries(amap, margin=0.2):
+    """Points of a grid in the domain of amap at least margin from both
+    boundaries."""
+    x = np.linspace(-5.0, 5.0, 41)
+    z = (x[:, None] + 1j * x).ravel()
+    f_inner = conformal.boundary_region(amap.region_f)
+    in_e, _ = contains_many(amap.region_e, z)
+    in_f, _ = contains_many(f_inner, z)
+    keep = ~in_e & (in_f == (amap.variant == "A2"))
+    for region in (amap.region_e, f_inner):
+        keep &= boundary_distance(region, z) >= margin
+    return z[keep]
+
+
+def test_dlog_phi_of_the_two_disk_map_is_that_of_its_mobius_form(disk_map):
+    z = _off_boundaries(disk_map)
+    p, q = disk_map.basis.anchor_e, disk_map.basis.anchor_f
+    expect = 1.0 / (z - p) - 1.0 / (z - q)
+    scale = np.abs(1.0 / (z - p)) + np.abs(1.0 / (z - q))
+    error = np.abs(conformal.dlog_phi(disk_map, z) - expect)
+    assert np.all(error <= 4.0 * np.finfo(float).eps * scale)
+
+
+@pytest.mark.parametrize("name", ["readme", "hexagons", "rect_disk",
+                                  "disk_curve", "rect_in_exterior"])
+def test_dlog_phi_agrees_with_a_central_difference(name):
+    # fourth order at step s: the truncation error is about (s/0.2)^4 at
+    # 0.2 off the boundaries, beyond which the singularities lie
+    amap = _batch_map(name)
+    z = _off_boundaries(amap)
+    s = 1e-3
+    slope = (8.0 * (phi(amap, z + s) - phi(amap, z - s))
+             - phi(amap, z + 2.0 * s) + phi(amap, z - 2.0 * s)) / (12.0 * s)
+    exact = conformal.dlog_phi(amap, z)
+    assert np.all(np.abs(slope / phi(amap, z) - exact)
+                  <= 1e-8 * np.abs(exact))
 
 
 def test_psi_boundary_names_the_table_check_that_failed(disk_pair):

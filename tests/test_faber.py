@@ -6,7 +6,9 @@ Every quantity then has an explicit oracle.
 """
 
 import dataclasses
+import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -123,6 +125,45 @@ def test_extremal_ratio_attains_the_annulus_decay(disk_map, n):
 
 def test_zero_count_matches_the_degree(ctx6):
     assert count_zeros(ctx6) == 6
+
+
+@functools.cache
+def _mirror045_map():
+    e = rectangle((-0.85, -0.05), (-0.6, 0.6))
+    return solve_annulus_map(e, e.negated(), tol=1e-8)
+
+
+@pytest.mark.parametrize("pair, n", [("readme", 2), ("mirror045", 5),
+                                     ("mirror045", 6)])
+def test_zero_count_holds_where_the_level_curve_swings_far_out(pair, n,
+                                                               rect_map):
+    # rho lies near |Phi(infinity)|, so the curve runs far around F
+    amap = rect_map if pair == "readme" else _mirror045_map()
+    assert count_zeros(build_context(amap, n)) == n
+
+
+def test_an_empty_rho_window_names_its_ends_and_the_cap(disk_map):
+    # F = -E, so |Phi(infinity)| = sqrt(h) caps the window
+    amap = _mirror045_map()
+    with pytest.raises(UncertifiedError) as caught:
+        count_zeros(build_context(amap, 4))
+    found = re.fullmatch(
+        r"zero count not certified at this n: rho_min = (\S+) is not below "
+        r"rho_cap = 0\.98 \|Phi\(inf\)\| = (\S+)", str(caught.value))
+    rho_min, rho_cap = float(found[1]), float(found[2])
+    assert rho_cap == pytest.approx(0.98 * math.sqrt(amap.h), rel=1e-5)
+    assert rho_min >= rho_cap
+    with pytest.raises(UncertifiedError, match="rho_min = inf is not below"):
+        count_zeros(build_context(disk_map, 0, n_quad=128))
+
+
+def test_non_finite_targets_are_outside_the_domain(disk_map):
+    ctx = build_context(disk_map, 3, n_quad=128)
+    z = np.array([complex(np.nan, 0.0), 0.3j, complex(0.0, np.inf)])
+    for evaluate in (eval_Rn, eval_inv_rn, eval_rn):
+        with pytest.raises(EvaluationDomainError,
+                           match="2 non-finite target"):
+            evaluate(ctx, z)
 
 
 def test_rational_blows_up_inside_f(disk_map, ctx6):
