@@ -244,6 +244,10 @@ def faber_shifts(ctx: FaberContext) -> ShiftSet:
                                   ("zeros", "poles")):
         z = scan.z
         f = _reciprocal(_scan_inv_rn(ctx, scan))
+        bad = int(np.count_nonzero(~np.isfinite(f)))
+        if bad:  # aaa_fit takes finite samples only
+            raise UncertifiedError(f"shifts uncertified: r_k is not finite "
+                                   f"at {bad} boundary sample(s)")
         fit = aaa_fit(z, f, 1e-12, k + 12)  # tol, max_degree
         scale = float(np.max(np.abs(f)))
         if fit.residual > 1e-6 * scale:

@@ -150,67 +150,71 @@ class _LogBasis:
             out = out - np.log(np.abs(z - self.anchor_f))
         return out
 
-    def g(self, coef, z):
-        """g at z, without the columns: Horner on both Laurent families at
-        once, and the pole terms of one _blocks block of points at a time,
-        divided in place into one block x poles buffer and summed by rows.
-        Every step is elementwise or a sum along one point's row, so a
-        point's value does not depend on the batch it is evaluated in.
-        Keep the Horner steps out of place: numpy rounds an in-place
-        complex product of a single element differently from a longer
-        one."""
+    def _horner(self, coef, z, finish, weights=None):
+        """finish(zb, h) for each _blocks block zb of the points z, joined
+        in the shape of z.  h (None at degree 0) holds p(b) = sum_k c_k b^k
+        on the E and the outer Laurent family at zb, or sum_k w_k c_k b^k
+        for weights w_d, ..., w_1, by Horner on their bases b.  Every step
+        is elementwise or a sum along one point's row, so a point's value
+        does not depend on the batch it is evaluated in.  Keep the Horner
+        steps out of place: numpy rounds an in-place complex product of a
+        single element differently from a longer one."""
         zf = _flat(z)
         out = np.empty(zf.shape, dtype=complex)
         d = self.degree
         # Horner coefficients, highest degree first: step k adds
         # laurent[k], whose rows are the E and the outer family
-        laurent = np.stack([coef[d:0:-1], coef[2 * d:d:-1]], 1)[..., None]
-        pole_coef = self.pole_scales * coef[1 + 2 * d:]
+        laurent = np.stack([coef[d:0:-1], coef[2 * d:d:-1]], 1)
+        if weights is not None:
+            laurent = laurent * weights[:, None]
+        laurent = laurent[..., None]
         for block in _blocks(zf.size, max(1, self.poles.size)):
-            zb = zf[block]
-            total = np.full(zb.shape, coef[0])
+            zb, h = zf[block], None
             if d:
                 bases = np.stack(self._bases(zb))
                 h = laurent[0] * bases
                 for c in laurent[1:]:
                     h = (h + c) * bases
+            out[block] = finish(zb, h)
+        return _shaped(out, z)
+
+    def g(self, coef, z):
+        """g at z, without the columns: the Laurent families by _horner,
+        and the pole terms of each block divided in place into one block x
+        poles buffer and summed by rows."""
+        pole_coef = self.pole_scales * coef[1 + 2 * self.degree:]
+
+        def finish(zb, h):
+            total = np.full(zb.shape, coef[0])
+            if h is not None:
                 total = total + h[0] + h[1]
             if self.poles.size:
                 terms = zb[:, None] - self.poles
                 np.divide(pole_coef, terms, out=terms)
                 total = total + terms.sum(axis=1)
-            out[block] = total
-        return _shaped(out, z)
+            return total
+
+        return self._horner(coef, z, finish)
 
     def g_prime(self, coef, z):
-        """g' at z.  On each Laurent family p(b): Horner on b p'(b), as g
-        runs it on p(b), times (log b)' = -1/(z - anchor) for a base
-        scale/(z - anchor) and 1/(z - anchor_e) for the A2 outer base.
-        The pole terms -s_p c_p/(z - p)^2 come one _blocks block at a time.
-        """
-        zf = _flat(z)
-        out = np.empty(zf.shape, dtype=complex)
-        d = self.degree
-        # k c_k, highest degree first, as in g
-        laurent = (np.stack([coef[d:0:-1], coef[2 * d:d:-1]], 1)
-                   * np.arange(d, 0, -1)[:, None])[..., None]
-        pole_coef = -self.pole_scales * coef[1 + 2 * d:]
-        for block in _blocks(zf.size, max(1, self.poles.size)):
-            zb = zf[block]
+        """g' at z.  On each Laurent family p(b): _horner on b p'(b) (the
+        weights k), times (log b)' = -1/(z - anchor) for a base
+        scale/(z - anchor) and 1/(z - anchor_e) for the A2 outer base;
+        plus the pole terms -s_p c_p/(z - p)^2."""
+        pole_coef = -self.pole_scales * coef[1 + 2 * self.degree:]
+
+        def finish(zb, h):
             total = np.zeros(zb.shape, dtype=complex)
-            if d:
-                bases = np.stack(self._bases(zb))
-                h = laurent[0] * bases
-                for c in laurent[1:]:
-                    h = (h + c) * bases
+            if h is not None:
                 outer = (1.0 / (self.anchor_f - zb) if self.variant == "A1"
                          else 1.0 / (zb - self.anchor_e))
                 total = h[1] * outer - h[0] / (zb - self.anchor_e)
             if self.poles.size:
                 terms = zb[:, None] - self.poles
                 total = total + (pole_coef / (terms * terms)).sum(axis=1)
-            out[block] = total
-        return _shaped(out, z)
+            return total
+
+        return self._horner(coef, z, finish, np.arange(self.degree, 0, -1))
 
 
 def _pole_images(basis, symmetry, image):

@@ -24,10 +24,10 @@ from .errors import EvaluationDomainError, InvalidRegionError, UncertifiedError
 from .quadrature import (
     BoundaryQuadrature,
     CauchyKernel,
+    _blocks,
     _flat,
     _ldexp,
     _shaped,
-    cauchy_boundary,
     cauchy_kernel,
     cauchy_stabilized,
     winding_of_polyline,
@@ -40,48 +40,46 @@ _NEWTON_STEPS = 30  # per stage of _level_curve
 
 @dataclass(frozen=True, eq=False)
 class _Scan:
-    """Boundary points z at parameters t, Phi there, the kernels of the
-    transforms across each boundary at those points (see _scan), and the
-    power-of-two shift a of Phi on this boundary: 0 on E,
-    BoundaryData.f_shift on F."""
+    """One target set: points z, Phi there (None where _rn is not used),
+    the power-of-two shift of Phi on the boundary the set was built on
+    (round(log2 h) on F, else 0) and, on a boundary, the parameters t of
+    the points.  The kernels across E and across F at z are built on first
+    read and then kept; faber forms no kernel anywhere else."""
 
-    t: np.ndarray
+    quad_e: BoundaryQuadrature
+    quad_f: BoundaryQuadrature
     z: np.ndarray
-    phi: np.ndarray
-    across_e: CauchyKernel
-    across_f: CauchyKernel
-    shift: int
+    phi: np.ndarray | None
+    shift: int = 0
+    t: np.ndarray | None = None
 
-    def row(self, i: int) -> "_Scan":
-        """The scan at its i-th point alone."""
-        return _Scan(self.t[i:i + 1], self.z[i:i + 1], self.phi[i:i + 1],
-                     self.across_e.row(i), self.across_f.row(i), self.shift)
+    @functools.cached_property
+    def across_e(self) -> CauchyKernel:
+        return cauchy_kernel(self.quad_e, self.z)
+
+    @functools.cached_property
+    def across_f(self) -> CauchyKernel:
+        return cauchy_kernel(self.quad_f, self.z)
 
 
 @dataclass(frozen=True, eq=False)
 class BoundaryData:
     """Degree-independent boundary data of one map at one quadrature size.
 
-    Holds the two boundary quadratures, Phi at their nodes and
-    across_e_at_f, the kernel of the transform across the E boundary at the
-    F nodes (4 MiB at 512 nodes), so that every degree n built on it
-    (degree_context) costs a power of the cached Phi and one application of
-    that kernel.  The dense scans are built on first use, by
-    empirical_ratios, count_zeros or adi.faber_shifts, and then serve every
-    degree.
+    Holds the two boundary quadratures and the target sets of their nodes.
+    boundary_data builds the kernel across E at the F nodes (4 MiB at 512
+    nodes), so that every degree n built on it (degree_context) costs a
+    power of the cached Phi and one application of that kernel.  The other
+    node kernels (for targets inside E and F) and the dense scans (for
+    empirical_ratios, count_zeros and adi.faber_shifts) are built on first
+    use; all then serve every degree.
     """
 
     map: AnnulusMap
     quad_e: BoundaryQuadrature
     quad_f: BoundaryQuadrature
-    phi_e: np.ndarray
-    phi_f: np.ndarray
-    across_e_at_f: CauchyKernel
-
-    @property
-    def f_shift(self) -> int:
-        """a = round(log2 h): Phi 2^-a has modulus near 1 on the F boundary."""
-        return round(math.log2(self.map.h))
+    e_nodes: _Scan
+    f_nodes: _Scan
 
     @functools.cached_property
     def scans(self):
@@ -94,21 +92,20 @@ class BoundaryData:
         """
         n_samples = 4 * len(self.quad_e)
         t = np.arange(n_samples) / n_samples
-        return (_scan(self, self.map.region_e, t),
-                _scan(self, self.map.region_f, t))
+        return (_scan(self, self.map.region_e, self.e_nodes.shift, t),
+                _scan(self, self.map.region_f, self.f_nodes.shift, t))
 
 
-def _scan(data: BoundaryData, region, t) -> _Scan:
-    """The _Scan of data at boundary params t of region (E or F)."""
+def _scan(data: BoundaryData, region, shift: int, t) -> _Scan:
+    """The target set of data at boundary params t of region (E or F),
+    where Phi carries the given shift."""
     z = region.boundary_point(t)
-    shift = data.f_shift if region == data.map.region_f else 0
-    return _Scan(t, z, phi(data.map, z), cauchy_kernel(data.quad_e, z),
-                 cauchy_kernel(data.quad_f, z), shift)
+    return _Scan(data.quad_e, data.quad_f, z, phi(data.map, z), shift, t)
 
 
 def boundary_data(amap, n_quad: int = 512) -> BoundaryData:
-    """Boundary quadratures of n_quad nodes (>= 64), Phi at the nodes and
-    the E-to-F kernel."""
+    """Boundary quadratures of n_quad nodes (>= 64), the target sets of
+    their nodes, and the kernel across E at the F nodes."""
     if n_quad < 64:
         raise ValueError("need at least 64 quadrature nodes per boundary")
     if isinstance(amap.region_f, ExteriorOf):
@@ -117,9 +114,12 @@ def boundary_data(amap, n_quad: int = 512) -> BoundaryData:
         )
     quad_e = geometry.boundary_samples(amap.region_e, n_quad)
     quad_f = geometry.boundary_samples(amap.region_f, n_quad)
-    return BoundaryData(amap, quad_e, quad_f,
-                        phi(amap, quad_e.nodes), phi(amap, quad_f.nodes),
-                        cauchy_kernel(quad_e, quad_f.nodes))
+    # Phi 2^-a has modulus near 1 on the F boundary, a = round(log2 h)
+    e_nodes, f_nodes = (
+        _Scan(quad_e, quad_f, quad.nodes, phi(amap, quad.nodes), shift)
+        for quad, shift in ((quad_e, 0), (quad_f, round(math.log2(amap.h)))))
+    f_nodes.across_e  # built now: every degree_context applies it
+    return BoundaryData(amap, quad_e, quad_f, e_nodes, f_nodes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,7 +128,7 @@ class FaberContext:
 
     phi_n_on_e holds Phi^n at the E-boundary nodes (the density whose
     transforms give R_n); inv_rn_on_f holds 2^exponent/R_n at the F-boundary
-    nodes, with exponent = a n for the shift a of data.f_shift (the density
+    nodes, with exponent = a n for the shift a of data.f_nodes (the density
     whose transforms give 1/r_n, kept near modulus 1).
     """
 
@@ -151,12 +151,13 @@ class FaberContext:
         return self.data.quad_f
 
 
-def _rn_on_f(data: BoundaryData, phi_n_on_e, n: int):
-    """R_n 2^-an at the F nodes, a = data.f_shift: the E-to-F kernel applied
-    to Phi^n on E, with (Phi 2^-a)^n as the subtracted value."""
-    a = data.f_shift
-    phi_n_on_f = _ldexp(data.phi_f, -a) ** n
-    return data.across_e_at_f(phi_n_on_e, phi_n_on_f, -a * n)
+def _rn(phi_n_on_e, n: int, targets: _Scan):
+    """R_n 2^-s at targets on the E boundary or outside E, s = targets.shift
+    n: Phi^n (phi_n_on_e at the E nodes) filtered across the E boundary,
+    with (Phi 2^-targets.shift)^n as the subtracted value, so accuracy
+    holds up to and on the boundary."""
+    phi_n = _ldexp(targets.phi, -targets.shift) ** n
+    return targets.across_e(phi_n_on_e, phi_n, -targets.shift * n)
 
 
 def degree_context(data: BoundaryData, n: int) -> FaberContext:
@@ -165,12 +166,13 @@ def degree_context(data: BoundaryData, n: int) -> FaberContext:
     Raises UncertifiedError if the map residual cannot certify
     |Phi^n| <= 1 on the E boundary, or if the scaled Phi^n or 1/R_n
     density on the F boundary is not finite (only where |log2 h - a| n
-    passes the float exponent range, a = data.f_shift: n > 2000 at least).
+    passes the float exponent range, a = data.f_nodes.shift: n > 2000 at
+    least).
     """
     if n < 0 or n != int(n):
         raise ValueError("degree n must be a non-negative integer")
     n = int(n)
-    phi_n_on_e = data.phi_e ** n
+    phi_n_on_e = data.e_nodes.phi ** n
     excess = float(np.abs(phi_n_on_e).max()) - 1.0
     if excess > 4.0 * n * data.map.residual + 1e-10:
         raise UncertifiedError(
@@ -178,11 +180,11 @@ def degree_context(data: BoundaryData, n: int) -> FaberContext:
             f"(measured max 1 + {excess:.3e})"
         )
     with np.errstate(over="ignore", invalid="ignore"):  # raises below
-        rn_on_f = _rn_on_f(data, phi_n_on_e, n)
+        rn_on_f = _rn(phi_n_on_e, n, data.f_nodes)
     # a finite, nonzero R_n is a finite 1/R_n density
     if np.all(np.isfinite(rn_on_f) & (rn_on_f != 0.0)):
         return FaberContext(data, n, phi_n_on_e, 1.0 / rn_on_f,
-                            data.f_shift * n)
+                            data.f_nodes.shift * n)
     raise UncertifiedError(
         f"degree {n}: Phi^n or 1/R_n overflows on the F boundary "
         f"(h = {data.map.h:.6g}), so the witness is not finite")
@@ -194,35 +196,35 @@ def build_context(amap, n: int, n_quad: int = 512) -> FaberContext:
     return degree_context(boundary_data(amap, n_quad), n)
 
 
-def _rn(ctx, z, phi_z):
-    """R_n at points z on the E boundary or outside E, given Phi(z): Phi^n
-    filtered across the E boundary, with Phi^n(z) itself as the subtracted
-    value so accuracy holds up to and on the boundary.
+def _inv_rn(ctx, targets: _Scan, rn=None):
+    """2^s/r_n at targets on the F boundary or outside F, s =
+    targets.shift n, from R_n 2^-s there (by _rn if rn is None): 1/R_n
+    filtered across the F boundary, applied to the F density of ctx.
+    Where |R_n| < _POLE_EPS the result is the pole marker inf+0j (a zero
+    of r_n).
     """
-    return cauchy_boundary(ctx.phi_n_on_e, ctx.quad_e, z, phi_z ** ctx.n)
-
-
-def _pole_marked(ctx, rn, across_f, scale=0):
-    """2^scale/r_n from R_n 2^-scale at targets on the F boundary or outside
-    F: across_f, the transform across the F boundary at those targets
-    (called as a CauchyKernel), applied to the F density of ctx.  Where
-    |R_n| < _POLE_EPS the result is the pole marker inf+0j (a zero of r_n).
-    """
+    scale = targets.shift * ctx.n
+    if rn is None:
+        rn = _rn(ctx.phi_n_on_e, ctx.n, targets)
     small = np.abs(rn) < math.ldexp(_POLE_EPS, -scale)
     with np.errstate(divide="ignore", invalid="ignore"):
         inv_rn = np.where(small, 0.0, 1.0 / rn)
-    out = across_f(ctx.inv_rn_on_f, inv_rn, scale - ctx.exponent)
+    out = targets.across_f(ctx.inv_rn_on_f, inv_rn, scale - ctx.exponent)
     out[small] = np.inf + 0.0j
     return out
 
 
-def _inv_rn(ctx, z, rn, scale=0):
-    """2^scale/r_n at points z on the F boundary or outside F, given
-    R_n 2^-scale there: 1/R_n filtered across the F boundary (see
-    _pole_marked).
-    """
-    return _pole_marked(ctx, rn, lambda values, f_at, exponent: (
-        cauchy_boundary(values, ctx.quad_f, z, f_at, exponent)), scale)
+def _by_blocks(ctx, z, phi_z, quad, evaluate):
+    """evaluate(block, target set) over flat targets z off the F boundary
+    (shift 0), one target set for each of the _blocks of kernels over
+    quad, joined; phi_z is Phi at z, or None where evaluate forms no R_n
+    by _rn."""
+    out = np.empty(z.shape, dtype=complex)
+    for block in _blocks(z.size, len(quad)):
+        out[block] = evaluate(block, _Scan(
+            ctx.quad_e, ctx.quad_f, z[block],
+            None if phi_z is None else phi_z[block]))
+    return out
 
 
 def _classify(ctx, z):
@@ -246,23 +248,29 @@ def _rn_by_side(ctx, zf, in_e):
     """
     out = np.empty(zf.shape, dtype=complex)
     if np.any(in_e):
-        density = _rn(ctx, ctx.quad_e.nodes, ctx.data.phi_e)
+        density = _rn(ctx.phi_n_on_e, ctx.n, ctx.data.e_nodes)
         out[in_e] = cauchy_stabilized(density, ctx.quad_e, zf[in_e])
     rest = ~in_e
     if np.any(rest):
+        z = zf[rest]
         with np.errstate(over="ignore", invalid="ignore"):  # raises below
-            out[rest] = _rn(ctx, zf[rest], phi(ctx.map, zf[rest]))
-    _require_finite(ctx, "R_n", out)
+            out[rest] = _by_blocks(
+                ctx, z, phi(ctx.map, z), ctx.quad_e,
+                lambda _, targets: _rn(ctx.phi_n_on_e, ctx.n, targets))
+    _require_finite(ctx, "R_n", out, np.isnan(ctx.phi_n_on_e).any())
     return out
 
 
-def _require_finite(ctx, name, values):
-    """Raise UncertifiedError where values (of R_n or r_n at targets near
-    or on the F boundary, |Phi|^n about h^n) left the float range."""
+def _require_finite(ctx, name, values, nan=False):
+    """Raise UncertifiedError where values of name at the targets are not
+    finite: NaN if nan (they come from a NaN density, and a NaN spreads to
+    every transform of it), else out of the float range (near F, |R_n|
+    and |r_n| are about h^n; an overflow may leave NaN parts)."""
     bad = int(np.count_nonzero(~np.isfinite(values)))
     if bad:
+        what = "is NaN" if nan else "overflows"
         raise UncertifiedError(
-            f"degree {ctx.n}: {name} overflows at {bad} target(s) "
+            f"degree {ctx.n}: {name} {what} at {bad} target(s) "
             f"(h = {ctx.map.h:.6g})")
 
 
@@ -270,8 +278,8 @@ def eval_Rn(ctx: FaberContext, z):
     """R_n(z) on E and on the doubly connected exterior domain.
 
     Points in F and non-finite targets are outside the domain of R_n
-    (EvaluationDomainError).  Raises UncertifiedError where R_n leaves the
-    float range: near F, |R_n| is about h^n.
+    (EvaluationDomainError).  Raises UncertifiedError where R_n is NaN or
+    leaves the float range: near F, |R_n| is about h^n.
     """
     zf, in_e, in_f = _classify(ctx, z)
     if np.any(in_f):
@@ -288,37 +296,40 @@ def eval_inv_rn(ctx: FaberContext, z):
     evaluating r_n treat it as a zero of r_n.  Inside F the values are
     interpolated at the 2^e scale of the F density and then scaled back,
     so they underflow gracefully; on and outside F the R_n of eval_Rn is
-    needed, which raises where it overflows.
+    needed, which raises where it overflows.  Raises UncertifiedError
+    where 1/r_n is NaN.
     """
     zf, in_e, in_f = _classify(ctx, z)
     out = np.empty(zf.shape, dtype=complex)
     if np.any(in_f):
         # the ratio form is homogeneous: interpolate 2^e/r_n, then scale
-        e = ctx.exponent
-        rn = _rn_on_f(ctx.data, ctx.phi_n_on_e, ctx.n)
-        density = _inv_rn(ctx, ctx.quad_f.nodes, rn, e)
+        density = _inv_rn(ctx, ctx.data.f_nodes)
         out[in_f] = _ldexp(cauchy_stabilized(density, ctx.quad_f, zf[in_f]),
-                           -e)
+                           -ctx.exponent)
     rest = ~in_f
     if np.any(rest):
         rn = _rn_by_side(ctx, zf[rest], in_e[rest])
-        out[rest] = _inv_rn(ctx, zf[rest], rn)
+        out[rest] = _by_blocks(
+            ctx, zf[rest], None, ctx.quad_f,
+            lambda block, targets: _inv_rn(ctx, targets, rn[block]))
+    # a pole marker is inf; only a NaN density makes a NaN
+    _require_finite(ctx, "1/r_n", out[np.isnan(out)], nan=True)
     return _shaped(out, z)
 
 
 def _reciprocal(inv):
-    """r_n from 1/r_n values; pole markers (non-finite values) become zeros."""
+    """r_n from 1/r_n values; pole markers inf+0j become zeros."""
     with np.errstate(divide="ignore", invalid="ignore"):
         out = 1.0 / inv
-    out[~np.isfinite(inv)] = 0.0
+    out[inv == np.inf + 0.0j] = 0.0
     return out
 
 
 def eval_rn(ctx: FaberContext, z):
     """r_n(z) as the reciprocal of eval_inv_rn; pole markers become zeros.
 
-    Raises UncertifiedError where r_n (like R_n, about h^n near F) leaves
-    the float range.
+    Raises UncertifiedError where 1/r_n is NaN or where r_n (like R_n,
+    about h^n near F) leaves the float range.
     """
     with np.errstate(over="ignore"):  # raises below
         out = _reciprocal(_flat(eval_inv_rn(ctx, z)))
@@ -326,24 +337,10 @@ def eval_rn(ctx: FaberContext, z):
     return _shaped(out, z)
 
 
-def _scan_rn(ctx, scan):
-    """R_n 2^-s at the points of a scan, s = scan.shift n: the transform
-    across E, with (Phi 2^-scan.shift)^n as the subtracted value."""
-    phi_n = _ldexp(scan.phi, -scan.shift) ** ctx.n
-    return scan.across_e(ctx.phi_n_on_e, phi_n, -scan.shift * ctx.n)
-
-
-def _scaled_inv_rn(ctx, scan):
-    """2^s/r_n at the points of a scan, s = scan.shift n: R_n 2^-s by
-    _scan_rn, then 1/R_n across F (see _pole_marked)."""
-    return _pole_marked(ctx, _scan_rn(ctx, scan), scan.across_f,
-                        scan.shift * ctx.n)
-
-
 def _scan_inv_rn(ctx, scan):
-    """1/r_n at the points of a scan; on F it underflows to 0 where
-    h^-n leaves the float range."""
-    return _ldexp(_scaled_inv_rn(ctx, scan), -scan.shift * ctx.n)
+    """1/r_n at the points of a boundary target set; on F it underflows to
+    0 where h^-n leaves the float range."""
+    return _ldexp(_inv_rn(ctx, scan), -scan.shift * ctx.n)
 
 
 def _side_maxima(contexts, scan, region, magnitude):
@@ -354,17 +351,20 @@ def _side_maxima(contexts, scan, region, magnitude):
     half_width = 1.0 / scan.t.size
     best, searches = [], []
     for ctx in contexts:
-        vals = magnitude(_scaled_inv_rn(ctx, scan))
+        vals = magnitude(_inv_rn(ctx, scan))
         i = int(np.argmax(vals))
         best.append(float(vals[i]))
         t0 = float(scan.t[i])
         searches.append(_bounded_brent(t0 - half_width, t0 + half_width))
 
     def negated(t, lanes):
-        points = _scan(data, region, t)
-        return [-float(magnitude(_scaled_inv_rn(contexts[k],
-                                                points.row(row)))[0])
-                for row, k in enumerate(lanes)]
+        # every lane is a one-point target set on the round's points
+        z = region.boundary_point(t)
+        phi_z = phi(data.map, z)
+        return [-float(magnitude(_inv_rn(contexts[k], _Scan(
+                    data.quad_e, data.quad_f, z[i:i + 1], phi_z[i:i + 1],
+                    scan.shift)))[0])
+                for i, k in enumerate(lanes)]
 
     return [max(top, -least)
             for top, least in zip(best, lockstep(searches, negated))]
@@ -377,11 +377,11 @@ def empirical_ratios(contexts) -> list:
     through the scan kernels of the data) gives the best parameter, and
     scipy's bounded Brent search (xatol 1e-12) refines it within one scan
     step.  The searches of all contexts run in lockstep (search.lockstep):
-    each round evaluates their pending abscissae on one batched scan (one
-    boundary_point, one phi, two kernels) and applies each context's
-    densities to its own row.  phi gives each point its one-point value
-    and each row is a one-target kernel, so every search takes exactly the
-    values, and therefore the steps, of its own one-point search.  A grid
+    each round takes the points of their pending abscissae from one
+    boundary_point and one phi, and applies each context's densities on
+    its own one-point target set.  phi gives each point its one-point
+    value, so every search takes exactly the values, and therefore the
+    steps, of its own one-point search.  A grid
     of candidates or another bracketing search would land on other
     near-corner and near-node spikes of the transforms and move the
     witnesses; Brent's iterates keep those of the per-degree search.
@@ -460,7 +460,8 @@ def count_zeros(ctx: FaberContext) -> int:
     is not n; the errors of psi_boundary and eval_Rn pass through.
     """
     h = ctx.map.h
-    sup_rn = float(np.abs(_scan_rn(ctx, ctx.data.scans[0])).max())
+    sup_rn = float(np.abs(_rn(ctx.phi_n_on_e, ctx.n,
+                                ctx.data.scans[0])).max())
     # g(infinity) is the constant coefficient: F is bounded (case A1)
     phi_inf = math.exp(ctx.map.coef[0].real)
     rho_min = (1.02 * (1.0 + sup_rn)) ** (1.0 / ctx.n) if ctx.n else math.inf

@@ -270,17 +270,6 @@ class CauchyKernel:
                       _ldexp(self.quad.weights[hit] * deriv[hit], exponent))
         return f_at + total / _TWO_PI_I
 
-    def row(self, i: int) -> CauchyKernel:
-        """The kernel at its i-th target alone, bit for bit the kernel
-        cauchy_kernel builds at that one target."""
-        near = self.near_rows == i
-        hit = self.hit_rows == i
-        return CauchyKernel(
-            self.quad, self.matrix[i:i + 1], self.row_sums[i:i + 1],
-            np.zeros(np.count_nonzero(near), dtype=int), self.near_cols[near],
-            self.near_diff[near], np.zeros(np.count_nonzero(hit), dtype=int),
-            self.hit_cols[hit])
-
     def plain(self, values):
         """sum_j values_j w_j/(zeta_j - z_i) at the kernel's targets; a row
         with a node hit is flagged inf."""

@@ -68,9 +68,9 @@ def unscaled_context(data, n):
     """Reference for degree_context in the unscaled arithmetic it replaced:
     (Phi^n on E, 1/R_n on F), R_n on F by cauchy_boundary at the F nodes
     with Phi^n itself as the subtracted value."""
-    phi_n_on_e = data.phi_e ** n
+    phi_n_on_e = data.e_nodes.phi ** n
     rn = cauchy_boundary(phi_n_on_e, data.quad_e, data.quad_f.nodes,
-                         data.phi_f ** n)
+                         data.f_nodes.phi ** n)
     return phi_n_on_e, 1.0 / rn
 
 
@@ -101,7 +101,7 @@ def unscaled_witness(data, n):
         t0, half_width = float(scan.t[i]), 1.0 / scan.t.size
 
         def fun(t):
-            point = _scan(data, region, np.array([t]))
+            point = _scan(data, region, scan.shift, np.array([t]))
             return -float(magnitude(_unscaled_inv_rn(
                 n, phi_n_on_e, inv_rn_on_f, point))[0])
 

@@ -189,6 +189,15 @@ def test_faber_shift_certificate_attains_the_annulus_decay(
     assert cert == pytest.approx(disk_map.h ** -5, rel=1e-6)
 
 
+def test_faber_shifts_refuse_non_finite_samples(disk_map):
+    # aaa_fit would raise a plain ValueError on them
+    ctx = build_context(disk_map, 3, n_quad=128)
+    broken = dataclasses.replace(
+        ctx, inv_rn_on_f=np.full_like(ctx.inv_rn_on_f, np.nan))
+    with pytest.raises(UncertifiedError, match="r_k is not finite at 512 "):
+        faber_shifts(broken)
+
+
 def _pointwise_faber_shifts(ctx):
     """faber_shifts with r_k sampled pointwise by direct_inv_rn at the
     scan params, not through the scan kernels; returns

@@ -166,6 +166,74 @@ def test_non_finite_targets_are_outside_the_domain(disk_map):
             evaluate(ctx, z)
 
 
+@functools.cache
+def _far_disks_context():
+    return build_context(mobius_two_disks(disk(0.0, 1.0), disk(4.0, 1.0)),
+                         3, n_quad=128)
+
+
+# inside E, in the gap and inside F of the disks (0, 1) and (4, 1)
+_NAN_TARGETS = np.array([0.5, 1.5 + 0.5j, 4.2])
+
+
+def test_a_nan_f_density_makes_nan_errors_not_values():
+    ctx = _far_disks_context()
+    broken = dataclasses.replace(
+        ctx, inv_rn_on_f=np.full_like(ctx.inv_rn_on_f, np.nan))
+    for evaluate in (eval_inv_rn, eval_rn):
+        with pytest.raises(UncertifiedError,
+                           match="degree 3: 1/r_n is NaN at 3 target"):
+            evaluate(broken, _NAN_TARGETS)
+
+
+def test_a_nan_e_density_is_not_reported_as_an_overflow():
+    ctx = _far_disks_context()
+    broken = dataclasses.replace(
+        ctx, phi_n_on_e=np.full_like(ctx.phi_n_on_e, np.nan))
+    for evaluate, z in ((eval_Rn, _NAN_TARGETS[:2]),
+                        (eval_inv_rn, _NAN_TARGETS),
+                        (eval_rn, _NAN_TARGETS)):
+        with pytest.raises(UncertifiedError,
+                           match="degree 3: R_n is NaN at 2 target"):
+            evaluate(broken, z)
+
+
+def test_only_pole_markers_become_zeros_of_r_n():
+    inv = np.array([np.inf + 0.0j, complex(np.nan, 0.0), 2.0, 0.5j])
+    out = _reciprocal(inv)
+    assert out[0] == 0.0 and np.isnan(out[1])
+    assert np.array_equal(out[2:], [0.5, -2.0j])
+
+
+def test_evaluations_do_not_depend_on_the_block_size(ctx6, monkeypatch):
+    # a grid over inside E, the gap and inside F; in blocks of 3 targets
+    # no target is alone in its block, where a one-row product would
+    # round differently from a longer one
+    xs, ys = np.linspace(-1.9, 1.9, 37), np.linspace(-0.6, 0.6, 9)
+    zz = (xs[None, :] + 1j * ys[:, None]).ravel()
+    in_e, _ = contains_many(ctx6.map.region_e, zz)
+    in_f, _ = contains_many(ctx6.map.region_f, zz)
+    sizes = [np.count_nonzero(m) for m in (in_e, in_f, ~in_e & ~in_f, ~in_f)]
+    assert min(sizes) > 1 and all(size % 3 != 1 for size in sizes)
+
+    def evaluate():
+        return (eval_Rn(ctx6, zz[~in_f]), eval_inv_rn(ctx6, zz),
+                eval_rn(ctx6, zz))
+
+    whole = evaluate()
+    monkeypatch.setattr(quadrature, "_CHUNK", 3 * len(ctx6.quad_e))
+    for blocked, expect in zip(evaluate(), whole):
+        assert np.array_equal(blocked, expect)
+
+
+def test_count_zeros_builds_only_the_scan_kernel_it_reads(disk_map):
+    data = boundary_data(disk_map, 128)
+    assert count_zeros(degree_context(data, 3)) == 3
+    e_scan, f_scan = data.scans
+    assert set(vars(e_scan)) & {"across_e", "across_f"} == {"across_e"}
+    assert not set(vars(f_scan)) & {"across_e", "across_f"}
+
+
 def test_rational_blows_up_inside_f(disk_map, ctx6):
     # |Phi| > h inside F, so |r_n| exceeds the boundary modulus there
     vals = np.abs(eval_rn(ctx6, np.array([-1.0 + 0.15j, -0.75])))
@@ -459,8 +527,9 @@ def test_boundary_evaluators_match_the_classifying_one(rect_pair, rect_ctx):
     e, f = rect_pair
     t = np.linspace(0.0, 1.0, 300, endpoint=False)
     # the unclassified boundary path of empirical_ratio's refinement
-    for region in (e, f):
-        scan = _scan(rect_ctx.data, region, t)
+    for region, nodes in zip((e, f), (rect_ctx.data.e_nodes,
+                                      rect_ctx.data.f_nodes)):
+        scan = _scan(rect_ctx.data, region, nodes.shift, t)
         assert np.array_equal(
             _reciprocal(_scan_inv_rn(rect_ctx, scan)),
             eval_rn(rect_ctx, region.boundary_point(t)))

@@ -1,7 +1,8 @@
 """Source-level rules for the package: no catch-all handlers, no assert,
 no private helper or constant without a reader, no value equality on array
-fields, no block budget read outside quadrature, and no scipy.optimize
-loaded by the command line."""
+fields, no block budget read outside quadrature, no Cauchy kernel formed in
+faber outside its target sets, and no scipy.optimize loaded by the command
+line."""
 
 import ast
 import os
@@ -108,6 +109,30 @@ def _block_budget_readers(paths):
                       path.read_text(), filename=str(path))))
 
 
+def _kernels_outside_target_sets(path):
+    """(line, name) for every place in path (faber.py) that names
+    cauchy_boundary, or cauchy_kernel outside the class _Scan, other than
+    an import of cauchy_kernel (a docstring does not count): faber forms
+    every kernel in its target sets."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    in_scan = {id(node) for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef) and cls.name == "_Scan"
+               for node in ast.walk(cls)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names} - {"cauchy_kernel"}
+        elif isinstance(node, ast.Name) and id(node) not in in_scan:
+            names = {node.id}
+        elif isinstance(node, ast.Attribute) and id(node) not in in_scan:
+            names = {node.attr}
+        else:
+            continue
+        found.extend((node.lineno, name) for name in sorted(
+            names & {"cauchy_boundary", "cauchy_kernel"}))
+    return sorted(found)
+
+
 def test_sources_are_found():
     assert any(path.name == "__init__.py" for path in SOURCES)
 
@@ -123,6 +148,11 @@ def test_every_private_helper_has_a_caller():
 
 def test_only_quadrature_reads_the_block_budget():
     assert _block_budget_readers(SOURCES) == []
+
+
+def test_faber_forms_kernels_only_in_its_target_sets():
+    faber = next(path for path in SOURCES if path.name == "faber.py")
+    assert _kernels_outside_target_sets(faber) == []
 
 
 def test_the_cli_loads_no_scipy_optimize():
@@ -189,3 +219,24 @@ def test_a_module_reading_the_block_budget_is_reported(tmp_path):
         (tmp_path / name).write_text(text)
     assert _block_budget_readers(sorted(tmp_path.glob("*.py"))) == [
         "attribute.py", "imported.py"]
+
+
+def test_a_kernel_formed_outside_the_target_sets_is_reported(tmp_path):
+    source = tmp_path / "faber.py"
+    source.write_text(
+        '"""Never through cauchy_boundary."""\n'
+        "from . import quadrature\n"
+        "from .quadrature import cauchy_boundary, cauchy_kernel\n\n\n"
+        "class _Scan:\n"
+        "    def across_e(self):\n"
+        "        return cauchy_kernel(self.quad_e, self.z)\n\n\n"
+        "def _direct(quad, z):\n"
+        "    return cauchy_kernel(quad, z)\n\n\n"
+        "def _qualified(quad, z):\n"
+        "    return quadrature.cauchy_kernel(quad, z)\n\n\n"
+        "def _filtered(values, quad, z):\n"
+        "    return quadrature.cauchy_boundary(values, quad, z, z)\n"
+    )
+    assert _kernels_outside_target_sets(source) == [
+        (3, "cauchy_boundary"), (12, "cauchy_kernel"), (16, "cauchy_kernel"),
+        (20, "cauchy_boundary")]

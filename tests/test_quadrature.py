@@ -190,16 +190,6 @@ def test_kernel_rows_and_exponents(region, n_quad):
     kernel = cauchy_kernel(q, z)
     vals, f_at = np.exp(q.nodes), np.exp(z)
     whole = kernel(vals, f_at)
-    for i in range(z.size):
-        # a row is the kernel built at that one target, bit for bit
-        alone, row = cauchy_kernel(q, z[i:i + 1]), kernel.row(i)
-        for name in ("matrix", "row_sums", "near_rows", "near_cols",
-                     "near_diff", "hit_rows", "hit_cols"):
-            assert np.array_equal(getattr(row, name), getattr(alone, name))
-        assert np.array_equal(row(vals, f_at[i:i + 1]),
-                              alone(vals, f_at[i:i + 1]))
-    assert np.allclose([kernel.row(i)(vals, f_at[i:i + 1])[0]
-                        for i in range(z.size)], whole, rtol=1e-13)
     # the exponent scales the density's products exactly where they stay
     # normal, and a density and f_at both scaled give the scaled result
     for k in (-40, 7, 0):
