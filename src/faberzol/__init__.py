@@ -52,6 +52,7 @@ from .faber import (
     build_context,
     count_zeros,
     degree_context,
+    degree_contexts,
     empirical_ratio,
     empirical_ratios,
     eval_Rn,

@@ -24,7 +24,7 @@ from .errors import (
     QuadratureError,
     UncertifiedError,
 )
-from .faber import FaberContext, _reciprocal, _scan_inv_rn
+from .faber import _reciprocal, _scan_inv_rn
 from .geometry import Region, contains_many, random_points
 from .quadrature import BoundaryQuadrature
 from .rational import aaa_fit, poles_zeros
@@ -222,45 +222,64 @@ def _pick_near(candidates, region, samples, k, label):
     if candidates.size > k:
         warnings.warn(
             f"{candidates.size} {label} resolved; keeping the {k} nearest",
-            stacklevel=3,
+            stacklevel=4,
         )
     return candidates[np.sort(order[:k])]
 
 
-def faber_shifts(ctx: FaberContext) -> ShiftSet:
-    """Zeros and poles of r_k with k = ctx.n, recovered from boundary fits.
+def faber_shifts(contexts) -> list:
+    """The shift set of each context: zeros and poles of r_k, k = ctx.n,
+    recovered from boundary fits; the contexts share one BoundaryData.
 
     r_k is sampled at the dense-scan points of each boundary (4 n_quad of
-    them, through the scan kernels of ctx.data, which are built once per
-    boundary data and shared by every k) and fit by AAA; kappa are the
-    zeros of the E-side fit, tau the poles of the F-side fit.
+    them), whose kernels are built part by part once for all the
+    contexts, and fit by AAA; kappa are the zeros of the E-side fit, tau
+    the poles of the F-side fit.  Each set equals that of a call with its
+    context alone, bit for bit.  Raises for the first context, E side
+    before F side, whose samples are not finite or whose fit does not
+    resolve k zeros or poles.
     """
-    k = ctx.n
-    if k < 1:
+    contexts = list(contexts)
+    if any(ctx.n < 1 for ctx in contexts):
         raise ValueError("need at least one shift")
+    if not contexts:
+        return []
+    data = contexts[0].data
+    if any(ctx.data is not data for ctx in contexts):
+        raise ValueError("contexts must share one BoundaryData")
+    sides = [(scan, region, want, _scan_inv_rn(contexts, scan))
+             for scan, region, want in (
+                 (data.e_scan, data.map.region_e, "zeros"),
+                 (data.f_scan, data.map.region_f, "poles"))]
     shift_sets = []
-    for scan, region, want in zip(ctx.data.scans,
-                                  (ctx.map.region_e, ctx.map.region_f),
-                                  ("zeros", "poles")):
-        z = scan.z
-        f = _reciprocal(_scan_inv_rn(ctx, scan))
-        bad = int(np.count_nonzero(~np.isfinite(f)))
-        if bad:  # aaa_fit takes finite samples only
-            raise UncertifiedError(f"shifts uncertified: r_k is not finite "
-                                   f"at {bad} boundary sample(s)")
-        fit = aaa_fit(z, f, 1e-12, k + 12)  # tol, max_degree
-        scale = float(np.max(np.abs(f)))
-        if fit.residual > 1e-6 * scale:
-            raise UncertifiedError(
-                "shifts uncertified: boundary fit residual "
-                f"{fit.residual / scale:.2e} exceeds 1e-06"
-            )
-        poles, zeros = poles_zeros(fit)
-        span = float(np.abs(z - z.mean()).max())
-        poles, zeros = _drop_doublets(poles, zeros, 1e-5 * span)
-        cand = zeros if want == "zeros" else poles
-        shift_sets.append(_pick_near(cand, region, z, k, want))
-    return ShiftSet("faber", tuple(shift_sets[0]), tuple(shift_sets[1]))
+    for i, ctx in enumerate(contexts):
+        picked = []
+        for scan, region, want, inv in sides:
+            picked.append(tuple(_fit_shifts(
+                scan.z, region, want, _reciprocal(inv[i]), ctx.n)))
+        shift_sets.append(ShiftSet("faber", *picked))
+    return shift_sets
+
+
+def _fit_shifts(z, region, want, f, k):
+    """The k zeros (want "zeros") or poles of an AAA fit of samples f of r_k
+    at the boundary points z of region, nearest the region."""
+    bad = int(np.count_nonzero(~np.isfinite(f)))
+    if bad:  # aaa_fit takes finite samples only
+        raise UncertifiedError(f"shifts uncertified: r_k is not finite "
+                               f"at {bad} boundary sample(s)")
+    fit = aaa_fit(z, f, 1e-12, k + 12)  # tol, max_degree
+    scale = float(np.max(np.abs(f)))
+    if fit.residual > 1e-6 * scale:
+        raise UncertifiedError(
+            "shifts uncertified: boundary fit residual "
+            f"{fit.residual / scale:.2e} exceeds 1e-06"
+        )
+    poles, zeros = poles_zeros(fit)
+    span = float(np.abs(z - z.mean()).max())
+    poles, zeros = _drop_doublets(poles, zeros, 1e-5 * span)
+    cand = zeros if want == "zeros" else poles
+    return _pick_near(cand, region, z, k, want)
 
 
 def fejer_shifts(amap, k: int) -> ShiftSet:

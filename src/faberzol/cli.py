@@ -19,6 +19,7 @@ import numpy as np
 
 from . import __version__
 from .adi import (
+    ShiftSet,
     adi_iterate,
     error_certificate,
     faber_shifts,
@@ -39,7 +40,7 @@ from .errors import FaberzolError, UncertifiedError
 from .faber import (
     boundary_data,
     build_context,
-    degree_context,
+    degree_contexts,
     empirical_ratios,
     eval_rn,
 )
@@ -275,12 +276,12 @@ def _witnesses(data, degrees):
     """empirical_ratios of the degree contexts on data, in one lockstep
     search; the lowest degree whose context or witness fails raises."""
     contexts = []
-    for n in degrees:
-        try:
-            contexts.append(degree_context(data, n))
-        except UncertifiedError:
-            empirical_ratios(contexts)  # a lower degree's failure comes first
-            raise
+    try:
+        for ctx in degree_contexts(data, degrees):
+            contexts.append(ctx)
+    except UncertifiedError:
+        empirical_ratios(contexts)  # a lower degree's failure comes first
+        raise
     return empirical_ratios(contexts)
 
 
@@ -305,23 +306,28 @@ def _quads(nq, region_e, region_f):
             boundary_samples(boundary_region(region_f), max(nq, 512)))
 
 
-def _shift_maker(kind, nq, amap, quads):
-    """k -> the k-shift set of this kind; the boundary data that does not
-    depend on k is built once.  quads are the rules of _quads, used by
-    Leja shifts only."""
+def _shift_sets(kind, nq, amap, quads, ks):
+    """The k-shift set of this kind for each k of the range ks.  Faber
+    shifts share one boundary data, whose kernels serve every k at once;
+    the greedy Leja k-set is the prefix of the largest one.  quads are the
+    rules of _quads, used by Leja shifts only."""
     if kind == "faber":
         data = boundary_data(amap, n_quad=nq)
-        return lambda k: faber_shifts(degree_context(data, k))
+        return faber_shifts(degree_contexts(data, ks))
     if kind == "fejer":
-        return lambda k: fejer_shifts(amap, k)
-    return lambda k: leja_shifts(*quads, k)
+        return [fejer_shifts(amap, k) for k in ks]
+    if not ks:
+        return []
+    full = leja_shifts(*quads, ks[-1])
+    return [ShiftSet("leja", full.kappa[:k], full.tau[:k]) for k in ks]
 
 
 def _cmd_shifts(args):
     region_e, region_f, amap, _, meta = _solved_pair(
         args, "shifts --kind faber" if args.kind == "faber" else None)
     quads = _quads(args.nq, region_e, region_f) if args.kind == "leja" else None
-    shifts = _shift_maker(args.kind, args.nq, amap, quads)(args.k)
+    shifts, = _shift_sets(args.kind, args.nq, amap, quads,
+                          range(args.k, args.k + 1))
     _write_json(args.out, {
         "kind": shifts.kind,
         "k": shifts.k,
@@ -337,11 +343,16 @@ def _cmd_adi(args):
     problem = sylvester_problem(region_e, region_f, args.m, args.p,
                                 seed=args.seed)
     quads = _quads(args.nq, region_e, region_f)
-    shift_set = _shift_maker(args.kind, args.nq, amap, quads)
+    shift_sets = _shift_sets(args.kind, args.nq, amap, quads,
+                             range(1, args.k + 1))
+    # each Leja k-set is a prefix of the last: one run has every iterate
+    leja_run = (adi_iterate(problem, shift_sets[-1])
+                if args.kind == "leja" and shift_sets else None)
     rows = [[0, 1.0, 1.0, 1.0]]
-    for k in range(1, args.k + 1):
-        shifts = shift_set(k)
-        rel = problem.relative_error(adi_iterate(problem, shifts)[-1])
+    for k, shifts in enumerate(shift_sets, start=1):
+        x = (adi_iterate(problem, shifts)[-1] if leja_run is None
+             else leja_run[k - 1])
+        rel = problem.relative_error(x)
         cert = error_certificate(shifts, *quads)
         rows.append([k, rel, cert, zolotarev_upper(gc, k).upper])
     _write_csv(args.out, meta, "adi",
@@ -408,8 +419,9 @@ def _build_parser():
         sp.add_argument("--out", required=True, help="output file")
         sp.add_argument("--nq", type=at_least(64), default=512,
                         help="boundary quadrature size; bound --empirical, "
-                             "shifts --kind faber and adi --kind faber also "
-                             "build 256*nq^2 bytes of scan kernels")
+                             "shifts --kind faber and adi --kind faber apply "
+                             "its Cauchy kernels in parts of at most 2 MiB, "
+                             "each part for all their degrees")
         sp.add_argument("--tol", type=positive, default=1e-8,
                         help="map solver residual target")
         sp.add_argument("--seed", type=at_least(0), default=0)

@@ -36,6 +36,9 @@ from .search import _bounded_brent, lockstep
 
 _POLE_EPS = 1e-14  # |R_n| below this marks a pole of 1/r_n (a zero of r_n)
 _NEWTON_STEPS = 30  # per stage of _level_curve
+# Kernel entries of one part of _by_blocks (1 MiB a kernel), so that a
+# part's kernel stays in a core's cache while it serves every lane.
+_PART = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,7 +47,8 @@ class _Scan:
     the power-of-two shift of Phi on the boundary the set was built on
     (round(log2 h) on F, else 0) and, on a boundary, the parameters t of
     the points.  The kernels across E and across F at z are built on first
-    read and then kept; faber forms no kernel anywhere else."""
+    read and then kept; faber forms no kernel anywhere else, and reads them
+    only on a set that fits one part (_parts) or on one point."""
 
     quad_e: BoundaryQuadrature
     quad_f: BoundaryQuadrature
@@ -62,17 +66,58 @@ class _Scan:
         return cauchy_kernel(self.quad_f, self.z)
 
 
+def _parts(targets: _Scan):
+    """(block, target set) over the _blocks of kernels over n_quad nodes at
+    the points of targets, each of at most _PART entries, save that a lone
+    last point joins the block before it: targets itself when that leaves
+    one block, so that it keeps its kernels, else a fresh set for each
+    block, whose kernels go with it."""
+    blocks = list(_blocks(targets.z.size, len(targets.quad_e), _PART))
+    if len(blocks) > 1 and blocks[-1].stop - blocks[-1].start == 1:
+        blocks[-2:] = [slice(blocks[-2].start, blocks[-1].stop)]
+    if len(blocks) == 1:
+        yield blocks[0], targets
+        return
+    z, phi_z = targets.z, targets.phi
+    for block in blocks:
+        yield block, _Scan(targets.quad_e, targets.quad_f, z[block],
+                           None if phi_z is None else phi_z[block],
+                           targets.shift)
+
+
+def _by_blocks(targets: _Scan, lanes: int, evaluate):
+    """The values of `lanes` lanes at the points of targets, one row per
+    lane, over the _parts of targets: evaluate(block, part) gives every
+    lane's values at the part's points, so each part's kernels serve every
+    lane before the next part is built.
+
+    A block of 2 or more rows rounds its matrix-vector products as the same
+    rows of one product over all the targets, so a lane's values depend
+    neither on the blocks nor on the other lanes.  One row alone rounds
+    like a one-point target set, and _parts leaves a block of one row only
+    to targets of one point.
+    """
+    out = np.empty((lanes, targets.z.size), dtype=complex)
+    if lanes:
+        for block, part in _parts(targets):
+            out[:, block] = evaluate(block, part)
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class BoundaryData:
     """Degree-independent boundary data of one map at one quadrature size.
 
-    Holds the two boundary quadratures and the target sets of their nodes.
-    boundary_data builds the kernel across E at the F nodes (4 MiB at 512
-    nodes), so that every degree n built on it (degree_context) costs a
-    power of the cached Phi and one application of that kernel.  The other
-    node kernels (for targets inside E and F) and the dense scans (for
-    empirical_ratios, count_zeros and adi.faber_shifts) are built on first
-    use; all then serve every degree.
+    Holds the two boundary quadratures and the target sets of their nodes
+    and, built on first use, of the two dense boundary scans (points, Phi
+    there and boundary parameters).  A set's kernels are applied part by
+    part (_by_blocks), each part's for every degree of the call:
+    degree_contexts applies the kernel across E at the F nodes for all its
+    degrees, empirical_ratios and adi.faber_shifts the four scan kernels
+    for all their contexts.  Only a set that fits one part, of at most
+    _PART kernel entries, keeps its kernels between calls: the node sets
+    up to 256 nodes, whose kernel across E at the F nodes boundary_data
+    builds at once, and the scans up to 128.
     """
 
     map: AnnulusMap
@@ -82,18 +127,16 @@ class BoundaryData:
     f_nodes: _Scan
 
     @functools.cached_property
-    def scans(self):
-        """(E scan, F scan) at t = i/(4 len(quad_e)), i < 4 len(quad_e).
+    def e_scan(self) -> _Scan:
+        """The E-boundary points at t = i/(4 len(quad_e)), i < 4 len(quad_e):
+        where empirical_ratios scans |r_n|, count_zeros |R_n| and
+        adi.faber_shifts samples r_k for its fits."""
+        return _dense_scan(self, self.map.region_e, self.e_nodes.shift)
 
-        The points where empirical_ratios scans |r_n| and where
-        adi.faber_shifts samples r_k for its fits; each degree then costs
-        four matrix-vector products.  Each of the four kernels takes
-        64 n_quad^2 bytes (16 MiB at 512 nodes).
-        """
-        n_samples = 4 * len(self.quad_e)
-        t = np.arange(n_samples) / n_samples
-        return (_scan(self, self.map.region_e, self.e_nodes.shift, t),
-                _scan(self, self.map.region_f, self.f_nodes.shift, t))
+    @functools.cached_property
+    def f_scan(self) -> _Scan:
+        """The F-boundary points at the parameters of e_scan."""
+        return _dense_scan(self, self.map.region_f, self.f_nodes.shift)
 
 
 def _scan(data: BoundaryData, region, shift: int, t) -> _Scan:
@@ -103,9 +146,17 @@ def _scan(data: BoundaryData, region, shift: int, t) -> _Scan:
     return _Scan(data.quad_e, data.quad_f, z, phi(data.map, z), shift, t)
 
 
+def _dense_scan(data: BoundaryData, region, shift: int) -> _Scan:
+    """The target set of data at t = i/(4 n_quad), i < 4 n_quad, on the
+    boundary of region."""
+    n_samples = 4 * len(data.quad_e)
+    return _scan(data, region, shift, np.arange(n_samples) / n_samples)
+
+
 def boundary_data(amap, n_quad: int = 512) -> BoundaryData:
     """Boundary quadratures of n_quad nodes (>= 64), the target sets of
-    their nodes, and the kernel across E at the F nodes."""
+    their nodes and, where a node set fits one part (n_quad <= 256), the
+    kernel across E at the F nodes."""
     if n_quad < 64:
         raise ValueError("need at least 64 quadrature nodes per boundary")
     if isinstance(amap.region_f, ExteriorOf):
@@ -118,7 +169,8 @@ def boundary_data(amap, n_quad: int = 512) -> BoundaryData:
     e_nodes, f_nodes = (
         _Scan(quad_e, quad_f, quad.nodes, phi(amap, quad.nodes), shift)
         for quad, shift in ((quad_e, 0), (quad_f, round(math.log2(amap.h)))))
-    f_nodes.across_e  # built now: every degree_context applies it
+    if next(_parts(f_nodes))[1] is f_nodes:
+        f_nodes.across_e  # kept and built now: every degree applies it
     return BoundaryData(amap, quad_e, quad_f, e_nodes, f_nodes)
 
 
@@ -160,34 +212,52 @@ def _rn(phi_n_on_e, n: int, targets: _Scan):
     return targets.across_e(phi_n_on_e, phi_n, -targets.shift * n)
 
 
-def degree_context(data: BoundaryData, n: int) -> FaberContext:
-    """The degree-n context on shared boundary data.
+def degree_contexts(data: BoundaryData, degrees):
+    """The degree-n contexts on shared boundary data, one per degree, in
+    order.
 
-    Raises UncertifiedError if the map residual cannot certify
-    |Phi^n| <= 1 on the E boundary, or if the scaled Phi^n or 1/R_n
+    The kernel across E at the F nodes is built part by part once for all
+    the degrees, before the first context is yielded; each context
+    then equals that of degree_context(data, n), bit for bit.  A degree
+    that cannot be certified raises when its turn comes, after the contexts
+    of the degrees before it: UncertifiedError if the map residual cannot
+    certify |Phi^n| <= 1 on the E boundary, or if the scaled Phi^n or 1/R_n
     density on the F boundary is not finite (only where |log2 h - a| n
     passes the float exponent range, a = data.f_nodes.shift: n > 2000 at
     least).
     """
-    if n < 0 or n != int(n):
+    degrees = list(degrees)
+    if any(n < 0 or n != int(n) for n in degrees):
         raise ValueError("degree n must be a non-negative integer")
-    n = int(n)
-    phi_n_on_e = data.e_nodes.phi ** n
-    excess = float(np.abs(phi_n_on_e).max()) - 1.0
-    if excess > 4.0 * n * data.map.residual + 1e-10:
-        raise UncertifiedError(
-            "map residual does not certify |Phi^n| <= 1 on the E boundary "
-            f"(measured max 1 + {excess:.3e})"
-        )
+    checked = []
+    for n in map(int, degrees):
+        phi_n_on_e = data.e_nodes.phi ** n
+        excess = float(np.abs(phi_n_on_e).max()) - 1.0
+        checked.append((n, phi_n_on_e, excess,
+                        excess <= 4.0 * n * data.map.residual + 1e-10))
+    lanes = [(phi_n_on_e, n) for n, phi_n_on_e, _, ok in checked if ok]
     with np.errstate(over="ignore", invalid="ignore"):  # raises below
-        rn_on_f = _rn(phi_n_on_e, n, data.f_nodes)
-    # a finite, nonzero R_n is a finite 1/R_n density
-    if np.all(np.isfinite(rn_on_f) & (rn_on_f != 0.0)):
-        return FaberContext(data, n, phi_n_on_e, 1.0 / rn_on_f,
-                            data.f_nodes.shift * n)
-    raise UncertifiedError(
-        f"degree {n}: Phi^n or 1/R_n overflows on the F boundary "
-        f"(h = {data.map.h:.6g}), so the witness is not finite")
+        rn_on_f = iter(_by_blocks(data.f_nodes, len(lanes), lambda _, part: [
+            _rn(*lane, part) for lane in lanes]))
+    for n, phi_n_on_e, excess, ok in checked:
+        if not ok:
+            raise UncertifiedError(
+                "map residual does not certify |Phi^n| <= 1 on the E "
+                f"boundary (measured max 1 + {excess:.3e})")
+        rn = next(rn_on_f)
+        # a finite, nonzero R_n is a finite 1/R_n density
+        if not np.all(np.isfinite(rn) & (rn != 0.0)):
+            raise UncertifiedError(
+                f"degree {n}: Phi^n or 1/R_n overflows on the F boundary "
+                f"(h = {data.map.h:.6g}), so the witness is not finite")
+        yield FaberContext(data, n, phi_n_on_e, 1.0 / rn,
+                           data.f_nodes.shift * n)
+
+
+def degree_context(data: BoundaryData, n: int) -> FaberContext:
+    """The degree-n context on shared boundary data: the one-degree case of
+    degree_contexts, which names what it raises."""
+    return next(degree_contexts(data, [n]))
 
 
 def build_context(amap, n: int, n_quad: int = 512) -> FaberContext:
@@ -214,17 +284,22 @@ def _inv_rn(ctx, targets: _Scan, rn=None):
     return out
 
 
-def _by_blocks(ctx, z, phi_z, quad, evaluate):
-    """evaluate(block, target set) over flat targets z off the F boundary
-    (shift 0), one target set for each of the _blocks of kernels over
-    quad, joined; phi_z is Phi at z, or None where evaluate forms no R_n
-    by _rn."""
-    out = np.empty(z.shape, dtype=complex)
-    for block in _blocks(z.size, len(quad)):
-        out[block] = evaluate(block, _Scan(
-            ctx.quad_e, ctx.quad_f, z[block],
-            None if phi_z is None else phi_z[block]))
-    return out
+def _rn_at(ctx, targets: _Scan):
+    """R_n 2^-s of ctx (_rn) at the points of targets, by _by_blocks."""
+    return _by_blocks(targets, 1, lambda _, part: [
+        _rn(ctx.phi_n_on_e, ctx.n, part)])[0]
+
+
+def _inv_rn_at(contexts, targets: _Scan):
+    """2^s/r_n (_inv_rn) of each context at the points of targets, one row
+    per context, by _by_blocks.  On each part every context takes its R_n
+    before any takes its 1/r_n, so that each kernel stays in cache while
+    it serves every context."""
+    def evaluate(_, part):
+        rns = [_rn(ctx.phi_n_on_e, ctx.n, part) for ctx in contexts]
+        return [_inv_rn(ctx, part, rn) for ctx, rn in zip(contexts, rns)]
+
+    return _by_blocks(targets, len(contexts), evaluate)
 
 
 def _classify(ctx, z):
@@ -248,15 +323,14 @@ def _rn_by_side(ctx, zf, in_e):
     """
     out = np.empty(zf.shape, dtype=complex)
     if np.any(in_e):
-        density = _rn(ctx.phi_n_on_e, ctx.n, ctx.data.e_nodes)
+        density = _rn_at(ctx, ctx.data.e_nodes)
         out[in_e] = cauchy_stabilized(density, ctx.quad_e, zf[in_e])
     rest = ~in_e
     if np.any(rest):
         z = zf[rest]
         with np.errstate(over="ignore", invalid="ignore"):  # raises below
-            out[rest] = _by_blocks(
-                ctx, z, phi(ctx.map, z), ctx.quad_e,
-                lambda _, targets: _rn(ctx.phi_n_on_e, ctx.n, targets))
+            out[rest] = _rn_at(ctx, _Scan(ctx.quad_e, ctx.quad_f, z,
+                                          phi(ctx.map, z)))
     _require_finite(ctx, "R_n", out, np.isnan(ctx.phi_n_on_e).any())
     return out
 
@@ -303,15 +377,15 @@ def eval_inv_rn(ctx: FaberContext, z):
     out = np.empty(zf.shape, dtype=complex)
     if np.any(in_f):
         # the ratio form is homogeneous: interpolate 2^e/r_n, then scale
-        density = _inv_rn(ctx, ctx.data.f_nodes)
+        density = _inv_rn_at([ctx], ctx.data.f_nodes)[0]
         out[in_f] = _ldexp(cauchy_stabilized(density, ctx.quad_f, zf[in_f]),
                            -ctx.exponent)
     rest = ~in_f
     if np.any(rest):
         rn = _rn_by_side(ctx, zf[rest], in_e[rest])
         out[rest] = _by_blocks(
-            ctx, zf[rest], None, ctx.quad_f,
-            lambda block, targets: _inv_rn(ctx, targets, rn[block]))
+            _Scan(ctx.quad_e, ctx.quad_f, zf[rest], None), 1,
+            lambda block, part: [_inv_rn(ctx, part, rn[block])])[0]
     # a pole marker is inf; only a NaN density makes a NaN
     _require_finite(ctx, "1/r_n", out[np.isnan(out)], nan=True)
     return _shaped(out, z)
@@ -337,10 +411,12 @@ def eval_rn(ctx: FaberContext, z):
     return _shaped(out, z)
 
 
-def _scan_inv_rn(ctx, scan):
-    """1/r_n at the points of a boundary target set; on F it underflows to
-    0 where h^-n leaves the float range."""
-    return _ldexp(_inv_rn(ctx, scan), -scan.shift * ctx.n)
+def _scan_inv_rn(contexts, scan):
+    """1/r_n of each context at the points of a boundary target set, one
+    row per context; on F it underflows to 0 where h^-n leaves the float
+    range."""
+    return [_ldexp(inv, -scan.shift * ctx.n)
+            for ctx, inv in zip(contexts, _inv_rn_at(contexts, scan))]
 
 
 def _side_maxima(contexts, scan, region, magnitude):
@@ -350,8 +426,8 @@ def _side_maxima(contexts, scan, region, magnitude):
     data = contexts[0].data
     half_width = 1.0 / scan.t.size
     best, searches = [], []
-    for ctx in contexts:
-        vals = magnitude(_inv_rn(ctx, scan))
+    for inv in _inv_rn_at(contexts, scan):
+        vals = magnitude(inv)
         i = int(np.argmax(vals))
         best.append(float(vals[i]))
         t0 = float(scan.t[i])
@@ -373,16 +449,16 @@ def _side_maxima(contexts, scan, region, magnitude):
 def empirical_ratios(contexts) -> list:
     """empirical_ratio of each context; the contexts share one BoundaryData.
 
-    For each boundary and context the dense scan (4x the node count,
-    through the scan kernels of the data) gives the best parameter, and
-    scipy's bounded Brent search (xatol 1e-12) refines it within one scan
-    step.  The searches of all contexts run in lockstep (search.lockstep):
-    each round takes the points of their pending abscissae from one
-    boundary_point and one phi, and applies each context's densities on
-    its own one-point target set.  phi gives each point its one-point
-    value, so every search takes exactly the values, and therefore the
-    steps, of its own one-point search.  A grid
-    of candidates or another bracketing search would land on other
+    For each boundary and context the dense scan (4x the node count, its
+    kernels built part by part once for all the contexts) gives the best
+    parameter, and scipy's bounded Brent search (xatol 1e-12) refines it
+    within one scan step.  The searches of all contexts run in lockstep
+    (search.lockstep): each round takes the points of their pending
+    abscissae from one boundary_point and one phi, and applies each
+    context's densities on its own one-point target set.  phi gives each
+    point its one-point value, so every search takes exactly the values,
+    and therefore the steps, of its own one-point search.  A grid of
+    candidates or another bracketing search would land on other
     near-corner and near-node spikes of the transforms and move the
     witnesses; Brent's iterates keep those of the per-degree search.
 
@@ -400,9 +476,10 @@ def empirical_ratios(contexts) -> list:
     # max |r_n| on the E boundary, max |2^e/r_n| on the F boundary
     max_e, max_f = (
         _side_maxima(contexts, scan, region, magnitude)
-        for scan, region, magnitude in zip(
-            data.scans, (data.map.region_e, data.map.region_f),
-            (lambda inv: np.abs(_reciprocal(inv)), np.abs)))
+        for scan, region, magnitude in (
+            (data.e_scan, data.map.region_e,
+             lambda inv: np.abs(_reciprocal(inv))),
+            (data.f_scan, data.map.region_f, np.abs)))
     ratios = []
     for ctx, top_e, top_f in zip(contexts, max_e, max_f):
         ratio = math.ldexp(top_e * top_f, -ctx.exponent)
@@ -460,8 +537,7 @@ def count_zeros(ctx: FaberContext) -> int:
     is not n; the errors of psi_boundary and eval_Rn pass through.
     """
     h = ctx.map.h
-    sup_rn = float(np.abs(_rn(ctx.phi_n_on_e, ctx.n,
-                                ctx.data.scans[0])).max())
+    sup_rn = float(np.abs(_rn_at(ctx, ctx.data.e_scan)).max())
     # g(infinity) is the constant coefficient: F is bounded (case A1)
     phi_inf = math.exp(ctx.map.coef[0].real)
     rho_min = (1.02 * (1.0 + sup_rn)) ** (1.0 / ctx.n) if ctx.n else math.inf

@@ -259,10 +259,11 @@ class CauchyKernel:
         f_at = np.asarray(f_at, dtype=complex)
         total = _ldexp(self.matrix @ vals, exponent) - f_at * self.row_sums
         near = self.near_cols
-        terms = _ldexp(vals[near], exponent) - f_at[self.near_rows]
-        terms *= self.quad.weights[near]
-        terms /= self.near_diff
-        np.add.at(total, self.near_rows, terms)
+        if near.size:
+            terms = _ldexp(vals[near], exponent) - f_at[self.near_rows]
+            terms *= self.quad.weights[near]
+            terms /= self.near_diff
+            np.add.at(total, self.near_rows, terms)
         if self.hit_rows.size:
             deriv = _nodal_derivative(vals, self.quad)
             hit = self.hit_cols

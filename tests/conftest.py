@@ -10,7 +10,7 @@ from faberzol.conformal import mobius_two_disks, phi, solve_annulus_map
 from faberzol.faber import _POLE_EPS, _reciprocal, _scan
 from faberzol.geometry import disk, rectangle
 from faberzol.quadrature import (_HIT_RTOL, _ldexp, _nodal_derivative,
-                                 cauchy_boundary)
+                                 cauchy_boundary, cauchy_kernel)
 
 
 def two_disk_h(c1, r1, c2, r2):
@@ -75,11 +75,13 @@ def unscaled_context(data, n):
 
 
 def _unscaled_inv_rn(n, phi_n_on_e, inv_rn_on_f, scan):
-    rn = scan.across_e(phi_n_on_e, scan.phi ** n)
+    """1/r_n at the points of scan through one kernel per boundary over
+    all of them, built here."""
+    rn = cauchy_kernel(scan.quad_e, scan.z)(phi_n_on_e, scan.phi ** n)
     small = np.abs(rn) < _POLE_EPS
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = np.where(small, 0.0, 1.0 / rn)
-    out = scan.across_f(inv_rn_on_f, inv)
+    out = cauchy_kernel(scan.quad_f, scan.z)(inv_rn_on_f, inv)
     out[small] = np.inf + 0.0j
     return out
 
@@ -93,9 +95,9 @@ def unscaled_witness(data, n):
     phi_n_on_e, inv_rn_on_f = unscaled_context(data, n)
     ratio, evaluations = 1.0, []
     for scan, region, magnitude in (
-            (data.scans[0], data.map.region_e,
+            (data.e_scan, data.map.region_e,
              lambda inv: np.abs(_reciprocal(inv))),
-            (data.scans[1], data.map.region_f, np.abs)):
+            (data.f_scan, data.map.region_f, np.abs)):
         vals = magnitude(_unscaled_inv_rn(n, phi_n_on_e, inv_rn_on_f, scan))
         i = int(np.argmax(vals))
         t0, half_width = float(scan.t[i]), 1.0 / scan.t.size

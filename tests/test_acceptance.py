@@ -188,7 +188,7 @@ def test_adi_error_within_bound_and_certificates_track_rate(
     gc = GeometryConstants.from_regions(e, f, rect_map.h)
     problem = sylvester_problem(e, f, 100, seed=0)
     ctx = build_context(rect_map, 8, n_quad=512)
-    shifts = faber_shifts(ctx)
+    shifts, = faber_shifts([ctx])
     err = problem.relative_error(adi_iterate(problem, shifts)[-1])
     cert = error_certificate(shifts, ctx.quad_e, ctx.quad_f)
     bound = zolotarev_upper(gc, 8)
@@ -325,7 +325,7 @@ def test_inequality_and_property_suites_have_zero_violations(
     qe, qf = boundary_samples(e, 600), boundary_samples(f, 600)
     for k in (3, 8):
         for shifts in (
-            faber_shifts(build_context(disk_map, k, n_quad=256)),
+            faber_shifts([build_context(disk_map, k, n_quad=256)])[0],
             fejer_shifts(disk_map, k),
             leja_shifts(qe, qf, k),
         ):

@@ -23,6 +23,7 @@ from faberzol.faber import (
     boundary_data,
     build_context,
     degree_context,
+    degree_contexts,
 )
 from faberzol.geometry import boundary_samples, contains_many, disk
 from faberzol.rational import aaa_fit, poles_zeros
@@ -184,7 +185,7 @@ def test_faber_shift_certificate_attains_the_annulus_decay(
     # for a disk pair the degree-k rational is optimal, so the
     # certificate matches the lower bound h^(-k)
     ctx = build_context(disk_map, 5, n_quad=256)
-    shifts = faber_shifts(ctx)
+    shifts, = faber_shifts([ctx])
     cert = error_certificate(shifts, *disk_quads)
     assert cert == pytest.approx(disk_map.h ** -5, rel=1e-6)
 
@@ -195,7 +196,7 @@ def test_faber_shifts_refuse_non_finite_samples(disk_map):
     broken = dataclasses.replace(
         ctx, inv_rn_on_f=np.full_like(ctx.inv_rn_on_f, np.nan))
     with pytest.raises(UncertifiedError, match="r_k is not finite at 512 "):
-        faber_shifts(broken)
+        faber_shifts([broken])
 
 
 def _pointwise_faber_shifts(ctx):
@@ -205,8 +206,8 @@ def _pointwise_faber_shifts(ctx):
     k = ctx.n
     picked, spans = [], []
     for scan, region, want in zip(
-            ctx.data.scans, (ctx.map.region_e, ctx.map.region_f),
-            ("zeros", "poles")):
+            (ctx.data.e_scan, ctx.data.f_scan),
+            (ctx.map.region_e, ctx.map.region_f), ("zeros", "poles")):
         z = region.boundary_point(scan.t)
         rk = _reciprocal(direct_inv_rn(ctx, region, scan.t))
         poles, zeros = poles_zeros(aaa_fit(z, rk, 1e-12, k + 12))
@@ -236,7 +237,7 @@ def test_faber_shifts_from_scan_kernels_match_pointwise_fits(
         pair, k, kappa_tol, rect_map, disk_map):
     amap = rect_map if pair == "rect" else disk_map
     ctx = build_context(amap, k, n_quad=512 if pair == "rect" else 256)
-    shifts = faber_shifts(ctx)
+    shifts, = faber_shifts([ctx])
     kappa, tau, span = _pointwise_faber_shifts(ctx)
     assert _matched_distance(shifts.kappa, kappa) <= kappa_tol * span
     # the F-side poles of r_k sit in k-point clusters, where one ulp of
@@ -252,10 +253,39 @@ def test_faber_certificates_hold_on_the_rectangles_for_every_k(
     problem = sylvester_problem(*rect_pair, 60, seed=4)
     quads = [boundary_samples(region, 512) for region in rect_pair]
     data = boundary_data(rect_map)
-    for k in range(1, 7):
-        shifts = faber_shifts(degree_context(data, k))
+    shift_sets = faber_shifts(degree_contexts(data, range(1, 7)))
+    assert [shifts.k for shifts in shift_sets] == list(range(1, 7))
+    for shifts in shift_sets:
         err = problem.relative_error(adi_iterate(problem, shifts)[-1])
         assert err <= error_certificate(shifts, *quads)
+
+
+def test_faber_shifts_of_many_contexts_equal_their_own_calls(disk_map,
+                                                             rect_map):
+    # the scan kernels serve every context of a call, block by block,
+    # and each context's samples round as in a call of its own
+    for amap, nq in ((rect_map, 512), (disk_map, 256)):
+        data = boundary_data(amap, nq)
+        contexts = list(degree_contexts(data, (4, 1, 3)))
+        alone = [faber_shifts([ctx])[0] for ctx in contexts]
+        assert faber_shifts(contexts) == alone
+    assert faber_shifts([]) == []
+    with pytest.raises(ValueError, match="share one BoundaryData"):
+        faber_shifts([contexts[0], build_context(disk_map, 2, n_quad=256)])
+    with pytest.raises(ValueError, match="at least one shift"):
+        faber_shifts([contexts[0], degree_context(data, 0)])
+
+
+def test_leja_k_sets_are_prefixes_and_one_run_gives_every_iterate(
+        disk_problem, disk_quads):
+    # the CLI's adi --kind leja reads row k off one run of the largest set
+    full = leja_shifts(*disk_quads, 6)
+    run = adi_iterate(disk_problem, full)
+    for k in range(1, 7):
+        shifts = leja_shifts(*disk_quads, k)
+        assert shifts == ShiftSet("leja", full.kappa[:k], full.tau[:k])
+        assert np.array_equal(adi_iterate(disk_problem, shifts)[-1],
+                              run[k - 1])
 
 
 def test_fejer_shifts_on_a_tabulated_map_equal_a_fresh_one(rect_map):
@@ -285,7 +315,7 @@ def test_fejer_shift_certificate_on_a_concentric_annulus():
 def test_certificates_are_sound(kind, disk_pair, disk_map, disk_problem,
                                 disk_quads):
     if kind == "faber":
-        shifts = faber_shifts(build_context(disk_map, 5, n_quad=256))
+        shifts, = faber_shifts([build_context(disk_map, 5, n_quad=256)])
     elif kind == "fejer":
         shifts = fejer_shifts(solve_annulus_map(*disk_pair, tol=1e-10), 5)
     else:

@@ -9,7 +9,9 @@ import pytest
 
 from conftest import two_disk_h
 from faberzol import cli, conformal, faber
+from faberzol.adi import leja_shifts, sylvester_problem
 from faberzol.cli import main
+from faberzol.geometry import disk
 
 DISK_PAIR = {
     "e": {"kind": "disk", "center": 1.0, "radius": 0.7},
@@ -153,6 +155,30 @@ def test_adi_builds_its_boundary_tables_once_for_every_k(tmp_path,
     assert len(read_table(out)[2]) == 4
     assert len(kernels) == (5 if kind == "faber" else 0)
     assert len(tables) == (2 if kind == "fejer" else 0)
+
+
+def test_adi_runs_the_largest_leja_set_once_for_every_row(tmp_path,
+                                                          monkeypatch):
+    # each Leja k-set is a prefix of the largest, whose one run holds the
+    # iterate of every row, bit for bit that of a k-step run
+    runs, adi_iterate = [], cli.adi_iterate
+
+    def counted(problem, shifts):
+        runs.append(shifts.k)
+        return adi_iterate(problem, shifts)
+
+    monkeypatch.setattr(cli, "adi_iterate", counted)
+    cfg = write_config(tmp_path, DISK_PAIR)
+    out = tmp_path / "adi.csv"
+    rc = main(["adi", "--config", cfg, "--out", str(out), "--kind", "leja",
+               "--k", "4", "--m", "30"])
+    assert rc == 0 and runs == [4]
+    e, f = disk(1.0, 0.7), disk(-1.0, 0.7)
+    problem = sylvester_problem(e, f, 30, seed=0)
+    quads = cli._quads(512, e, f)
+    for k, row in enumerate(read_table(out)[2][1:], start=1):
+        x = adi_iterate(problem, leja_shifts(*quads, k))[-1]
+        assert float(row[1]) == problem.relative_error(x)
 
 
 def test_svbounds_cauchy_rows_hold(tmp_path):
@@ -488,17 +514,18 @@ def test_bound_exits_with_the_error_of_the_lowest_failing_degree(
     # of degree 2 fails too and is the one reported
     degree_context = faber.degree_context
 
-    def failing_context(data, n):
-        if n >= 3:
-            raise faber.UncertifiedError(f"degree {n}: context fails")
-        ctx = degree_context(data, n)
-        if failing == "witness" and n == 2:
-            nan = np.full_like(ctx.inv_rn_on_f, np.nan)
-            ctx = faber.FaberContext(data, n, ctx.phi_n_on_e, nan,
-                                     ctx.exponent)
-        return ctx
+    def failing_contexts(data, degrees):
+        for n in degrees:
+            if n >= 3:
+                raise faber.UncertifiedError(f"degree {n}: context fails")
+            ctx = degree_context(data, n)
+            if failing == "witness" and n == 2:
+                nan = np.full_like(ctx.inv_rn_on_f, np.nan)
+                ctx = faber.FaberContext(data, n, ctx.phi_n_on_e, nan,
+                                         ctx.exponent)
+            yield ctx
 
-    monkeypatch.setattr(cli, "degree_context", failing_context)
+    monkeypatch.setattr(cli, "degree_contexts", failing_contexts)
     cfg = write_config(tmp_path, DISK_PAIR)
     out = tmp_path / "bounds.csv"
     with np.errstate(invalid="ignore"):

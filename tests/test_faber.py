@@ -9,6 +9,7 @@ import dataclasses
 import functools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from conftest import (
     unscaled_witness,
 )
 from faberzol import faber, quadrature, search
+from faberzol.adi import faber_shifts
 from faberzol.bounds import sup_rn_bound, zolotarev_upper, GeometryConstants
 from faberzol.conformal import (
     ExteriorOf,
@@ -43,6 +45,7 @@ from faberzol.faber import (
     build_context,
     count_zeros,
     degree_context,
+    degree_contexts,
     empirical_ratio,
     empirical_ratios,
     eval_Rn,
@@ -50,7 +53,7 @@ from faberzol.faber import (
     eval_rn,
 )
 from faberzol.geometry import contains_many, disk, rectangle
-from faberzol.quadrature import _ldexp
+from faberzol.quadrature import _ldexp, cauchy_kernel
 from faberzol.rational import aaa_fit
 
 
@@ -229,9 +232,14 @@ def test_evaluations_do_not_depend_on_the_block_size(ctx6, monkeypatch):
 def test_count_zeros_builds_only_the_scan_kernel_it_reads(disk_map):
     data = boundary_data(disk_map, 128)
     assert count_zeros(degree_context(data, 3)) == 3
-    e_scan, f_scan = data.scans
-    assert set(vars(e_scan)) & {"across_e", "across_f"} == {"across_e"}
-    assert not set(vars(f_scan)) & {"across_e", "across_f"}
+    # no F scan; the E scan fits one part at 128 nodes and keeps the one
+    # kernel read, while at 256 nodes it is cut into parts and keeps none
+    assert {"e_scan", "f_scan"} & set(vars(data)) == {"e_scan"}
+    assert {"across_e", "across_f"} & set(vars(data.e_scan)) == {"across_e"}
+    data = boundary_data(disk_map, 256)
+    assert count_zeros(degree_context(data, 3)) == 3
+    assert {"e_scan", "f_scan"} & set(vars(data)) == {"e_scan"}
+    assert not {"across_e", "across_f"} & set(vars(data.e_scan))
 
 
 def test_rational_blows_up_inside_f(disk_map, ctx6):
@@ -391,6 +399,83 @@ def test_bounded_brent_retraces_scipy(fun):
         assert xs == seen and least == res.fun
 
 
+def test_degree_contexts_equal_one_degree_calls_and_raise_in_turn(
+        disk_map, rect_map):
+    # 512 F nodes take 4 parts, whose kernels serve every degree at once
+    data = boundary_data(rect_map, 512)
+    degrees = (3, 1, 7, 0)
+    for n, ctx in zip(degrees, degree_contexts(data, degrees), strict=True):
+        alone = degree_context(data, n)
+        assert ctx.n == n and ctx.exponent == alone.exponent
+        assert np.array_equal(ctx.phi_n_on_e, alone.phi_n_on_e)
+        assert np.array_equal(ctx.inv_rn_on_f, alone.inv_rn_on_f)
+    # a 0.71 circle is not certified for n >= 1: degree 0 comes first
+    wide = boundary_data(dataclasses.replace(
+        disk_map, region_e=disk(1.0, 0.71)), 128)
+    contexts = degree_contexts(wide, (0, 2, 1))
+    assert next(contexts).n == 0
+    with pytest.raises(UncertifiedError, match="measured max 1 \\+ "):
+        next(contexts)
+    with pytest.raises(ValueError):
+        list(degree_contexts(data, (1, -1)))
+
+
+@pytest.mark.parametrize("pair, nq, lone", [("disk", 256, 93),
+                                            ("rect", 512, 89)])
+def test_streamed_scans_equal_whole_scan_kernels_bit_for_bit(
+        pair, nq, lone, disk_map, rect_map, monkeypatch):
+    amap = disk_map if pair == "disk" else rect_map
+    data = boundary_data(amap, nq)
+    contexts = list(degree_contexts(data, range(1, 7)))
+    expect = {}
+    for scan in (data.e_scan, data.f_scan):
+        across_e = cauchy_kernel(data.quad_e, scan.z)
+        across_f = cauchy_kernel(data.quad_f, scan.z)
+        for ctx in contexts:
+            # _rn and _inv_rn through one kernel per boundary over the scan
+            scale = scan.shift * ctx.n
+            rn = across_e(ctx.phi_n_on_e, _ldexp(scan.phi, -scan.shift)
+                          ** ctx.n, -scale)
+            small = np.abs(rn) < math.ldexp(faber._POLE_EPS, -scale)
+            inv = across_f(ctx.inv_rn_on_f, np.where(small, 0.0, 1.0 / rn),
+                           scale - ctx.exponent)
+            inv[small] = np.inf + 0.0j
+            expect[id(scan), ctx.n] = rn, _ldexp(inv, -scale)
+    # blocks of the default part, of 100 rows, and of `lone` rows, which
+    # leave one row alone at the end (4 nq = 1 mod lone) until it joins
+    # the block before it
+    for rows in (None, 100, lone):
+        if rows is not None:
+            monkeypatch.setattr(quadrature, "_CHUNK", rows * nq)
+        for scan in (data.e_scan, data.f_scan):
+            blocks = [block for block, _ in faber._parts(scan)]
+            assert len(blocks) >= 3
+            sizes = [block.stop - block.start for block in blocks]
+            assert min(sizes) >= 2
+            assert rows != lone or sizes[-1] == lone + 1
+            for ctx, inv in zip(contexts, _scan_inv_rn(contexts, scan)):
+                rn, whole_inv = expect[id(scan), ctx.n]
+                assert np.array_equal(faber._rn_at(ctx, scan), rn)
+                assert np.array_equal(inv, whole_inv)
+        # no part outlives the call
+        assert not {"across_e", "across_f"} & (
+            set(vars(data.e_scan)) | set(vars(data.f_scan)))
+
+
+def test_witnesses_and_shifts_hold_no_whole_scan_kernel(rect_map):
+    # one kernel over a whole 512-node scan alone takes 16 MiB
+    for run in (empirical_ratios, faber_shifts):
+        data = boundary_data(rect_map, 512)
+        contexts = list(degree_contexts(data, range(1, 6)))
+        tracemalloc.start()
+        try:
+            run(contexts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2 ** 20
+
+
 def test_degree_context_builds_no_kernel(disk_map, monkeypatch):
     data = boundary_data(disk_map, 128)
     built = []
@@ -459,26 +544,28 @@ def test_shared_data_contexts_equal_fresh_ones(disk_map, rect_map):
 def test_scan_kernels_match_the_pointwise_transform(disk_map, rect_map):
     for amap, nq in _scan_cases(disk_map, rect_map):
         ctx = build_context(amap, 6, n_quad=nq)
-        for scan, region in zip(ctx.data.scans,
-                                (amap.region_e, amap.region_f)):
+        for scan, region in ((ctx.data.e_scan, amap.region_e),
+                             (ctx.data.f_scan, amap.region_f)):
             z = region.boundary_point(scan.t)
             assert np.array_equal(scan.z, z)
+            across_e = cauchy_kernel(ctx.quad_e, scan.z)
+            across_f = cauchy_kernel(ctx.quad_f, scan.z)
             phi_n = scan.phi ** 6
             rn = direct_cauchy_boundary(ctx.phi_n_on_e, ctx.quad_e, z, phi_n)
-            got = scan.across_e(ctx.phi_n_on_e, phi_n)
+            got = across_e(ctx.phi_n_on_e, phi_n)
             assert np.abs(got - rn).max() <= 1e-13 * np.abs(rn).max()
             inv = direct_cauchy_boundary(ctx.inv_rn_on_f, ctx.quad_f, z,
                                          1.0 / rn)
-            got = scan.across_f(ctx.inv_rn_on_f, 1.0 / rn)
+            got = across_f(ctx.inv_rn_on_f, 1.0 / rn)
             assert np.abs(got - inv).max() <= 1e-13 * np.abs(inv).max()
             # the whole chain feeds the rounding of R_n through the F
             # transform, whose sensitivity to f(z) grows near a node
             whole = direct_inv_rn(ctx, region, scan.t)
-            got = _scan_inv_rn(ctx, scan)
+            got, = _scan_inv_rn([ctx], scan)
             assert np.abs(got - whole).max() <= 1e-12 * np.abs(whole).max()
-        if nq == 256:
-            own = (ctx.data.scans[0].across_e, ctx.data.scans[1].across_f)
-            assert all(k.hit_rows.size == nq for k in own)
+            if nq == 256:
+                own = across_e if scan is ctx.data.e_scan else across_f
+                assert own.hit_rows.size == nq
 
 
 def test_array_holding_objects_hash_by_identity(disk_map, rect_map, ctx6):
@@ -487,7 +574,7 @@ def test_array_holding_objects_hash_by_identity(disk_map, rect_map, ctx6):
     fit = aaa_fit(unit, 1.0 / (unit - 2.0), tol=1e-13)
     data = ctx6.data
     for obj in (rect_map, disk_map, rect_map.basis, ctx6, data, data.quad_e,
-                data.scans[0], fit):
+                data.e_scan, fit):
         hash(obj)
         assert obj == obj
     # equality is identity: an equal-valued copy is another object
@@ -531,7 +618,7 @@ def test_boundary_evaluators_match_the_classifying_one(rect_pair, rect_ctx):
                                       rect_ctx.data.f_nodes)):
         scan = _scan(rect_ctx.data, region, nodes.shift, t)
         assert np.array_equal(
-            _reciprocal(_scan_inv_rn(rect_ctx, scan)),
+            _reciprocal(_scan_inv_rn([rect_ctx], scan)[0]),
             eval_rn(rect_ctx, region.boundary_point(t)))
 
 
