@@ -195,10 +195,10 @@ def _meta(args, digest, h, rot_e, rot_f):
 
 
 def _fmt(value) -> str:
+    if isinstance(value, float):  # the common case first; a bool is no float
+        return repr(value)
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
     return str(value)
 
 
@@ -210,7 +210,7 @@ def _write_csv(path, meta, command, columns, rows):
             lines.append(f"# {key}: {_fmt(value)}")
     lines.append(",".join(columns))
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        lines.append(",".join(map(_fmt, row)))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -294,8 +294,7 @@ def _cmd_faber(args):
     ys = np.linspace(bnd.imag.min(), bnd.imag.max(), args.grid)
     zz = (xs[None, :] + 1j * ys[:, None]).ravel()
     vals = np.abs(eval_rn(ctx, zz))
-    rows = [[float(z.real), float(z.imag), float(v)]
-            for z, v in zip(zz, vals)]
+    rows = zip(zz.real.tolist(), zz.imag.tolist(), vals.tolist())
     _write_csv(args.out, meta, "faber", ["re", "im", "abs_rn"], rows)
     return 0
 

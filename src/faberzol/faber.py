@@ -24,8 +24,8 @@ from .errors import EvaluationDomainError, InvalidRegionError, UncertifiedError
 from .quadrature import (
     BoundaryQuadrature,
     CauchyKernel,
-    _blocks,
     _flat,
+    _kernel_blocks,
     _ldexp,
     _shaped,
     cauchy_kernel,
@@ -36,9 +36,6 @@ from .search import _bounded_brent, lockstep
 
 _POLE_EPS = 1e-14  # |R_n| below this marks a pole of 1/r_n (a zero of r_n)
 _NEWTON_STEPS = 30  # per stage of _level_curve
-# Kernel entries of one part of _by_blocks (1 MiB a kernel), so that a
-# part's kernel stays in a core's cache while it serves every lane.
-_PART = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,14 +64,11 @@ class _Scan:
 
 
 def _parts(targets: _Scan):
-    """(block, target set) over the _blocks of kernels over n_quad nodes at
-    the points of targets, each of at most _PART entries, save that a lone
-    last point joins the block before it: targets itself when that leaves
-    one block, so that it keeps its kernels, else a fresh set for each
-    block, whose kernels go with it."""
-    blocks = list(_blocks(targets.z.size, len(targets.quad_e), _PART))
-    if len(blocks) > 1 and blocks[-1].stop - blocks[-1].start == 1:
-        blocks[-2:] = [slice(blocks[-2].start, blocks[-1].stop)]
+    """(block, target set) over the _kernel_blocks of the kernels over
+    n_quad nodes at the points of targets (1 MiB a kernel, no lone last
+    point): targets itself when that leaves one block, so that it keeps its
+    kernels, else a fresh set for each block, whose kernels go with it."""
+    blocks = _kernel_blocks(targets.z.size, len(targets.quad_e))
     if len(blocks) == 1:
         yield blocks[0], targets
         return
@@ -91,11 +85,8 @@ def _by_blocks(targets: _Scan, lanes: int, evaluate):
     lane's values at the part's points, so each part's kernels serve every
     lane before the next part is built.
 
-    A block of 2 or more rows rounds its matrix-vector products as the same
-    rows of one product over all the targets, so a lane's values depend
-    neither on the blocks nor on the other lanes.  One row alone rounds
-    like a one-point target set, and _parts leaves a block of one row only
-    to targets of one point.
+    A lane's values depend neither on the blocks (see _kernel_blocks) nor
+    on the other lanes.
     """
     out = np.empty((lanes, targets.z.size), dtype=complex)
     if lanes:
@@ -114,8 +105,8 @@ class BoundaryData:
     part (_by_blocks), each part's for every degree of the call:
     degree_contexts applies the kernel across E at the F nodes for all its
     degrees, empirical_ratios and adi.faber_shifts the four scan kernels
-    for all their contexts.  Only a set that fits one part, of at most
-    _PART kernel entries, keeps its kernels between calls: the node sets
+    for all their contexts.  Only a set that fits one part, a kernel of at
+    most 2^16 entries, keeps its kernels between calls: the node sets
     up to 256 nodes, whose kernel across E at the F nodes boundary_data
     builds at once, and the scans up to 128.
     """

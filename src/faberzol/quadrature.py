@@ -6,8 +6,8 @@ so that sum(values * weights) ~ the contour integral of the sampled
 function.  cauchy_stabilized (interior targets) and cauchy_boundary
 (targets on or outside the contour) stay accurate up to the contour itself.
 Every transform is a sum over w_j/(zeta_j - z), formed only by
-cauchy_kernel, one block of targets at a time; a kernel kept for fixed
-targets serves any number of densities.
+cauchy_kernel, one _kernel_blocks block of targets at a time; a kernel kept
+for fixed targets serves any number of densities.
 """
 
 from __future__ import annotations
@@ -25,12 +25,24 @@ _TWO_PI_I = 2j * math.pi
 # Budget (entries) of one block of a node-by-target product (_blocks).
 _CHUNK = 1 << 19
 
+# Budget (entries) of one block of a Cauchy kernel (_kernel_blocks): 1 MiB,
+# so that a block's kernel stays in a core's cache while it serves every
+# density applied to it.
+_KERNEL_BLOCK = 1 << 16
+
 # A target within this fraction of the contour diameter of a node is a hit.
 _HIT_RTOL = 1e-13
 
 # Kernel entries |w_j/(zeta_j - z_i)| above this are kept out of the
 # precomputed matrix of a CauchyKernel (see cauchy_kernel).
 _NEAR = 1.0
+
+# Consecutive nodes of one run of BoundaryQuadrature.runs.
+_RUN = 32
+
+# A kernel of fewer entries takes the dense near-pair test (cauchy_kernel),
+# which costs less there than the box tests of the runs.
+_DENSE_TEST = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,6 +85,26 @@ class BoundaryQuadrature:
         """min_j |w_j|."""
         return float(np.abs(self.weights).min())
 
+    @functools.cached_property
+    def runs(self):
+        """(cols, boxes, box) of the runs of _RUN consecutive nodes, the
+        last run shorter: cols[k] the columns of run k, padded with -1;
+        boxes[:, k] its min Re, max Re, min Im and max Im widened by twice
+        its max |w_j| over _NEAR; box the same over the whole rule.  A
+        target outside the box of a run is farther than 2|w_j|/_NEAR from
+        each node j of it, so |w_j/(zeta_j - z)| < _NEAR/2, and rounding
+        cannot lift it past _NEAR."""
+        n = len(self)
+        cols = np.arange(-(-n // _RUN) * _RUN).reshape(-1, _RUN)
+        cols[cols >= n] = -1
+        reach = 2.0 * np.abs(self.weights)[cols].max(axis=1) / _NEAR
+        re, im = self.nodes.real[cols], self.nodes.imag[cols]
+        boxes = np.stack([re.min(axis=1) - reach, re.max(axis=1) + reach,
+                          im.min(axis=1) - reach, im.max(axis=1) + reach])
+        box = (boxes[0].min(), boxes[1].max(), boxes[2].min(),
+               boxes[3].max())
+        return cols, boxes, box
+
 
 def _blocks(n, cost, cap=math.inf):
     """Consecutive slices of n items costing at most min(_CHUNK, cap) in
@@ -89,9 +121,23 @@ def _blocks(n, cost, cap=math.inf):
         start = stop
 
 
+def _kernel_blocks(n_targets: int, n_quad: int):
+    """The blocks of the rows of a kernel at n_targets targets over n_quad
+    nodes: _blocks of at most _KERNEL_BLOCK entries, save that a lone last
+    row joins the block before it.  A block of 2 or more rows rounds its
+    matrix-vector products as the same rows of one product over all the
+    targets, while one row alone rounds differently, so every row's value
+    is that of the one-block kernel whatever the number of targets."""
+    blocks = list(_blocks(n_targets, n_quad, _KERNEL_BLOCK))
+    if len(blocks) > 1 and blocks[-1].stop - blocks[-1].start == 1:
+        blocks[-2:] = [slice(blocks[-2].start, blocks[-1].stop)]
+    return blocks
+
+
 def _kernels(quad: BoundaryQuadrature, z):
-    """(block, cauchy_kernel(quad, z[block])) for the _blocks of flat z."""
-    for block in _blocks(z.size, len(quad)):
+    """(block, cauchy_kernel(quad, z[block])) for the _kernel_blocks of
+    flat z."""
+    for block in _kernel_blocks(z.size, len(quad)):
         yield block, cauchy_kernel(quad, z[block])
 
 
@@ -283,6 +329,33 @@ class CauchyKernel:
         return total
 
 
+def _passing(quad: BoundaryQuadrature, z, matrix, cut):
+    """(rows, cols) of the entries of matrix = cauchy_kernel's w_j/(zeta_j
+    - z_i) with modulus above cut, in row-major order.
+
+    For cut = _NEAR only the runs of quad whose box (BoundaryQuadrature.
+    runs) holds a target can pass: each target is checked against the
+    whole rule's box, then against the run boxes, and only the entries of
+    the runs that hold it are read.  A lower cut, or a kernel of fewer than
+    _DENSE_TEST entries, reads every entry."""
+    if cut < _NEAR or matrix.size < _DENSE_TEST:
+        return np.divmod(np.flatnonzero(np.abs(matrix) > cut), len(quad))
+    cols, boxes, (lo_re, hi_re, lo_im, hi_im) = quad.runs
+    re, im = z.real, z.imag
+    inside = np.flatnonzero((re >= lo_re) & (re <= hi_re)
+                            & (im >= lo_im) & (im <= hi_im))
+    re, im = re[inside, None], im[inside, None]
+    rows, runs = np.nonzero((re >= boxes[0]) & (re <= boxes[1])
+                            & (im >= boxes[2]) & (im <= boxes[3]))
+    cols = cols[runs]
+    # flat indices of the runs' entries; a padding column -1 reads another
+    # entry, and is masked out
+    flat = cols + (inside[rows] * len(quad))[:, None]
+    passed = np.abs(matrix.ravel()[flat]) > cut
+    passed &= cols >= 0
+    return np.divmod(flat[passed], len(quad))
+
+
 def cauchy_kernel(quad: BoundaryQuadrature, z) -> CauchyKernel:
     """The Cauchy kernel over quad at targets z, for transforming many
     densities at the same targets; every transform here is built from it.
@@ -294,12 +367,14 @@ def cauchy_kernel(quad: BoundaryQuadrature, z) -> CauchyKernel:
     z = _flat(z)
     tol = _HIT_RTOL * quad.diameter
     # one buffer: the differences zeta_j - z_i, then w_j over them in place
-    matrix = quad.nodes[None, :] - z[:, None]
+    matrix = np.empty((z.size, len(quad)), dtype=complex)
+    matrix[:] = quad.nodes
+    matrix -= z[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(quad.weights[None, :], matrix, out=matrix)
+        np.divide(quad.weights, matrix, out=matrix)
     # a hit has |w_j/(zeta_j - z_i)| >= |w_j|/tol, so it passes the cut too
     cut = min(_NEAR, 0.5 * quad.min_weight / tol)
-    rows, cols = np.divmod(np.flatnonzero(np.abs(matrix) > cut), len(quad))
+    rows, cols = _passing(quad, z, matrix, cut)
     diff = quad.nodes[cols] - z[rows]
     hit = np.abs(diff) <= tol
     near = ~hit & (np.abs(matrix[rows, cols]) > _NEAR)

@@ -1,8 +1,8 @@
 """Source-level rules for the package: no catch-all handlers, no assert,
 no private helper or constant without a reader, no value equality on array
-fields, no block budget read outside quadrature, no Cauchy kernel formed in
-faber outside its target sets, and no scipy.optimize loaded by the command
-line."""
+fields, no block budget read and no lone kernel row joined outside
+quadrature, no Cauchy kernel formed in faber outside its target sets, and no
+scipy.optimize loaded by the command line."""
 
 import ast
 import os
@@ -100,13 +100,35 @@ def _array_dataclasses_with_value_eq(paths):
     return sorted(found)
 
 
+BUDGETS = {"_CHUNK", "_KERNEL_BLOCK"}
+
+
 def _block_budget_readers(paths):
-    """The modules other than quadrature.py that refer to _CHUNK by name
-    (a docstring does not count): node-by-target products take their
-    blocks from quadrature._blocks, the one reader of the budget."""
+    """The modules other than quadrature.py that refer to _CHUNK or
+    _KERNEL_BLOCK by name (a docstring does not count): node-by-target
+    products take their blocks from quadrature._blocks and kernels from
+    quadrature._kernel_blocks, the readers of the budgets."""
     return sorted(path.name for path in paths if path.name != "quadrature.py"
-                  and "_CHUNK" in _referenced_names(ast.parse(
+                  and BUDGETS & _referenced_names(ast.parse(
                       path.read_text(), filename=str(path))))
+
+
+def _lone_row_mergers(paths):
+    """(module, line) for every slice(...) built from the start or stop of
+    another slice in a module other than quadrature.py: joining blocks,
+    such as a lone last row to the block before it, is
+    quadrature._kernel_blocks's rule alone."""
+    found = []
+    for path in paths:
+        if path.name == "quadrature.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "slice"
+                    and {"start", "stop"} & set().union(
+                        *map(_referenced_names, node.args))):
+                found.append((path.name, node.lineno))
+    return sorted(found)
 
 
 def _kernels_outside_target_sets(path):
@@ -148,6 +170,10 @@ def test_every_private_helper_has_a_caller():
 
 def test_only_quadrature_reads_the_block_budget():
     assert _block_budget_readers(SOURCES) == []
+
+
+def test_only_quadrature_joins_kernel_blocks():
+    assert _lone_row_mergers(SOURCES) == []
 
 
 def test_faber_forms_kernels_only_in_its_target_sets():
@@ -215,10 +241,32 @@ def test_a_module_reading_the_block_budget_is_reported(tmp_path):
         "attribute.py": "from . import quadrature\n\n"
                         "STEP = quadrature._CHUNK // 8\n",
         "documented.py": '"""Blocks of at most _CHUNK entries."""\n',
+        "kernel.py": "from .quadrature import _blocks, _KERNEL_BLOCK\n",
+        "cap.py": "from . import quadrature\n\n"
+                  "CAP = 2 * quadrature._KERNEL_BLOCK\n",
     }.items():
         (tmp_path / name).write_text(text)
     assert _block_budget_readers(sorted(tmp_path.glob("*.py"))) == [
-        "attribute.py", "imported.py"]
+        "attribute.py", "cap.py", "imported.py", "kernel.py"]
+
+
+def test_a_module_joining_lone_rows_is_reported(tmp_path):
+    for name, text in {
+        "quadrature.py": "def _join(blocks):\n"
+                         "    return slice(blocks[0].start, blocks[1].stop)\n",
+        "merged.py": "def _parts(blocks):\n"
+                     "    if blocks[-1].stop - blocks[-1].start == 1:\n"
+                     "        blocks[-2:] = [slice(blocks[-2].start,\n"
+                     "                             blocks[-1].stop)]\n"
+                     "    return blocks\n",
+        "widened.py": "def _wide(block, n):\n"
+                      "    return slice(max(0, block.start - 1), n)\n",
+        "plain.py": "def _rows(a, block):\n"
+                    "    return a[block.start:block.stop], slice(0, 4)\n",
+    }.items():
+        (tmp_path / name).write_text(text)
+    assert _lone_row_mergers(sorted(tmp_path.glob("*.py"))) == [
+        ("merged.py", 3), ("widened.py", 2)]
 
 
 def test_a_kernel_formed_outside_the_target_sets_is_reported(tmp_path):

@@ -22,8 +22,10 @@ from faberzol.quadrature import (
     _HIT_RTOL,
     _NEAR,
     _blocks,
+    _kernel_blocks,
     _ldexp,
     _nodal_derivative,
+    _passing,
     cauchy_boundary,
     cauchy_kernel,
     cauchy_minus,
@@ -197,6 +199,152 @@ def test_kernel_rows_and_exponents(region, n_quad):
                               kernel(vals * 2.0 ** k, f_at))
     assert np.array_equal(kernel(vals, _ldexp(f_at, -900), -900),
                           _ldexp(whole, -900))
+
+
+def _dense_kernel(quad, z):
+    """(matrix, row_sums, near_rows, near_cols, near_diff, hit_rows,
+    hit_cols) of the Cauchy kernel by the dense search, which tests every
+    entry against the cut: the reference for cauchy_kernel's run boxes."""
+    z = np.asarray(z, dtype=complex).ravel()
+    tol = quadrature._HIT_RTOL * quad.diameter
+    matrix = quad.nodes[None, :] - z[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(quad.weights[None, :], matrix, out=matrix)
+    cut = min(_NEAR, 0.5 * quad.min_weight / tol)
+    rows, cols = np.divmod(np.flatnonzero(np.abs(matrix) > cut), len(quad))
+    diff = quad.nodes[cols] - z[rows]
+    hit = np.abs(diff) <= tol
+    near = ~hit & (np.abs(matrix[rows, cols]) > _NEAR)
+    matrix[rows[hit | near], cols[hit | near]] = 0.0
+    return (matrix, matrix.sum(axis=1), rows[near], cols[near], diff[near],
+            rows[hit], cols[hit])
+
+
+def _assert_dense_kernel(quad, z):
+    kernel = cauchy_kernel(quad, z)
+    got = (kernel.matrix, kernel.row_sums, kernel.near_rows,
+           kernel.near_cols, kernel.near_diff, kernel.hit_rows,
+           kernel.hit_cols)
+    for field, expect in zip(got, _dense_kernel(quad, z)):
+        assert field.shape == expect.shape
+        assert np.array_equal(field, expect, equal_nan=True)
+    return kernel
+
+
+_README = rectangle((0.3, 1.3), (-1.3, 1.3))
+
+
+KERNEL_CASES = ["disk_scan_hits", "graded_corners", "off_the_contour",
+                "interior_grid", "other_boundary", "short_last_run",
+                "one_target"]
+
+
+@pytest.fixture(scope="module")
+def kernel_cases():
+    """name -> (rule, targets) for the run-box search."""
+    circle = boundary_samples(disk(0.0, 1.0), 128)
+    rect = boundary_samples(_README, 512)
+    odd = boundary_samples(_README, 100)  # 112 nodes: a short last run
+    t = np.arange(512) / 512
+    corners = np.array([0.3 - 1.3j, 1.3 - 1.3j, 1.3 + 1.3j, 0.3 + 1.3j])
+    # points off the contour by 1e-3 ... 1e-12 of the spacing, beside the
+    # midpoints of the node gaps and beside the nodes
+    mid = 0.5 * (rect.nodes + np.roll(rect.nodes, -1))[::23]
+    step = np.abs(np.roll(rect.nodes, -1) - rect.nodes)[::23]
+    normal = -1j * rect.weights[::23] / np.abs(rect.weights[::23])
+    offsets = 10.0 ** -np.arange(3, 13)[:, None]
+    off = np.concatenate([(mid + offsets * step * normal).ravel(),
+                          (rect.nodes[::23] - offsets * step * normal).ravel()])
+    xs, ys = np.linspace(0.2, 1.4, 40), np.linspace(-1.4, 1.4, 40)
+    grid = (xs[None, :] + 1j * ys[:, None]).ravel()
+    return {
+        # every fourth scan point is a node
+        "disk_scan_hits": (circle, disk(0.0, 1.0).boundary_point(t)),
+        "graded_corners": (rect, np.concatenate([
+            corners, (corners[:, None] + np.array([1e-9, 1e-5j, -1e-3, 0.01j,
+                      0.02 - 0.01j])).ravel(), rect.nodes[:40] + 1e-7,
+            rect.nodes[:3], rect.nodes[-3:]])),
+        "off_the_contour": (rect, off),
+        "interior_grid": (rect, grid),
+        "other_boundary": (rect, _README.negated().boundary_point(t)),
+        "short_last_run": (odd, np.concatenate([
+            _README.boundary_point(t), odd.nodes[-20:]])),
+        "one_target": (rect, rect.nodes[7:8] + 1e-6),
+    }
+
+
+@pytest.mark.parametrize("dense_test", [None, 0])
+@pytest.mark.parametrize("case", KERNEL_CASES)
+def test_kernel_equals_the_dense_search_bit_for_bit(kernel_cases, case,
+                                                    dense_test, monkeypatch):
+    # dense_test 0 sends every kernel through the run boxes, one target too
+    if dense_test is not None:
+        monkeypatch.setattr(quadrature, "_DENSE_TEST", dense_test)
+    quad, z = kernel_cases[case]
+    kernel = _assert_dense_kernel(quad, z)
+    if case in ("disk_scan_hits", "graded_corners"):
+        assert kernel.hit_rows.size and kernel.near_rows.size
+
+
+def test_targets_outside_every_run_box_yield_no_candidate(monkeypatch):
+    monkeypatch.setattr(quadrature, "_DENSE_TEST", 0)
+    quad = boundary_samples(_README, 512)
+    cols, boxes, (lo_re, hi_re, lo_im, hi_im) = quad.runs
+    # inside the rule's box but in no run's box, and outside the rule's box
+    z = np.array([0.8 + 0.3j, 0.8 - 0.5j, 5.0 + 5.0j, -3.0j, np.inf, np.nan])
+    for box in boxes.T:
+        assert not np.any((z.real >= box[0]) & (z.real <= box[1])
+                          & (z.imag >= box[2]) & (z.imag <= box[3]))
+    assert ((z.real[:2] >= lo_re) & (z.real[:2] <= hi_re)
+            & (z.imag[:2] >= lo_im) & (z.imag[:2] <= hi_im)).all()
+    kernel = _assert_dense_kernel(quad, z)
+    rows, cols = _passing(quad, z, kernel.matrix, _NEAR)
+    assert rows.size == cols.size == 0
+
+
+def test_a_raised_hit_radius_takes_the_dense_search(monkeypatch):
+    quad = boundary_samples(_README, 512)
+    monkeypatch.setattr(quadrature, "_HIT_RTOL", 1e-5)
+    assert 0.5 * quad.min_weight / (1e-5 * quad.diameter) < _NEAR
+    z = np.concatenate([_README.boundary_point(np.arange(300) / 300),
+                        quad.nodes[::9] + 1e-6])
+    kernel = _assert_dense_kernel(quad, z)
+    assert kernel.hit_rows.size > quad.nodes[::9].size
+
+
+@pytest.mark.parametrize("transform", ["cauchy_stabilized", "cauchy_boundary"])
+def test_kernel_blocks_leave_no_lone_row(transform, circle, monkeypatch):
+    # blocks of 4 rows: for every target count from 2 to three blocks plus
+    # one, each value is that of the one-block call bit for bit
+    vals = np.exp(circle.nodes)
+    rng = np.random.default_rng(7)
+    w = np.exp(2j * np.pi * rng.random(13))
+    inside = transform == "cauchy_stabilized"
+    z = (0.9 * rng.random(13) if inside else 1.0 + rng.random(13)) * w
+
+    def evaluate(z):
+        if inside:
+            return cauchy_stabilized(vals, circle, z)
+        return cauchy_boundary(vals, circle, z, np.exp(z))
+
+    whole = [evaluate(z[:count]) for count in range(2, 14)]
+    monkeypatch.setattr(quadrature, "_KERNEL_BLOCK", 4 * len(circle))
+    for count, expect in zip(range(2, 14), whole):
+        blocks = _kernel_blocks(count, len(circle))
+        assert min(block.stop - block.start for block in blocks) >= 2
+        assert np.array_equal(evaluate(z[:count]), expect)
+
+
+def test_kernel_blocks_hold_the_budget_and_join_a_lone_row(monkeypatch):
+    monkeypatch.setattr(quadrature, "_KERNEL_BLOCK", 40)
+    assert _kernel_blocks(9, 10) == [slice(0, 4), slice(4, 9)]
+    assert _kernel_blocks(8, 10) == [slice(0, 4), slice(4, 8)]
+    assert _kernel_blocks(1, 10) == [slice(0, 1)]
+    assert _kernel_blocks(3, 50) == [slice(0, 1), slice(1, 3)]
+    assert _kernel_blocks(0, 10) == []
+    # a lower _CHUNK caps kernel blocks too
+    monkeypatch.setattr(quadrature, "_CHUNK", 20)
+    assert _kernel_blocks(5, 10) == [slice(0, 2), slice(2, 5)]
 
 
 def test_boundary_transform_is_the_kernel_within_one_block(circle):
