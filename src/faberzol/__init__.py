@@ -74,13 +74,7 @@ from .geometry import (
     rectangle,
     rotation,
 )
-from .quadrature import (
-    BoundaryQuadrature,
-    cauchy_boundary,
-    cauchy_minus,
-    cauchy_plus,
-    cauchy_stabilized,
-)
+from .quadrature import BoundaryQuadrature, CauchyKernel, cauchy_kernel
 from .rational import BarycentricRational, aaa_fit, bary_eval, poles_zeros
 
 __all__ = [name for name in dir() if not name.startswith("_")]

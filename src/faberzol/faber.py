@@ -29,7 +29,6 @@ from .quadrature import (
     _ldexp,
     _shaped,
     cauchy_kernel,
-    cauchy_stabilized,
     winding_of_polyline,
 )
 from .search import _bounded_brent, lockstep
@@ -44,8 +43,9 @@ class _Scan:
     the power-of-two shift of Phi on the boundary the set was built on
     (round(log2 h) on F, else 0) and, on a boundary, the parameters t of
     the points.  The kernels across E and across F at z are built on first
-    read and then kept; faber forms no kernel anywhere else, and reads them
-    only on a set that fits one part (_parts) or on one point."""
+    read and then kept; no module forms a kernel anywhere else, and faber
+    reads them only on a set that fits one part (_parts) or on one
+    point."""
 
     quad_e: BoundaryQuadrature
     quad_f: BoundaryQuadrature
@@ -309,13 +309,15 @@ def _classify(ctx, z):
 def _rn_by_side(ctx, zf, in_e):
     """R_n at targets outside F, dispatched on their E membership.
 
-    Inside E it is the stabilized interior transform of the R_n boundary
-    values at the E nodes.
+    Inside E it is the stabilized interior transform (CauchyKernel.
+    stabilized) of the R_n boundary values at the E nodes.
     """
     out = np.empty(zf.shape, dtype=complex)
     if np.any(in_e):
         density = _rn_at(ctx, ctx.data.e_nodes)
-        out[in_e] = cauchy_stabilized(density, ctx.quad_e, zf[in_e])
+        out[in_e] = _by_blocks(
+            _Scan(ctx.quad_e, ctx.quad_f, zf[in_e], None), 1,
+            lambda _, part: [part.across_e.stabilized(density)])[0]
     rest = ~in_e
     if np.any(rest):
         z = zf[rest]
@@ -369,8 +371,10 @@ def eval_inv_rn(ctx: FaberContext, z):
     if np.any(in_f):
         # the ratio form is homogeneous: interpolate 2^e/r_n, then scale
         density = _inv_rn_at([ctx], ctx.data.f_nodes)[0]
-        out[in_f] = _ldexp(cauchy_stabilized(density, ctx.quad_f, zf[in_f]),
-                           -ctx.exponent)
+        out[in_f] = _ldexp(_by_blocks(
+            _Scan(ctx.quad_e, ctx.quad_f, zf[in_f], None), 1,
+            lambda _, part: [part.across_f.stabilized(density)])[0],
+            -ctx.exponent)
     rest = ~in_f
     if np.any(rest):
         rn = _rn_by_side(ctx, zf[rest], in_e[rest])
@@ -442,13 +446,14 @@ def empirical_ratios(contexts) -> list:
 
     For each boundary and context the dense scan (4x the node count, its
     kernels built part by part once for all the contexts) gives the best
-    parameter, and scipy's bounded Brent search (xatol 1e-12) refines it
-    within one scan step.  The searches of all contexts run in lockstep
-    (search.lockstep): each round takes the points of their pending
-    abscissae from one boundary_point and one phi, and applies each
-    context's densities on its own one-point target set.  phi gives each
-    point its one-point value, so every search takes exactly the values,
-    and therefore the steps, of its own one-point search.  A grid of
+    parameter, and a bounded Brent search (search._bounded_brent, xatol
+    1e-12, which calls no scipy) refines it within one scan step.  The
+    searches of all contexts run in lockstep (search.lockstep): each round
+    takes the points of their pending abscissae from one boundary_point
+    and one phi, and applies each context's densities on its own one-point
+    target set.  phi gives each point its one-point value, so every search
+    takes exactly the values, and therefore the steps, of its own
+    one-point search.  A grid of
     candidates or another bracketing search would land on other
     near-corner and near-node spikes of the transforms and move the
     witnesses; Brent's iterates keep those of the per-degree search.

@@ -3,11 +3,11 @@
 All transforms work on a BoundaryQuadrature whose complex weights
 approximate the increments d zeta of a counterclockwise closed contour,
 so that sum(values * weights) ~ the contour integral of the sampled
-function.  cauchy_stabilized (interior targets) and cauchy_boundary
-(targets on or outside the contour) stay accurate up to the contour itself.
-Every transform is a sum over w_j/(zeta_j - z), formed only by
-cauchy_kernel, one _kernel_blocks block of targets at a time; a kernel kept
-for fixed targets serves any number of densities.
+function.  Every transform is a method of the CauchyKernel that
+cauchy_kernel forms at fixed targets: the plain sum, the barycentric ratio
+(stabilized, interior targets) and the subtracted form (a call, targets on
+or outside the contour), the last two accurate up to the contour itself.
+A kernel serves any number of densities.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvaluationDomainError, QuadratureError
+from .errors import QuadratureError
 
 _TWO_PI_I = 2j * math.pi
 
@@ -134,13 +134,6 @@ def _kernel_blocks(n_targets: int, n_quad: int):
     return blocks
 
 
-def _kernels(quad: BoundaryQuadrature, z):
-    """(block, cauchy_kernel(quad, z[block])) for the _kernel_blocks of
-    flat z."""
-    for block in _kernel_blocks(z.size, len(quad)):
-        yield block, cauchy_kernel(quad, z[block])
-
-
 def _flat(z):
     return np.asarray(z, dtype=complex).ravel()
 
@@ -176,49 +169,6 @@ def winding_of_polyline(points) -> int:
     return int(nearest)
 
 
-def cauchy_plus(values, quad: BoundaryQuadrature, z):
-    """Interior Cauchy transform (1/2 pi i) * oint values/(zeta - z) d zeta.
-
-    Plain quadrature; accurate for z well inside the contour.  A winding
-    estimate flags targets outside the contour.
-    """
-    return _plain_transform(values, quad, z, 1)
-
-
-def cauchy_minus(values, quad: BoundaryQuadrature, z):
-    """Exterior Cauchy transform, same integral for z outside the contour."""
-    return _plain_transform(values, quad, z, 0)
-
-
-def _plain_transform(values, quad, z, winding: int):
-    """(1/2 pi i) sum_j values_j w_j/(zeta_j - z) at targets z, after
-    checking that every target has the given winding number (1 inside),
-    estimated by the same sum for values 1 (inf on a node)."""
-    num, den, _ = _plain_sums(values, quad, z)
-    bad = np.abs(den / _TWO_PI_I - winding) > 0.5
-    if np.any(bad):
-        where = "inside" if winding else "outside"
-        raise EvaluationDomainError(
-            f"{int(bad.sum())} target(s) are not {where} the contour"
-        )
-    return _shaped(num / _TWO_PI_I, z)
-
-
-def _plain_sums(values, quad, z):
-    """CauchyKernel.plain of values and of 1 at the targets z, flattened,
-    and the node each target hits (-1 for none)."""
-    ones = np.ones(len(quad))
-    z = _flat(z)
-    num = np.empty(z.shape, dtype=complex)
-    den = np.empty(z.shape, dtype=complex)
-    node = np.full(z.shape, -1)
-    for block, kernel in _kernels(quad, z):
-        num[block] = kernel.plain(values)
-        den[block] = kernel.plain(ones)
-        node[block][kernel.hit_rows] = kernel.hit_cols
-    return num, den, node
-
-
 def _nodal_derivative(vals, quad: BoundaryQuadrature):
     """d values / d zeta at the quadrature nodes.
 
@@ -248,29 +198,6 @@ def _nodal_derivative(vals, quad: BoundaryQuadrature):
     return coef[:, 1, 0] / s
 
 
-def cauchy_boundary(values, quad: BoundaryQuadrature, z, f_at, exponent=0):
-    """Cauchy filter of f at targets z on or outside the contour:
-    f(z) + (1/2 pi i) Int (f(zeta) - f(z))/(zeta - z) d zeta,
-    where f(zeta) = values 2^exponent at the nodes (see CauchyKernel).
-
-    Valid when f extends analytically across the contour to z, which makes
-    the subtracted integrand regular; f_at supplies f(z).  Outside the
-    contour this is f(z) plus the exterior transform, since
-    oint d zeta/(zeta - z) = 0 there, and the subtraction keeps full
-    quadrature accuracy up to the contour.  On it this is the
-    enclosed-side boundary limit; unlike the barycentric ratio form it
-    stays an interpolant between the nodes of panel-based rules, where
-    quadrature weights differ from barycentric weights.  A node collision
-    contributes w_j f'(node), with f' from _nodal_derivative.
-    """
-    zf = _flat(z)
-    f_at = np.broadcast_to(np.asarray(f_at, dtype=complex).ravel(), zf.shape)
-    out = np.empty(zf.shape, dtype=complex)
-    for block, kernel in _kernels(quad, zf):
-        out[block] = kernel(values, f_at[block], exponent)
-    return _shaped(out, z)
-
-
 @dataclass(frozen=True, eq=False)
 class CauchyKernel:
     """The Cauchy sums over quad at fixed targets z_i, precomputed.
@@ -280,12 +207,12 @@ class CauchyKernel:
     near_cols, near_diff = zeta_j - z_i), whose terms are formed per call,
     since in the subtracted form splitting them into two large products
     would cancel; and node hits (hit_rows, hit_cols), where the target is
-    a node.  Calling the kernel gives the subtracted form of
-    cauchy_boundary, plain the plain sum; each costs one matrix-vector
-    product.  A density kept at another scale than f_at passes an exponent:
-    the products with the values are multiplied by 2^exponent after they
-    are formed, so no product of the values underflows or overflows on the
-    way, and the scaling is exact wherever the result stays normal.
+    a node.  Calling the kernel gives the subtracted form, plain the plain
+    sum and stabilized their barycentric ratio.  A density kept at another
+    scale than f_at passes an exponent to the call: the products with the
+    values are multiplied by 2^exponent after they are formed, so no
+    product of the values underflows or overflows on the way, and the
+    scaling is exact wherever the result stays normal.
     """
 
     quad: BoundaryQuadrature
@@ -298,9 +225,21 @@ class CauchyKernel:
     hit_cols: np.ndarray
 
     def __call__(self, values, f_at, exponent=0):
-        """cauchy_boundary(values, quad, z, f_at, exponent) at the kernel's
-        targets: a node hit contributes w_j f'(zeta_j), f' from
-        _nodal_derivative."""
+        """The Cauchy filter of f at the kernel's targets z_i on or outside
+        the contour, in subtracted form:
+            f(z_i) + (1/2 pi i) sum_j (f(zeta_j) - f(z_i)) w_j/(zeta_j - z_i),
+        where f(zeta_j) = values_j 2^exponent and f_at supplies f(z_i).
+
+        Valid when f extends analytically across the contour to z_i, which
+        makes the subtracted integrand regular.  Outside the contour this
+        is f(z_i) plus the exterior transform, since oint d zeta/(zeta - z)
+        = 0 there, and the subtraction keeps full quadrature accuracy up to
+        the contour.  On it this is the enclosed-side boundary limit;
+        unlike the barycentric ratio it stays an interpolant between the
+        nodes of panel-based rules, where quadrature weights differ from
+        barycentric weights.  A node hit contributes w_j f'(zeta_j), f'
+        from _nodal_derivative.
+        """
         vals = np.asarray(values, dtype=complex)
         f_at = np.asarray(f_at, dtype=complex)
         total = _ldexp(self.matrix @ vals, exponent) - f_at * self.row_sums
@@ -318,8 +257,9 @@ class CauchyKernel:
         return f_at + total / _TWO_PI_I
 
     def plain(self, values):
-        """sum_j values_j w_j/(zeta_j - z_i) at the kernel's targets; a row
-        with a node hit is flagged inf."""
+        """sum_j values_j w_j/(zeta_j - z_i) at the kernel's targets, 2 pi i
+        times the Cauchy transform off the contour; a row with a node hit
+        is flagged inf."""
         vals = np.asarray(values, dtype=complex)
         total = self.matrix @ vals
         near = self.near_cols
@@ -327,6 +267,19 @@ class CauchyKernel:
                   vals[near] * self.quad.weights[near] / self.near_diff)
         total[self.hit_rows] = np.inf
         return total
+
+    def stabilized(self, values):
+        """The interior Cauchy transform in barycentric ratio form
+            [sum_j v_j w_j/(zeta_j - z_i)] / [sum_j w_j/(zeta_j - z_i)],
+        plain(values) / plain(1): exact for constant values at any interior
+        target and usable up to the contour, where it reduces to an
+        interpolant of the samples; a target on a node takes that node's
+        value."""
+        vals = np.asarray(values, dtype=complex)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = self.plain(vals) / self.plain(np.ones(len(self.quad)))
+        out[self.hit_rows] = vals[self.hit_cols]
+        return out
 
 
 def _passing(quad: BoundaryQuadrature, z, matrix, cut):
@@ -358,7 +311,7 @@ def _passing(quad: BoundaryQuadrature, z, matrix, cut):
 
 def cauchy_kernel(quad: BoundaryQuadrature, z) -> CauchyKernel:
     """The Cauchy kernel over quad at targets z, for transforming many
-    densities at the same targets; every transform here is built from it.
+    densities at the same targets (see CauchyKernel).
 
     A pair is near when |w_j/(zeta_j - z_i)| > _NEAR, that is when the
     target is closer to node j than about the node spacing there; a pair
@@ -381,19 +334,3 @@ def cauchy_kernel(quad: BoundaryQuadrature, z) -> CauchyKernel:
     matrix[rows[hit | near], cols[hit | near]] = 0.0
     return CauchyKernel(quad, matrix, matrix.sum(axis=1), rows[near],
                         cols[near], diff[near], rows[hit], cols[hit])
-
-
-def cauchy_stabilized(values, quad: BoundaryQuadrature, z):
-    """Interior Cauchy transform in barycentric ratio form
-        [sum v_j w_j/(z_j - z)] / [sum w_j/(z_j - z)],
-    exact for constant values at any interior z and usable up to the
-    contour, where it reduces to an interpolant of the samples: a target on
-    a node takes that node's value.
-    """
-    vals = np.asarray(values, dtype=complex)
-    num, den, node = _plain_sums(vals, quad, z)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = num / den
-    hit = node >= 0
-    out[hit] = vals[node[hit]]
-    return _shaped(out, z)

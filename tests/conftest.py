@@ -10,7 +10,7 @@ from faberzol.conformal import mobius_two_disks, phi, solve_annulus_map
 from faberzol.faber import _POLE_EPS, _reciprocal, _scan
 from faberzol.geometry import disk, rectangle
 from faberzol.quadrature import (_HIT_RTOL, _ldexp, _nodal_derivative,
-                                 cauchy_boundary, cauchy_kernel)
+                                 cauchy_kernel)
 
 
 def two_disk_h(c1, r1, c2, r2):
@@ -29,7 +29,7 @@ def random_disk_pair(rng):
 
 
 def direct_cauchy_boundary(values, quad, z, f_at):
-    """Reference for cauchy_boundary, independent of CauchyKernel: the
+    """Reference for calling a CauchyKernel, independent of it: the
     subtracted sum f(z) + (1/2 pi i) sum_j (v_j - f(z)) w_j/(zeta_j - z),
     divided out directly for every target, where a node hit
     (|zeta_j - z| <= _HIT_RTOL times the diameter) contributes
@@ -66,11 +66,11 @@ def direct_inv_rn(ctx, region, t):
 
 def unscaled_context(data, n):
     """Reference for degree_context in the unscaled arithmetic it replaced:
-    (Phi^n on E, 1/R_n on F), R_n on F by cauchy_boundary at the F nodes
-    with Phi^n itself as the subtracted value."""
+    (Phi^n on E, 1/R_n on F), R_n on F by one kernel across E at the F
+    nodes with Phi^n itself as the subtracted value."""
     phi_n_on_e = data.e_nodes.phi ** n
-    rn = cauchy_boundary(phi_n_on_e, data.quad_e, data.quad_f.nodes,
-                         data.f_nodes.phi ** n)
+    rn = cauchy_kernel(data.quad_e, data.quad_f.nodes)(phi_n_on_e,
+                                                       data.f_nodes.phi ** n)
     return phi_n_on_e, 1.0 / rn
 
 

@@ -229,6 +229,26 @@ def test_evaluations_do_not_depend_on_the_block_size(ctx6, monkeypatch):
         assert np.array_equal(blocked, expect)
 
 
+@pytest.mark.parametrize("evaluator", ["eval_Rn", "eval_inv_rn"])
+def test_kernel_blocks_leave_no_lone_row(evaluator, ctx6, monkeypatch):
+    # blocks of 4 rows: for every count of interior targets from 2 to
+    # three blocks plus one, each value is that of the one-part call bit
+    # for bit; eval_Rn inside E, eval_inv_rn inside F
+    evaluate = getattr(faber, evaluator)
+    region = (ctx6.map.region_e if evaluator == "eval_Rn"
+              else ctx6.map.region_f)
+    rng = np.random.default_rng(7)
+    z = region.center + (0.9 * region.radius * rng.random(13)
+                         * np.exp(2j * np.pi * rng.random(13)))
+    assert contains_many(region, z)[0].all()
+    whole = [evaluate(ctx6, z[:count]) for count in range(2, 14)]
+    monkeypatch.setattr(quadrature, "_KERNEL_BLOCK", 4 * len(ctx6.quad_e))
+    for count, expect in zip(range(2, 14), whole):
+        blocks = quadrature._kernel_blocks(count, len(ctx6.quad_e))
+        assert min(block.stop - block.start for block in blocks) >= 2
+        assert np.array_equal(evaluate(ctx6, z[:count]), expect)
+
+
 def test_count_zeros_builds_only_the_scan_kernel_it_reads(disk_map):
     data = boundary_data(disk_map, 128)
     assert count_zeros(degree_context(data, 3)) == 3

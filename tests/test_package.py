@@ -1,8 +1,8 @@
 """Source-level rules for the package: no catch-all handlers, no assert,
 no private helper or constant without a reader, no value equality on array
 fields, no block budget read and no lone kernel row joined outside
-quadrature, no Cauchy kernel formed in faber outside its target sets, and no
-scipy.optimize loaded by the command line."""
+quadrature, no Cauchy kernel formed anywhere but in faber's target sets, and
+no scipy.optimize loaded by the command line."""
 
 import ast
 import os
@@ -131,15 +131,20 @@ def _lone_row_mergers(paths):
     return sorted(found)
 
 
+def _nodes_in_scan(tree):
+    """The ids of the nodes inside a class _Scan of tree."""
+    return {id(node) for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name == "_Scan"
+            for node in ast.walk(cls)}
+
+
 def _kernels_outside_target_sets(path):
     """(line, name) for every place in path (faber.py) that names
-    cauchy_boundary, or cauchy_kernel outside the class _Scan, other than
-    an import of cauchy_kernel (a docstring does not count): faber forms
-    every kernel in its target sets."""
+    cauchy_kernel outside the class _Scan, other than its import (a
+    docstring does not count): faber forms every kernel in its target
+    sets."""
     tree = ast.parse(path.read_text(), filename=str(path))
-    in_scan = {id(node) for cls in ast.walk(tree)
-               if isinstance(cls, ast.ClassDef) and cls.name == "_Scan"
-               for node in ast.walk(cls)}
+    in_scan = _nodes_in_scan(tree)
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
@@ -150,8 +155,26 @@ def _kernels_outside_target_sets(path):
             names = {node.attr}
         else:
             continue
-        found.extend((node.lineno, name) for name in sorted(
-            names & {"cauchy_boundary", "cauchy_kernel"}))
+        found.extend((node.lineno, name)
+                     for name in sorted(names & {"cauchy_kernel"}))
+    return sorted(found)
+
+
+def _kernel_calls_outside_faber_scan(paths):
+    """(module, line) for every call of cauchy_kernel, by name or as an
+    attribute, anywhere but inside the class _Scan of faber.py: the target
+    sets there are the one place that builds a Cauchy kernel, and their
+    parts (faber._parts) the one place that blocks its targets."""
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        in_scan = _nodes_in_scan(tree) if path.name == "faber.py" else set()
+        for node in ast.walk(tree):
+            func = node.func if isinstance(node, ast.Call) else None
+            name = (func.id if isinstance(func, ast.Name) else
+                    func.attr if isinstance(func, ast.Attribute) else None)
+            if name == "cauchy_kernel" and id(node) not in in_scan:
+                found.append((path.name, node.lineno))
     return sorted(found)
 
 
@@ -179,6 +202,10 @@ def test_only_quadrature_joins_kernel_blocks():
 def test_faber_forms_kernels_only_in_its_target_sets():
     faber = next(path for path in SOURCES if path.name == "faber.py")
     assert _kernels_outside_target_sets(faber) == []
+
+
+def test_only_faber_target_sets_call_cauchy_kernel():
+    assert _kernel_calls_outside_faber_scan(SOURCES) == []
 
 
 def test_the_cli_loads_no_scipy_optimize():
@@ -272,9 +299,9 @@ def test_a_module_joining_lone_rows_is_reported(tmp_path):
 def test_a_kernel_formed_outside_the_target_sets_is_reported(tmp_path):
     source = tmp_path / "faber.py"
     source.write_text(
-        '"""Never through cauchy_boundary."""\n'
+        '"""Never through cauchy_kernel."""\n'
         "from . import quadrature\n"
-        "from .quadrature import cauchy_boundary, cauchy_kernel\n\n\n"
+        "from .quadrature import cauchy_kernel\n\n\n"
         "class _Scan:\n"
         "    def across_e(self):\n"
         "        return cauchy_kernel(self.quad_e, self.z)\n\n\n"
@@ -282,9 +309,33 @@ def test_a_kernel_formed_outside_the_target_sets_is_reported(tmp_path):
         "    return cauchy_kernel(quad, z)\n\n\n"
         "def _qualified(quad, z):\n"
         "    return quadrature.cauchy_kernel(quad, z)\n\n\n"
-        "def _filtered(values, quad, z):\n"
-        "    return quadrature.cauchy_boundary(values, quad, z, z)\n"
+        "def _passed(quad, z, build=cauchy_kernel):\n"
+        "    return build(quad, z)\n"
     )
     assert _kernels_outside_target_sets(source) == [
-        (3, "cauchy_boundary"), (12, "cauchy_kernel"), (16, "cauchy_kernel"),
-        (20, "cauchy_boundary")]
+        (12, "cauchy_kernel"), (16, "cauchy_kernel"), (19, "cauchy_kernel")]
+
+
+def test_a_kernel_call_outside_faber_scan_is_reported(tmp_path):
+    for name, text in {
+        "faber.py": "from . import quadrature\n"
+                    "from .quadrature import cauchy_kernel\n\n\n"
+                    "class _Scan:\n"
+                    "    def across_e(self):\n"
+                    "        return cauchy_kernel(self.quad_e, self.z)\n\n\n"
+                    "def _direct(quad, z):\n"
+                    "    return quadrature.cauchy_kernel(quad, z)\n",
+        "quadrature.py": '"""Built by cauchy_kernel(quad, z)."""\n\n\n'
+                         "def cauchy_kernel(quad, z):\n"
+                         "    return quad, z\n\n\n"
+                         "def _kernels(quad, z):\n"
+                         "    for block in range(2):\n"
+                         "        yield cauchy_kernel(quad, z[block])\n",
+        "other.py": "from .quadrature import cauchy_kernel\n\n\n"
+                    "class _Scan:\n"
+                    "    def across_e(self):\n"
+                    "        return cauchy_kernel(self.quad_e, self.z)\n",
+    }.items():
+        (tmp_path / name).write_text(text)
+    assert _kernel_calls_outside_faber_scan(sorted(tmp_path.glob("*.py"))) == [
+        ("faber.py", 11), ("other.py", 6), ("quadrature.py", 10)]

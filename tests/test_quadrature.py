@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from conftest import direct_cauchy_boundary
 from faberzol import quadrature
 from faberzol.conformal import phi, psi_boundary
-from faberzol.errors import EvaluationDomainError
 from faberzol.faber import build_context, eval_rn
 from faberzol.geometry import (
     boundary_distance,
@@ -26,11 +25,7 @@ from faberzol.quadrature import (
     _ldexp,
     _nodal_derivative,
     _passing,
-    cauchy_boundary,
     cauchy_kernel,
-    cauchy_minus,
-    cauchy_plus,
-    cauchy_stabilized,
 )
 from faberzol.rational import BarycentricRational, bary_eval
 
@@ -40,9 +35,15 @@ def circle():
     return boundary_samples(disk(0.0, 1.0), 256)
 
 
+def _transform(values, quad, z):
+    """(1/2 pi i) CauchyKernel.plain: the Cauchy transform of values at
+    targets off the contour, inside or outside it."""
+    return cauchy_kernel(quad, z).plain(values) / (2j * np.pi)
+
+
 def test_interior_transform_reproduces_analytic_values(circle):
     z = np.array([0.2 + 0.1j, -0.4j, 0.6])
-    vals = cauchy_plus(np.exp(circle.nodes), circle, z)
+    vals = _transform(np.exp(circle.nodes), circle, z)
     assert np.abs(vals - np.exp(z)).max() < 1e-13
 
 
@@ -50,27 +51,20 @@ def test_interior_transform_of_an_exterior_pole(circle):
     # f analytic inside, so the transform is exact there too
     a = 2.0 + 1.0j
     z = np.array([0.3, -0.2 + 0.4j])
-    vals = cauchy_plus(1.0 / (circle.nodes - a), circle, z)
+    vals = _transform(1.0 / (circle.nodes - a), circle, z)
     assert np.abs(vals - 1.0 / (z - a)).max() < 1e-13
 
 
 def test_exterior_transform_kills_the_analytic_part(circle):
     z = np.array([2.0 + 1.0j, -3.0])
-    assert np.abs(cauchy_minus(np.exp(circle.nodes), circle, z)).max() < 1e-13
+    assert np.abs(_transform(np.exp(circle.nodes), circle, z)).max() < 1e-13
 
 
 def test_exterior_transform_keeps_the_residue(circle):
     b = 0.3j
     z = np.array([2.0 + 1.0j, -3.0])
-    vals = cauchy_minus(1.0 / (circle.nodes - b), circle, z)
+    vals = _transform(1.0 / (circle.nodes - b), circle, z)
     assert np.abs(vals + 1.0 / (z - b)).max() < 1e-13
-
-
-def test_side_checks_reject_the_wrong_half(circle):
-    with pytest.raises(EvaluationDomainError):
-        cauchy_plus(np.exp(circle.nodes), circle, np.array([2.0]))
-    with pytest.raises(EvaluationDomainError):
-        cauchy_minus(np.exp(circle.nodes), circle, np.array([0.2]))
 
 
 def test_jump_identity_across_the_contour():
@@ -80,8 +74,8 @@ def test_jump_identity_across_the_contour():
     for eps, n in [(1e-2, 2048), (1e-3, 16384), (1e-4, 131072)]:
         q = boundary_samples(disk(0.0, 1.0), n)
         f = np.exp(q.nodes)
-        jump = (cauchy_plus(f, q, z0 * (1 - eps))
-                - cauchy_minus(f, q, z0 * (1 + eps)))
+        jump = (_transform(f, q, z0 * (1 - eps))
+                - _transform(f, q, z0 * (1 + eps)))
         errs.append(np.abs(jump - np.exp(z0)).max())
     assert errs[0] < 0.1 and errs[1] < 1e-2 and errs[2] < 1e-3
     assert errs[2] < errs[1] < errs[0]
@@ -89,23 +83,23 @@ def test_jump_identity_across_the_contour():
 
 def test_boundary_transform_at_the_nodes(circle):
     vals = np.exp(circle.nodes)
-    out = cauchy_boundary(vals, circle, circle.nodes, vals)
+    out = cauchy_kernel(circle, circle.nodes)(vals, vals)
     assert np.abs(out - vals).max() < 1e-12
 
 
 def test_boundary_transform_between_nodes(circle):
     t = np.array([0.1234, 0.5001, 0.777])
     z = disk(0.0, 1.0).boundary_point(t)
-    out = cauchy_boundary(np.exp(circle.nodes), circle, z, np.exp(z))
+    out = cauchy_kernel(circle, z)(np.exp(circle.nodes), np.exp(z))
     assert np.abs(out - np.exp(z)).max() < 1e-12
     # the same transform outside: exp continues across the contour and
     # is kept, while a pole inside the contour is filtered out entirely
     for scale in (1.0 + 1e-6, 3.0):
         zo = scale * z
-        out = cauchy_boundary(np.exp(circle.nodes), circle, zo, np.exp(zo))
+        kernel = cauchy_kernel(circle, zo)
+        out = kernel(np.exp(circle.nodes), np.exp(zo))
         assert np.abs(out - np.exp(zo)).max() < 1e-12
-        out = cauchy_boundary(1.0 / (circle.nodes - 0.3j), circle, zo,
-                              1.0 / (zo - 0.3j))
+        out = kernel(1.0 / (circle.nodes - 0.3j), 1.0 / (zo - 0.3j))
         assert np.abs(out).max() < 1e-12
 
 
@@ -115,7 +109,7 @@ def test_boundary_transform_on_panel_rules():
     box = rectangle((-1.0, 1.0), (-0.5, 0.5))
     q = boundary_samples(box, 512)
     vals = np.exp(q.nodes)
-    at_nodes = cauchy_boundary(vals, q, q.nodes[::7], vals[::7])
+    at_nodes = cauchy_kernel(q, q.nodes[::7])(vals, vals[::7])
     assert np.abs(at_nodes - vals[::7]).max() < 1e-10
 
 
@@ -312,29 +306,6 @@ def test_a_raised_hit_radius_takes_the_dense_search(monkeypatch):
     assert kernel.hit_rows.size > quad.nodes[::9].size
 
 
-@pytest.mark.parametrize("transform", ["cauchy_stabilized", "cauchy_boundary"])
-def test_kernel_blocks_leave_no_lone_row(transform, circle, monkeypatch):
-    # blocks of 4 rows: for every target count from 2 to three blocks plus
-    # one, each value is that of the one-block call bit for bit
-    vals = np.exp(circle.nodes)
-    rng = np.random.default_rng(7)
-    w = np.exp(2j * np.pi * rng.random(13))
-    inside = transform == "cauchy_stabilized"
-    z = (0.9 * rng.random(13) if inside else 1.0 + rng.random(13)) * w
-
-    def evaluate(z):
-        if inside:
-            return cauchy_stabilized(vals, circle, z)
-        return cauchy_boundary(vals, circle, z, np.exp(z))
-
-    whole = [evaluate(z[:count]) for count in range(2, 14)]
-    monkeypatch.setattr(quadrature, "_KERNEL_BLOCK", 4 * len(circle))
-    for count, expect in zip(range(2, 14), whole):
-        blocks = _kernel_blocks(count, len(circle))
-        assert min(block.stop - block.start for block in blocks) >= 2
-        assert np.array_equal(evaluate(z[:count]), expect)
-
-
 def test_kernel_blocks_hold_the_budget_and_join_a_lone_row(monkeypatch):
     monkeypatch.setattr(quadrature, "_KERNEL_BLOCK", 40)
     assert _kernel_blocks(9, 10) == [slice(0, 4), slice(4, 9)]
@@ -348,17 +319,26 @@ def test_kernel_blocks_hold_the_budget_and_join_a_lone_row(monkeypatch):
 
 
 def test_boundary_transform_is_the_kernel_within_one_block(circle):
-    # 1000 targets by 256 nodes fit in one block of cauchy_boundary
+    # 1000 targets by 256 nodes make 4 _kernel_blocks; the kernels of the
+    # blocks give the values of the one kernel over all the targets
     z = np.concatenate([disk(0.0, 1.0).boundary_point(np.arange(900) / 900),
                         circle.nodes[::3], 1.5 * circle.nodes[:14]])
     vals, f_at = np.exp(circle.nodes), np.exp(z)
-    assert np.array_equal(cauchy_boundary(vals, circle, z, f_at),
-                          cauchy_kernel(circle, z)(vals, f_at))
+    blocks = _kernel_blocks(z.size, len(circle))
+    assert len(blocks) == 4
+    for transform in (lambda k, rows: k(vals, f_at[rows]),
+                      lambda k, rows: k.plain(vals),
+                      lambda k, rows: k.stabilized(vals)):
+        blocked = np.concatenate([
+            transform(cauchy_kernel(circle, z[rows]), rows)
+            for rows in blocks])
+        whole = transform(cauchy_kernel(circle, z), slice(None))
+        assert np.array_equal(blocked, whole, equal_nan=True)
 
 
 def test_stabilized_transform_near_the_boundary(circle):
     z = 0.999999 * np.exp(1j * np.array([0.7, 3.1]))
-    vals = cauchy_stabilized(np.exp(circle.nodes), circle, z)
+    vals = cauchy_kernel(circle, z).stabilized(np.exp(circle.nodes))
     assert np.abs(vals - np.exp(z)).max() < 1e-9
 
 
@@ -368,15 +348,15 @@ def test_stabilized_transform_takes_the_node_value_on_a_hit(circle):
     # exactly on a node, and within the hit radius of one
     offset = 0.5 * _HIT_RTOL * circle.diameter * np.exp(0.3j)
     for z in (nodes, nodes + offset):
-        got = cauchy_stabilized(vals, circle, np.append(z, 0.1 + 0.2j))
+        got = cauchy_kernel(circle, np.append(z, 0.1 + 0.2j)).stabilized(vals)
         assert np.array_equal(got[:-1], vals[::9])
         assert abs(got[-1] - np.exp(0.1 + 0.2j)) < 1e-13
 
 
 def test_stabilized_transform_matches_plain_far_away(circle):
     z = np.array([0.1 + 0.2j, -0.3j])
-    a = cauchy_stabilized(np.exp(circle.nodes), circle, z)
-    b = cauchy_plus(np.exp(circle.nodes), circle, z)
+    a = cauchy_kernel(circle, z).stabilized(np.exp(circle.nodes))
+    b = _transform(np.exp(circle.nodes), circle, z)
     assert np.abs(a - b).max() < 1e-13
 
 
@@ -385,7 +365,7 @@ def test_transforms_on_a_smooth_curve_boundary():
     q = boundary_samples(region, 512)
     f = 1.0 / (q.nodes - 4.0)
     z = np.array([0.05 + 0.1j])
-    assert np.abs(cauchy_plus(f, q, z) - 1.0 / (z - 4.0)).max() < 1e-12
+    assert np.abs(_transform(f, q, z) - 1.0 / (z - 4.0)).max() < 1e-12
 
 
 @given(
@@ -403,7 +383,7 @@ def test_interior_transform_is_exact_on_polynomials(coeffs, t):
     vals = np.polyval(coeffs, q.nodes)
     expect = np.polyval(coeffs, z0)
     scale = max(1.0, np.abs(vals).max())
-    assert np.abs(cauchy_plus(vals, q, z0) - expect).max() < 1e-11 * scale
+    assert np.abs(_transform(vals, q, z0) - expect).max() < 1e-11 * scale
 
 
 def test_blocks_hold_what_the_budget_allows(monkeypatch):
@@ -434,7 +414,6 @@ def _unit_targets(shape):
 def evaluators(circle, disk_map):
     """name -> (evaluator of unit-circle targets w, whether a scalar w
     gives an array of one element rather than a scalar)."""
-    f_exp = np.exp(circle.nodes)
     ctx = build_context(disk_map, 2, 64)
     rational = BarycentricRational([1.0, -1.0, 1.0j], [1.0, 2.0, 3.0],
                                    [1.0, -1.0, 1.0])
@@ -442,10 +421,6 @@ def evaluators(circle, disk_map):
                "polygon": rectangle((-1.0, 1.0), (-1.0, 1.0)),
                "curve": curve({1: 1.0, 3: 0.05})}
     table = {
-        "cauchy_boundary": (lambda w: cauchy_boundary(
-            f_exp, circle, 2.0 * w, np.exp(2.0 * w)), False),
-        "cauchy_stabilized": (
-            lambda w: cauchy_stabilized(f_exp, circle, 0.5 * w), False),
         "phi": (lambda w: phi(disk_map, 3.0 + 0.1 * w), False),
         "psi_boundary": (lambda w: psi_boundary(disk_map, w), False),
         "bary_eval": (lambda w: bary_eval(rational, 0.5 * w), False),
@@ -459,8 +434,7 @@ def evaluators(circle, disk_map):
     return table
 
 
-EVALUATORS = ["cauchy_boundary", "cauchy_stabilized", "phi", "psi_boundary",
-              "bary_eval", "eval_rn"] + [
+EVALUATORS = ["phi", "psi_boundary", "bary_eval", "eval_rn"] + [
     f"{name}_{kind}" for name in ("contains_many", "boundary_distance")
     for kind in ("disk", "polygon", "curve")]
 
