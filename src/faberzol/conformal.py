@@ -41,7 +41,6 @@ from .errors import (
 )
 from .geometry import Disk, Polygon, Region
 from .quadrature import _blocks, _flat, _shaped
-from .search import _brentq, lockstep
 
 _TWO_PI = 2.0 * math.pi
 _MAX_DEGREE = 128
@@ -1038,15 +1037,15 @@ def psi_boundary(annulus_map, w):
     w is one value or an array of values on one annulus circle; the result
     has its shape (a complex for a scalar).  Phi is tabulated once per map
     on each boundary (AnnulusMap._psi_tables) and the table is reused by
-    every call; the root of each w lies in the first table interval where
-    arg(Phi/w) (_angle_gap) changes sign with both ends within pi/2 (the
-    crossing through 0, not the jump at +-pi).  All roots of a call are
-    then refined at once, by brentq searches (xtol 1e-15) run in lockstep
-    on the boundary params, each started from the table's values at its
-    bracket ends, so the search sees the sign change the table found.  phi
-    and boundary_point give each point the value it has alone, so every
-    root is that of its own one-point search.  Every map, the closed-form
-    two-disk map included, takes this one path.
+    every call.  arg Phi winds once around the table, so searchsorted on
+    its unwrapped angle finds the table interval of each arg w; of that
+    interval and its two neighbours (rounding may put arg w on either side
+    of a node), the first where arg(Phi/w) (_angle_gap) changes sign with
+    both ends within pi/2 (the crossing through 0, not the jump at +-pi)
+    brackets the root.  _psi_newton then refines all roots at once on the
+    boundary params.  Every step is elementwise, so each root is that of
+    its own one-point call.  Every map, the closed-form two-disk map
+    included, takes this one path.
     """
     ws = _flat(w)
     h = annulus_map.h
@@ -1064,35 +1063,83 @@ def psi_boundary(annulus_map, w):
               else boundary_region(annulus_map.region_f))
     vals = annulus_map._psi_tables[0 if on_e else 1]
     ang = np.unwrap(np.angle(vals))
-    if abs(abs(ang[-1] - ang[0]) - _TWO_PI) > 1e-3:
+    turn = ang[-1] - ang[0]
+    if abs(abs(turn) - _TWO_PI) > 1e-3:
         raise EvaluationDomainError("boundary correspondence not resolved: "
                                     "arg Phi on the table does not wind once")
-    gap = _angle_gap(vals, ws[:, None])
-    lo, hi = gap[:, :-1], gap[:, 1:]
+    # the table angle runs one way round: search it ascending, with arg w
+    # taken into the turn that starts at the first node
+    way = math.copysign(1.0, turn)
+    start = way * ang[0]
+    target = start + (way * np.angle(ws) - start) % _TWO_PI
+    near = np.searchsorted(way * ang, target, side="right") - 1
+    cand = (near[:, None] + np.arange(-1, 2)) % (vals.size - 1)
+    lo = _angle_gap(vals[cand], ws[:, None])
+    hi = _angle_gap(vals[cand + 1], ws[:, None])
     cross = ((np.minimum(lo, hi) <= 0.0) & (np.maximum(lo, hi) >= 0.0)
              & (np.abs(lo) < math.pi / 2) & (np.abs(hi) < math.pi / 2))
     if not np.all(cross.any(axis=1)):
         raise EvaluationDomainError("boundary correspondence not resolved: "
                                     "no table interval brackets arg w")
-    first = np.argmax(cross, axis=1)
-    t = lockstep(
-        (_brentq(i / _PSI_TABLE, (i + 1) / _PSI_TABLE, lo[k, i], hi[k, i])
-         for k, i in enumerate(first)),
-        lambda x, lanes: _angle_gap(
-            phi(annulus_map, region.boundary_point(x)), ws[lanes]))
-    z = region.boundary_point(np.array(t, dtype=float))
+    pick = (np.arange(ws.size), np.argmax(cross, axis=1))
+    i = cand[pick]
+    z = region.boundary_point(_psi_newton(
+        annulus_map, region, ws, i / (vals.size - 1), (i + 1) / (vals.size - 1),
+        lo[pick], hi[pick]))
     err = np.abs(phi(annulus_map, z) - ws)
     scale = np.maximum(1.0, np.abs(ws))
-    if np.any(err > 1e-8 * scale + 10.0 * annulus_map.residual * scale):
+    # a NaN error fails too
+    if not np.all(err <= 1e-8 * scale + 10.0 * annulus_map.residual * scale):
         raise EvaluationDomainError(
             f"psi_boundary did not converge: |phi(z) - w| = {err.max():g}"
         )
     return _shaped(z, w)
 
 
+def _psi_newton(annulus_map, region, ws, a, b, fa, fb):
+    """The boundary params t in (a, b) where arg(Phi(z(t))/w) crosses 0,
+    given that gap fa, fb at the ends: Newton on the gap, whose slope is
+    Im(Phi'/Phi z'(t)) (dlog_phi), from the secant point, all lanes at
+    once.  A lane stops once its Newton correction is within brentq's
+    xtol, 0.5e-15 + 2 eps |t|, or is below 2^-32 and not half its last
+    step (there the gap is rounding noise, or t crossed a polygon corner),
+    and takes that correction.  A step out of the lane's bracket goes to
+    the bracket's midpoint.  After 100 steps a lane keeps its last t for
+    psi_boundary's check of |phi(z) - w|.
+    """
+    t, live = np.empty(a.shape), np.arange(a.size)
+    x, last = a - fa * (b - a) / (fb - fa), b - a
+    # the slope at a lightning pole cluster may overflow; the bracket test
+    # sends a non-finite step to the midpoint
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for _ in range(100):
+            if not live.size:
+                break
+            z = region.boundary_point(x)
+            f = _angle_gap(phi(annulus_map, z), ws[live])
+            dl = dlog_phi(annulus_map, z)
+            dz = region.boundary_tangent(x)
+            step = np.where(f == 0.0, 0.0,
+                            -f / (dl.real * dz.imag + dl.imag * dz.real))
+            low = np.sign(f) == np.sign(fa)
+            a, b = np.where(low, x, a), np.where(low, b, x)
+            size = np.abs(step)
+            done = ((size <= 0.5e-15 + 2.0 * _EPS * np.abs(x))
+                    | ((size <= 2.0 ** -32) & (size > 0.5 * last)))
+            newton = x + step
+            newton = np.where(done | ((a < newton) & (newton < b)), newton,
+                              0.5 * (a + b))
+            last, x = np.abs(newton - x), newton
+            t[live] = x
+            live, x, a, b, fa, last = (
+                live[~done], x[~done], a[~done], b[~done], fa[~done],
+                last[~done])
+    return t
+
+
 def _angle_gap(vals, w):
     """arg(vals conj(w)) from real products, the one formula of the
-    psi_boundary table and of its searches.  numpy rounds a product of
+    psi_boundary brackets and of its Newton steps.  numpy rounds a product of
     complex scalars differently from one of complex arrays; a product of
     reals rounds the same in every loop."""
     return np.arctan2(vals.imag * w.real - vals.real * w.imag,

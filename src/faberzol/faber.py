@@ -64,11 +64,13 @@ class _Scan:
 
 
 def _parts(targets: _Scan):
-    """(block, target set) over the _kernel_blocks of the kernels over
-    n_quad nodes at the points of targets (1 MiB a kernel, no lone last
-    point): targets itself when that leaves one block, so that it keeps its
+    """(block, target set) over the _kernel_blocks of the kernels at the
+    points of targets, sized by the larger of the two rules so that both
+    kernels of a part fit the budget (1 MiB a kernel, no lone last point):
+    targets itself when that leaves one block, so that it keeps its
     kernels, else a fresh set for each block, whose kernels go with it."""
-    blocks = _kernel_blocks(targets.z.size, len(targets.quad_e))
+    blocks = _kernel_blocks(targets.z.size,
+                            max(len(targets.quad_e), len(targets.quad_f)))
     if len(blocks) == 1:
         yield blocks[0], targets
         return

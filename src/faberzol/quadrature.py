@@ -86,6 +86,13 @@ class BoundaryQuadrature:
         return float(np.abs(self.weights).min())
 
     @functools.cached_property
+    def _equispaced(self) -> bool:
+        """Whether the arc parameters are equispaced (a trapezoid rule):
+        _nodal_derivative then differentiates by FFT."""
+        dt = np.diff(self.arc_params)
+        return bool(np.allclose(dt, dt[0], rtol=1e-9, atol=0.0))
+
+    @functools.cached_property
     def runs(self):
         """(cols, boxes, box) of the runs of _RUN consecutive nodes, the
         last run shorter: cols[k] the columns of run k, padded with -1;
@@ -179,9 +186,7 @@ def _nodal_derivative(vals, quad: BoundaryQuadrature):
     w_j ~ zeta'(t_j) dt convert parameter derivatives to spatial ones.
     """
     n = len(quad)
-    t = quad.arc_params
-    dt = np.diff(t)
-    if np.allclose(dt, dt[0], rtol=1e-9, atol=0.0):
+    if quad._equispaced:
         k = np.fft.fftfreq(n, d=1.0 / n)
         if n % 2 == 0:
             k[n // 2] = 0.0

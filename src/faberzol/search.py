@@ -8,16 +8,14 @@ instead of one call per point.  When the batched evaluation gives each
 lane the value a one-point evaluation would, every search takes exactly
 the steps it would take alone.
 
-_brentq and _bounded_brent retrace scipy's brentq and bounded
-minimize_scalar with scipy's arithmetic, so their iterates are those of
-the scipy calls they replace.
+_bounded_brent retraces scipy's bounded minimize_scalar with scipy's
+arithmetic, so its iterates are those of the scipy call it replaces; the
+witness searches of faber run it in lockstep.
 """
 
 import math
 
 import numpy as np
-
-_EPS = float(np.finfo(float).eps)
 
 
 def lockstep(searches, evaluate) -> list:
@@ -43,67 +41,6 @@ def lockstep(searches, evaluate) -> list:
                   if lanes else [])
         sent = dict(zip(lanes, map(float, values)))
     return results
-
-
-def _checked(value, x):
-    """value, unless it is NaN (scipy's brentq raises there)."""
-    if math.isnan(value):
-        raise ValueError(f"The function value at x={x} is NaN; "
-                         "solver cannot continue.")
-    return value
-
-
-def _brentq(xa: float, xb: float, fa: float, fb: float):
-    """scipy's brentq(f, xa, xb, xtol=1e-15) as a generator, with the
-    arithmetic of scipy's C brentq, started from the caller's values
-    fa = f(xa) and fb = f(xb): it yields each further abscissa, is sent f
-    there, and returns the root.  Like scipy it raises ValueError when f
-    is NaN or has one sign at both ends, and RuntimeError when 100 steps
-    do not converge."""
-    xtol, rtol, maxiter = 1e-15, 4.0 * _EPS, 100
-    xpre, xcur = float(xa), float(xb)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = _checked(float(fa), xpre), _checked(float(fb), xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
-        if (fpre != 0.0 and fcur != 0.0
-                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0.0 else -delta
-        fcur = _checked((yield xcur), xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations, "
-                       f"value is {xcur:f}")
 
 
 def _bounded_brent(lo: float, hi: float):

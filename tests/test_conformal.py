@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 import faberzol
 from conftest import random_disk_pair, two_disk_h
@@ -132,6 +133,57 @@ def test_psi_boundary_of_no_points_is_an_empty_complex_array(disk_map):
         assert z.dtype == complex and z.shape == w.shape
 
 
+def test_psi_boundary_forms_no_table_long_axis_per_root(disk_map):
+    # each root's bracket comes from searchsorted on the table angle, so
+    # 2048 roots trace a few kB per root, not a row of the 4097-node table
+    roots = np.exp(2j * np.pi * np.arange(2048) / 2048)
+    psi_boundary(disk_map, 1.0)  # the tables, built once per map
+    tracemalloc.start()
+    try:
+        psi_boundary(disk_map, roots)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def _table_gap(t, amap, region, w):
+    """arg(Phi/w) at the boundary param t, as psi_boundary's table has it."""
+    z = region.boundary_point(np.array([t]))
+    return conformal._angle_gap(phi(amap, z), w)[0]
+
+
+@pytest.mark.parametrize("name", ["readme", "hexagons", "rect_disk",
+                                  "disk_curve", "rect_in_exterior"])
+def test_psi_boundary_roots_match_brentq_on_the_table_brackets(name):
+    # the Newton roots against scipy's brentq (xtol 1e-15) on the first
+    # table interval where arg(Phi/w) crosses 0 with both ends within pi/2.
+    # |Phi - w| is compared to 1e-12 |w|, not to a few eps: Phi's own
+    # rounding moves it by up to 1e3 eps between adjacent params at a
+    # hexagon corner, and by about 1e2 eps over the 1e-14 that separates
+    # the two roots on the README map
+    amap = _batch_map(name)
+    intervals = conformal._PSI_TABLE
+    for side, region in enumerate(
+            (amap.region_e, conformal.boundary_region(amap.region_f))):
+        table = amap._psi_tables[side]
+        for n in (6, 512):
+            w = (1.0, amap.h)[side] * np.exp(2j * np.pi * np.arange(n) / n)
+            z = psi_boundary(amap, w)
+            gap = conformal._angle_gap(table, w[:, None])
+            lo, hi = gap[:, :-1], gap[:, 1:]
+            cross = ((np.minimum(lo, hi) <= 0.0) & (np.maximum(lo, hi) >= 0.0)
+                     & (np.abs(lo) < math.pi / 2) & (np.abs(hi) < math.pi / 2))
+            t = [brentq(_table_gap, i / intervals, (i + 1) / intervals,
+                        args=(amap, region, w[k:k + 1]), xtol=1e-15)
+                 for k, i in enumerate(np.argmax(cross, axis=1))]
+            ref = region.boundary_point(np.array(t))
+            err = np.abs(phi(amap, z) - w)
+            ref_err = np.abs(phi(amap, ref) - w)
+            assert np.all(err <= ref_err + 1e-12 * np.abs(w))
+            assert np.abs(z - ref).max() <= 1e-12 * region.diameter()
+
+
 @functools.cache
 def _batch_map(name):
     return solve_annulus_map(*AUDIT_PAIRS[name][0](), tol=1e-8)
@@ -141,8 +193,10 @@ def _batch_map(name):
                                   "disk_curve", "rect_in_exterior",
                                   "far_disks"])
 def test_batched_values_equal_one_point_calls(name):
-    # the lockstep searches rely on it: in any batch, boundary_point, phi
-    # and psi_boundary's angle gap give each point its one-point value
+    # the lockstep searches and psi_boundary's Newton steps rely on it: in
+    # any batch, boundary_point, phi, psi_boundary's angle gap and the
+    # slope factors dlog_phi and boundary_tangent give each point its
+    # one-point value
     amap = _batch_map(name)
     rng = np.random.default_rng(7)
     for region in (amap.region_e, conformal.boundary_region(amap.region_f)):
@@ -152,11 +206,14 @@ def test_batched_values_equal_one_point_calls(name):
             z = region.boundary_point(t)
             vals = phi(amap, z)
             gap = conformal._angle_gap(vals, w)
+            slope = conformal.dlog_phi(amap, z), region.boundary_tangent(t)
             for i in range(size):
                 zi = region.boundary_point(t[i:i + 1])
                 vi = phi(amap, zi)
                 assert zi[0] == z[i] and vi[0] == vals[i]
                 assert conformal._angle_gap(vi, w[i:i + 1])[0] == gap[i]
+                assert conformal.dlog_phi(amap, zi)[0] == slope[0][i]
+                assert region.boundary_tangent(t[i:i + 1])[0] == slope[1][i]
 
 
 @pytest.mark.parametrize("name", ["readme", "hexagons", "rect_in_exterior"])
@@ -228,6 +285,19 @@ def test_psi_boundary_names_the_table_check_that_failed(disk_pair):
     with pytest.raises(EvaluationDomainError,
                        match="no table interval brackets arg w"):
         psi_boundary(amap, np.exp(1j * np.deg2rad([5.0, 50.0])))
+
+
+def test_psi_boundary_raises_where_phi_is_nan_off_the_table(disk_pair,
+                                                             monkeypatch):
+    # a NaN in the Newton steps ends in the final check, not in a root
+    amap = mobius_two_disks(*disk_pair)
+    psi_boundary(amap, 1.0)  # the tables, built with the true phi
+    true_phi = conformal.phi
+    monkeypatch.setattr(conformal, "phi",
+                        lambda m, z: true_phi(m, z) * math.nan)
+    with pytest.raises(EvaluationDomainError,
+                       match=r"did not converge: \|phi\(z\) - w\| = nan"):
+        psi_boundary(amap, np.exp(0.3j))
 
 
 def test_far_field_modulus_is_sqrt_h_for_mirrored_pairs(disk_map):

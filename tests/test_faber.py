@@ -249,6 +249,35 @@ def test_kernel_blocks_leave_no_lone_row(evaluator, ctx6, monkeypatch):
         assert np.array_equal(evaluate(ctx6, z[:count]), expect)
 
 
+def test_parts_fit_both_kernels_where_the_f_rule_is_larger(monkeypatch):
+    # the disk's rule has 100 nodes and the rectangle's 128 (polygon rules
+    # round up): parts sized by the E rule alone gave across-F kernels of
+    # 655 x 128 = 83840 entries; sized by the larger rule both fit 2^16,
+    # and by the lone-row rule every value is that of the E-sized cut
+    amap = solve_annulus_map(disk(2.0, 0.6),
+                             rectangle((-2.0, -1.0), (-0.5, 0.5)), tol=1e-8)
+    ctx = degree_context(boundary_data(amap, 100), 3)
+    assert (len(ctx.quad_e), len(ctx.quad_f)) == (100, 128)
+    rng = np.random.default_rng(5)
+    z = rng.uniform(-2.5, 3.0, 2000) + 1j * rng.uniform(-1.0, 1.0, 2000)
+    outside_f = z[~contains_many(amap.region_f, z)[0]]
+    sizes, kernel = [], faber.cauchy_kernel
+
+    def counted(quad, targets):
+        sizes.append(len(quad) * len(targets))
+        return kernel(quad, targets)
+
+    monkeypatch.setattr(faber, "cauchy_kernel", counted)
+    values = eval_Rn(ctx, outside_f), eval_inv_rn(ctx, z)
+    assert sizes and max(sizes) <= quadrature._KERNEL_BLOCK
+    monkeypatch.setattr(faber, "_kernel_blocks", lambda n, _: (
+        quadrature._kernel_blocks(n, len(ctx.quad_e))))
+    for now, e_sized in zip(values, (eval_Rn(ctx, outside_f),
+                                     eval_inv_rn(ctx, z))):
+        assert np.array_equal(now, e_sized)
+    assert max(sizes) > quadrature._KERNEL_BLOCK
+
+
 def test_count_zeros_builds_only_the_scan_kernel_it_reads(disk_map):
     data = boundary_data(disk_map, 128)
     assert count_zeros(degree_context(data, 3)) == 3

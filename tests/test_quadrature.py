@@ -133,6 +133,9 @@ def test_nodal_derivative_matches_exp_and_the_per_node_fit(region, n_quad):
     vals = np.exp(q.nodes)
     deriv = _nodal_derivative(vals, q)
     assert np.abs(deriv - vals).max() <= 1e-8 * np.abs(vals).max()
+    # the spacing test ran once and is kept on the rule for later calls
+    assert vars(q)["_equispaced"] == (n_quad == 128)
+    assert np.array_equal(_nodal_derivative(vals, q), deriv)
     if n_quad == 512:
         # the one batched solve (LU) agrees with a per-node lstsq fit (SVD)
         # to the rounding of the corner Vandermonde systems: both are
