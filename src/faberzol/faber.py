@@ -43,9 +43,8 @@ class _Scan:
     the power-of-two shift of Phi on the boundary the set was built on
     (round(log2 h) on F, else 0) and, on a boundary, the parameters t of
     the points.  The kernels across E and across F at z are built on first
-    read and then kept; no module forms a kernel anywhere else, and faber
-    reads them only on a set that fits one part (_parts) or on one
-    point."""
+    read; no module forms a kernel anywhere else, and faber reads them only
+    on the parts of _by_blocks or on one point."""
 
     quad_e: BoundaryQuadrature
     quad_f: BoundaryQuadrature
@@ -63,37 +62,26 @@ class _Scan:
         return cauchy_kernel(self.quad_f, self.z)
 
 
-def _parts(targets: _Scan):
-    """(block, target set) over the _kernel_blocks of the kernels at the
-    points of targets, sized by the larger of the two rules so that both
-    kernels of a part fit the budget (1 MiB a kernel, no lone last point):
-    targets itself when that leaves one block, so that it keeps its
-    kernels, else a fresh set for each block, whose kernels go with it."""
-    blocks = _kernel_blocks(targets.z.size,
-                            max(len(targets.quad_e), len(targets.quad_f)))
-    if len(blocks) == 1:
-        yield blocks[0], targets
-        return
-    z, phi_z = targets.z, targets.phi
-    for block in blocks:
-        yield block, _Scan(targets.quad_e, targets.quad_f, z[block],
-                           None if phi_z is None else phi_z[block],
-                           targets.shift)
-
-
 def _by_blocks(targets: _Scan, lanes: int, evaluate):
     """The values of `lanes` lanes at the points of targets, one row per
-    lane, over the _parts of targets: evaluate(block, part) gives every
-    lane's values at the part's points, so each part's kernels serve every
-    lane before the next part is built.
+    lane, part by part: each part is a fresh target set over one
+    _kernel_blocks block of the points, sized by the larger of the two
+    rules so that both kernels of a part fit the budget (1 MiB a kernel,
+    no lone last point), and evaluate(block, part) gives every lane's
+    values at the part's points, so each part's kernels serve every lane
+    before the next part is built and go with the part.
 
     A lane's values depend neither on the blocks (see _kernel_blocks) nor
     on the other lanes.
     """
     out = np.empty((lanes, targets.z.size), dtype=complex)
     if lanes:
-        for block, part in _parts(targets):
-            out[:, block] = evaluate(block, part)
+        z, phi_z = targets.z, targets.phi
+        for block in _kernel_blocks(
+                z.size, max(len(targets.quad_e), len(targets.quad_f))):
+            out[:, block] = evaluate(block, _Scan(
+                targets.quad_e, targets.quad_f, z[block],
+                None if phi_z is None else phi_z[block], targets.shift))
     return out
 
 
@@ -107,10 +95,7 @@ class BoundaryData:
     part (_by_blocks), each part's for every degree of the call:
     degree_contexts applies the kernel across E at the F nodes for all its
     degrees, empirical_ratios and adi.faber_shifts the four scan kernels
-    for all their contexts.  Only a set that fits one part, a kernel of at
-    most 2^16 entries, keeps its kernels between calls: the node sets
-    up to 256 nodes, whose kernel across E at the F nodes boundary_data
-    builds at once, and the scans up to 128.
+    for all their contexts.  No set keeps a kernel between calls.
     """
 
     map: AnnulusMap
@@ -147,9 +132,8 @@ def _dense_scan(data: BoundaryData, region, shift: int) -> _Scan:
 
 
 def boundary_data(amap, n_quad: int = 512) -> BoundaryData:
-    """Boundary quadratures of n_quad nodes (>= 64), the target sets of
-    their nodes and, where a node set fits one part (n_quad <= 256), the
-    kernel across E at the F nodes."""
+    """Boundary quadratures of n_quad nodes (>= 64) and the target sets of
+    their nodes."""
     if n_quad < 64:
         raise ValueError("need at least 64 quadrature nodes per boundary")
     if isinstance(amap.region_f, ExteriorOf):
@@ -162,8 +146,6 @@ def boundary_data(amap, n_quad: int = 512) -> BoundaryData:
     e_nodes, f_nodes = (
         _Scan(quad_e, quad_f, quad.nodes, phi(amap, quad.nodes), shift)
         for quad, shift in ((quad_e, 0), (quad_f, round(math.log2(amap.h)))))
-    if next(_parts(f_nodes))[1] is f_nodes:
-        f_nodes.across_e  # kept and built now: every degree applies it
     return BoundaryData(amap, quad_e, quad_f, e_nodes, f_nodes)
 
 

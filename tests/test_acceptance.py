@@ -24,7 +24,8 @@ from faberzol.displacement import (cauchy_matrix, singular_value_bounds,
                                    singular_values, vandermonde_h,
                                    vandermonde_matrix)
 from faberzol.faber import (boundary_data, build_context, count_zeros,
-                            degree_context, empirical_ratio, eval_Rn, eval_rn)
+                            degree_contexts, empirical_ratios, eval_Rn,
+                            eval_rn)
 from faberzol.geometry import (boundary_samples, contains_many, disk,
                                polygon, random_points, rectangle)
 from faberzol.quadrature import cauchy_kernel
@@ -70,8 +71,9 @@ def test_two_disk_pairs_match_closed_form_end_to_end():
         worst_grid = max(worst_grid, float(err.max()))
 
         data = boundary_data(mm, n_quad=256)
-        for n in range(1, 11):
-            emp = empirical_ratio(degree_context(data, n))
+        degrees = range(1, 11)
+        for n, emp in zip(degrees, empirical_ratios(
+                degree_contexts(data, degrees))):
             worst_ratio = max(worst_ratio, abs(emp - mm.h**-n) / mm.h**-n)
     elapsed = time.time() - start
     print(
@@ -99,8 +101,9 @@ def test_mirrored_rectangle_sandwich_holds_for_all_degrees():
         h_errs.append(abs(amap.h - h_exp) / h_exp)
         gc = GeometryConstants.from_regions(e, f, amap.h)
         data = boundary_data(amap, n_quad=512)
-        for n in range(1, 31):
-            emp = empirical_ratio(degree_context(data, n))
+        degrees = range(1, 31)
+        for n, emp in zip(degrees, empirical_ratios(
+                degree_contexts(data, degrees))):
             lo = zolotarev_lower(amap.h, n)
             bv = zolotarev_upper(gc, n)
             if emp < lo * (1.0 - 1e-6):

@@ -249,6 +249,18 @@ def test_kernel_blocks_leave_no_lone_row(evaluator, ctx6, monkeypatch):
         assert np.array_equal(evaluate(ctx6, z[:count]), expect)
 
 
+def _kernel_counter(monkeypatch):
+    """The (rule, targets) of every kernel faber builds from now on."""
+    built, kernel = [], faber.cauchy_kernel
+
+    def counted(quad, z):
+        built.append((quad, z))
+        return kernel(quad, z)
+
+    monkeypatch.setattr(faber, "cauchy_kernel", counted)
+    return built
+
+
 def test_parts_fit_both_kernels_where_the_f_rule_is_larger(monkeypatch):
     # the disk's rule has 100 nodes and the rectangle's 128 (polygon rules
     # round up): parts sized by the E rule alone gave across-F kernels of
@@ -261,34 +273,49 @@ def test_parts_fit_both_kernels_where_the_f_rule_is_larger(monkeypatch):
     rng = np.random.default_rng(5)
     z = rng.uniform(-2.5, 3.0, 2000) + 1j * rng.uniform(-1.0, 1.0, 2000)
     outside_f = z[~contains_many(amap.region_f, z)[0]]
-    sizes, kernel = [], faber.cauchy_kernel
+    built = _kernel_counter(monkeypatch)
 
-    def counted(quad, targets):
-        sizes.append(len(quad) * len(targets))
-        return kernel(quad, targets)
+    def largest():
+        return max(len(quad) * targets.size for quad, targets in built)
 
-    monkeypatch.setattr(faber, "cauchy_kernel", counted)
     values = eval_Rn(ctx, outside_f), eval_inv_rn(ctx, z)
-    assert sizes and max(sizes) <= quadrature._KERNEL_BLOCK
+    assert largest() <= quadrature._KERNEL_BLOCK
     monkeypatch.setattr(faber, "_kernel_blocks", lambda n, _: (
         quadrature._kernel_blocks(n, len(ctx.quad_e))))
     for now, e_sized in zip(values, (eval_Rn(ctx, outside_f),
                                      eval_inv_rn(ctx, z))):
         assert np.array_equal(now, e_sized)
-    assert max(sizes) > quadrature._KERNEL_BLOCK
+    assert largest() > quadrature._KERNEL_BLOCK
 
 
-def test_count_zeros_builds_only_the_scan_kernel_it_reads(disk_map):
-    data = boundary_data(disk_map, 128)
-    assert count_zeros(degree_context(data, 3)) == 3
-    # no F scan; the E scan fits one part at 128 nodes and keeps the one
-    # kernel read, while at 256 nodes it is cut into parts and keeps none
-    assert {"e_scan", "f_scan"} & set(vars(data)) == {"e_scan"}
-    assert {"across_e", "across_f"} & set(vars(data.e_scan)) == {"across_e"}
-    data = boundary_data(disk_map, 256)
-    assert count_zeros(degree_context(data, 3)) == 3
-    assert {"e_scan", "f_scan"} & set(vars(data)) == {"e_scan"}
-    assert not {"across_e", "across_f"} & set(vars(data.e_scan))
+def test_count_zeros_builds_only_the_scan_kernel_it_reads(disk_map,
+                                                          monkeypatch):
+    # kernels across E only (the E scan and the level curve), no F scan
+    for nq in (128, 256):
+        data = boundary_data(disk_map, nq)
+        ctx = degree_context(data, 3)
+        built = _kernel_counter(monkeypatch)
+        assert count_zeros(ctx) == 3
+        assert built and all(quad is data.quad_e for quad, _ in built)
+        assert {"e_scan", "f_scan"} & set(vars(data)) == {"e_scan"}
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("nq", [64, 128, 256, 512])
+def test_no_target_set_keeps_a_kernel_between_calls(nq, disk_map):
+    # every kernel lives for one part of one call, at every node count
+    data = boundary_data(disk_map, nq)
+    contexts = list(degree_contexts(data, (2, 3)))
+    empirical_ratios(contexts)
+    faber_shifts(contexts)
+    # in E, in F and outside both
+    z = np.array([1.0 + 0.2j, 1.3, -1.0, -0.8 + 0.1j, 0.5j, 3.0])
+    eval_rn(contexts[0], z)
+    eval_inv_rn(contexts[0], z)
+    eval_Rn(contexts[0], z[[0, 1, 4, 5]])
+    assert count_zeros(contexts[1]) == 3
+    for scan in (data.e_nodes, data.f_nodes, data.e_scan, data.f_scan):
+        assert not {"across_e", "across_f"} & set(vars(scan))
 
 
 def test_rational_blows_up_inside_f(disk_map, ctx6):
@@ -497,7 +524,7 @@ def test_streamed_scans_equal_whole_scan_kernels_bit_for_bit(
         if rows is not None:
             monkeypatch.setattr(quadrature, "_CHUNK", rows * nq)
         for scan in (data.e_scan, data.f_scan):
-            blocks = [block for block, _ in faber._parts(scan)]
+            blocks = quadrature._kernel_blocks(scan.z.size, nq)
             assert len(blocks) >= 3
             sizes = [block.stop - block.start for block in blocks]
             assert min(sizes) >= 2
@@ -525,19 +552,21 @@ def test_witnesses_and_shifts_hold_no_whole_scan_kernel(rect_map):
         assert peak < 12 * 2 ** 20
 
 
-def test_degree_context_builds_no_kernel(disk_map, monkeypatch):
-    data = boundary_data(disk_map, 128)
-    built = []
-
-    def counted(quad, z):
-        built.append(np.size(z))
-        return quadrature.cauchy_kernel(quad, z)
-
-    monkeypatch.setattr(faber, "cauchy_kernel", counted)
-    monkeypatch.setattr(quadrature, "cauchy_kernel", counted)
-    for n in (0, 1, 7, 150):
-        degree_context(data, n)
-    assert built == []
+def test_degree_contexts_build_only_the_kernel_across_e_at_the_f_nodes(
+        disk_map, monkeypatch):
+    # one kernel per _kernel_blocks block of the F nodes for all degrees:
+    # one part at 128 nodes, four at 512
+    for nq in (128, 512):
+        data = boundary_data(disk_map, nq)
+        built = _kernel_counter(monkeypatch)
+        list(degree_contexts(data, (0, 1, 7, 150)))
+        blocks = quadrature._kernel_blocks(nq, nq)
+        assert len(blocks) == (1 if nq == 128 else 4)
+        assert len(built) == len(blocks)
+        for (quad, z), block in zip(built, blocks):
+            assert quad is data.quad_e
+            assert np.array_equal(z, data.f_nodes.z[block])
+        monkeypatch.undo()
 
 
 def test_pointwise_values_beyond_the_float_range_raise():

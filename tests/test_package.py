@@ -163,8 +163,8 @@ def _kernels_outside_target_sets(path):
 def _kernel_calls_outside_faber_scan(paths):
     """(module, line) for every call of cauchy_kernel, by name or as an
     attribute, anywhere but inside the class _Scan of faber.py: the target
-    sets there are the one place that builds a Cauchy kernel, and their
-    parts (faber._parts) the one place that blocks its targets."""
+    sets there are the one place that builds a Cauchy kernel, and the
+    parts of faber._by_blocks the one place that blocks their targets."""
     found = []
     for path in paths:
         tree = ast.parse(path.read_text(), filename=str(path))
